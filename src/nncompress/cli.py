@@ -25,7 +25,6 @@ from .serialize import SerializationError, load_checkpoint, load_model, save_che
 from .sparsity import ParamMask, RBGate, rb_eval_mask
 from .tensor import ShapeError, Tensor
 from .train import NumericError, evaluate, train_model
-from .util import accuracy
 
 log = logging.getLogger("nncompress")
 

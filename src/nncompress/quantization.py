@@ -1,11 +1,12 @@
 """Quantization-aware training via fake-quantize hooks.
 
 Weights and activations pass through simulated integer grids during
-training.  The rounding is non-differentiable, so the forward is built from
-engine primitives whose straight-through backward yields the standard
-gradient contracts: range parameters learn from the rounding residual
-(symmetric) or from boundary clipping (asymmetric), and the input gradient
-is passed inside the representable range and cut outside it.
+training.  The rounding is non-differentiable, so the forward is built
+from engine primitives (the fused ``fake_quant`` op for symmetric grids)
+whose straight-through backward yields the standard gradient contracts:
+range parameters learn from the rounding residual (symmetric) or from
+boundary clipping (asymmetric), and the input gradient is passed inside
+the representable range and cut outside it.
 """
 
 from __future__ import annotations
@@ -183,10 +184,7 @@ class FakeQuantizer:
         q_min, q_max = quant_grid(self.bits, self.grid)
         s = T.maximum(self.scale, RANGE_FLOOR)
         step = T.div(self._channel_view(s, t.ndim), float(q_max))
-        step_b = T.broadcast_to(step, t.shape)
-        v = T.div(t, step_b)
-        q = T.round_ste(T.clamp(v, float(q_min), float(q_max)))
-        return T.mul(q, step_b)
+        return T.fake_quant(t, step, float(q_min), float(q_max))
 
     def _quantize_asymmetric(self, t: Tensor) -> Tensor:
         levels = float(2**self.bits - 1)

@@ -14,7 +14,7 @@ gradient through unchanged.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,24 +28,19 @@ class _GradMode:
 
 
 @contextmanager
-def no_grad():
-    """Disable graph recording inside the block."""
-    prev = _GradMode.enabled
-    _GradMode.enabled = False
-    try:
-        yield
-    finally:
-        _GradMode.enabled = prev
-
-
-@contextmanager
-def _grad_mode(enabled):
+def _grad_mode(enabled: bool):
+    """Turn graph recording on or off inside the block."""
     prev = _GradMode.enabled
     _GradMode.enabled = enabled
     try:
         yield
     finally:
         _GradMode.enabled = prev
+
+
+def no_grad():
+    """Disable graph recording inside the block."""
+    return _grad_mode(False)
 
 
 class Tensor:
@@ -75,7 +70,8 @@ class Tensor:
 
     @property
     def grad(self) -> Optional[np.ndarray]:
-        """Accumulated gradient; zeros if backward never reached this tensor."""
+        """Accumulated gradient of a leaf tensor; zeros if backward never
+        reached it.  Intermediate tensors never accumulate one."""
         if self._grad is None and self.requires_grad:
             self._grad = np.zeros_like(self.data)
         return self._grad
@@ -145,16 +141,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _lift(x, like: Tensor) -> Tensor:
-    """Promote a python scalar to a constant tensor of ``like``'s shape."""
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != like.shape:
-        arr = np.broadcast_to(arr, like.shape).copy()
-    return Tensor(arr)
-
-
 def _node(data: np.ndarray, parents, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -170,30 +156,48 @@ def _node(data: np.ndarray, parents, op: str) -> Tensor:
     return out
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str):
+def _operands(a, b, op: str):
+    """Both operands as tensors; their shapes must broadcast together."""
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError as e:
+            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from e
+    return a, b
+
+
+def _sum_to(g: Tensor, shape: tuple) -> Tensor:
+    """Sum a broadcast gradient back to an operand's shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        i + lead for i, s in enumerate(shape) if s == 1 and g.shape[i + lead] != 1
+    )
+    return reshape(tsum(g, axis=axes), shape)
 
 
 # -- elementwise ops ------------------------------------------------------
+# Binary ops broadcast like numpy; each vjp sums back to its operand's shape.
 
 
 def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    a = as_tensor(a)
-    b = _lift(b, a)
-    _same_shape(a, b, "add")
-    return _node(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)], "add")
+    a, b = _operands(a, b, "add")
+    return _node(
+        a.data + b.data,
+        [(a, lambda g: _sum_to(g, a.shape)), (b, lambda g: _sum_to(g, b.shape))],
+        "add",
+    )
 
 
 def sub(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _lift(a, as_tensor(b))
-    a = as_tensor(a)
-    b = _lift(b, a)
-    _same_shape(a, b, "sub")
-    return _node(a.data - b.data, [(a, lambda g: g), (b, lambda g: neg(g))], "sub")
+    a, b = _operands(a, b, "sub")
+    return _node(
+        a.data - b.data,
+        [(a, lambda g: _sum_to(g, a.shape)), (b, lambda g: _sum_to(neg(g), b.shape))],
+        "sub",
+    )
 
 
 def neg(a) -> Tensor:
@@ -202,27 +206,23 @@ def neg(a) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    a = as_tensor(a)
-    b = _lift(b, a)
-    _same_shape(a, b, "mul")
-    return _node(a.data * b.data, [(a, lambda g: mul(g, b)), (b, lambda g: mul(g, a))], "mul")
+    a, b = _operands(a, b, "mul")
+    return _node(
+        a.data * b.data,
+        [(a, lambda g: _sum_to(mul(g, b), a.shape)), (b, lambda g: _sum_to(mul(g, a), b.shape))],
+        "mul",
+    )
 
 
 def div(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _lift(a, as_tensor(b))
-    a = as_tensor(a)
-    b = _lift(b, a)
-    _same_shape(a, b, "div")
+    a, b = _operands(a, b, "div")
     out = _node(a.data / b.data, [], "div")
 
     def vjp_a(g):
-        return div(g, b)
+        return _sum_to(div(g, b), a.shape)
 
     def vjp_b(g):
-        return neg(div(mul(g, out), b))
+        return _sum_to(neg(div(mul(g, out), b)), b.shape)
 
     return _attach(out, [(a, vjp_a), (b, vjp_b)])
 
@@ -274,30 +274,29 @@ def relu(a) -> Tensor:
     return _node(np.maximum(a.data, 0.0), [(a, lambda g: mul(g, Tensor(mask)))], "relu")
 
 
+def _select(a, b, take_a: np.ndarray, data: np.ndarray, op: str) -> Tensor:
+    # the gradient goes to ``a`` where ``take_a`` holds and to ``b`` elsewhere
+    take_a = take_a.astype(np.float64)
+    return _node(
+        data,
+        [
+            (a, lambda g: _sum_to(mul(g, Tensor(take_a)), a.shape)),
+            (b, lambda g: _sum_to(mul(g, Tensor(1.0 - take_a)), b.shape)),
+        ],
+        op,
+    )
+
+
 def maximum(a, b) -> Tensor:
     """Elementwise max; at ties the gradient goes to the first operand."""
-    a = as_tensor(a)
-    b = _lift(b, a)
-    _same_shape(a, b, "maximum")
-    take_a = (a.data >= b.data).astype(np.float64)
-    return _node(
-        np.maximum(a.data, b.data),
-        [(a, lambda g: mul(g, Tensor(take_a))), (b, lambda g: mul(g, Tensor(1.0 - take_a)))],
-        "maximum",
-    )
+    a, b = _operands(a, b, "maximum")
+    return _select(a, b, a.data >= b.data, np.maximum(a.data, b.data), "maximum")
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; at ties the gradient goes to the first operand."""
-    a = as_tensor(a)
-    b = _lift(b, a)
-    _same_shape(a, b, "minimum")
-    take_a = (a.data <= b.data).astype(np.float64)
-    return _node(
-        np.minimum(a.data, b.data),
-        [(a, lambda g: mul(g, Tensor(take_a))), (b, lambda g: mul(g, Tensor(1.0 - take_a)))],
-        "minimum",
-    )
+    a, b = _operands(a, b, "minimum")
+    return _select(a, b, a.data <= b.data, np.minimum(a.data, b.data), "minimum")
 
 
 def clamp(a, lo, hi) -> Tensor:
@@ -321,6 +320,33 @@ def ste_apply(x, forward_fn: Callable[[np.ndarray], np.ndarray], name: str = "st
 def round_ste(x) -> Tensor:
     """Bankers rounding (half to even) with a straight-through gradient."""
     return ste_apply(x, np.round, name="round_ste")
+
+
+def fake_quant(x, step, q_min: float, q_max: float) -> Tensor:
+    """Fused symmetric fake quantization ``round(clamp(x / step, q_min, q_max)) * step``.
+
+    ``step`` broadcasts against ``x`` (one step, or one per channel).  The
+    value equals the ``div`` -> ``clamp`` -> ``round_ste`` -> ``mul`` chain bit
+    for bit, and the vjps are that chain's in closed form, with ``v = x / step``
+    and ``inside`` the mask of ``q_min <= v <= q_max``: ``g * inside`` for
+    ``x``, and ``g * (q - inside * v)`` summed to ``step``'s shape.  Both are
+    engine ops, so they can be differentiated again.
+    """
+    x, step = _operands(x, step, "fake_quant")
+    v = x.data / step.data
+    q = np.round(np.minimum(np.maximum(v, q_min), q_max))
+    out = _node(q * step.data, [], "fake_quant")
+    if not (_GradMode.enabled and (x.requires_grad or step.requires_grad)):
+        return out
+    inside = ((v >= q_min) & (v <= q_max)).astype(np.float64)
+
+    def vjp_x(g):
+        return _sum_to(mul(g, Tensor(inside)), x.shape)
+
+    def vjp_step(g):
+        return _sum_to(mul(g, Tensor(q - inside * v)), step.shape)
+
+    return _attach(out, [(x, vjp_x), (step, vjp_step)])
 
 
 # -- structural / reduction ops ------------------------------------------
@@ -351,17 +377,7 @@ def broadcast_to(a, shape) -> Tensor:
         data = np.broadcast_to(a.data, shape).copy()
     except ValueError as e:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}") from e
-    old = a.shape
-    ndiff = len(shape) - len(old)
-    summed_axes = tuple(range(ndiff)) + tuple(
-        i + ndiff for i, s in enumerate(old) if s == 1 and shape[i + ndiff] != 1
-    )
-
-    def vjp(g):
-        r = tsum(g, axis=summed_axes, keepdims=False) if summed_axes else g
-        return reshape(r, old)
-
-    return _node(data, [(a, vjp)], "broadcast_to")
+    return _node(data, [(a, lambda g: _sum_to(g, a.shape))], "broadcast_to")
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -573,24 +589,31 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def _run_backward(root: Tensor, seed: Tensor, create_graph: bool) -> dict:
-    """Reverse sweep from root; returns {id(tensor): grad Tensor}."""
-    topo = _toposort(root)
-    grads: dict = {id(root): seed}
+def _run_backward(topo: list, seed: Tensor, create_graph: bool, keep: set) -> dict:
+    """Reverse sweep over ``topo`` (root last), seeded at the root.
+
+    Each gradient is dropped as soon as its tensor's vjps have run; returns
+    ``{id(t): grad Tensor}`` for the reached tensors whose id is in ``keep``.
+    """
+    grads: dict = {id(topo[-1]): seed}
+    kept: dict = {}
     with _grad_mode(create_graph):
         for node in reversed(topo):
-            g = grads.get(id(node))
+            g = grads.pop(id(node), None)
             if g is None:
                 continue
+            if id(node) in keep:
+                kept[id(node)] = g
             for parent, vjp in node._parents:
                 pg = vjp(g)
                 prev = grads.get(id(parent))
                 grads[id(parent)] = pg if prev is None else add(prev, pg)
-    return grads
+    return kept
 
 
 def backward(loss: Tensor):
-    """Populate ``.grad`` on every requires_grad tensor reachable from loss.
+    """Add d(loss)/d(t) into ``.grad`` of every leaf tensor ``t`` reachable
+    from loss.  Intermediate tensors get no ``.grad``.
 
     Gradients accumulate across calls; use ``zero_grad`` between steps.
     """
@@ -601,14 +624,15 @@ def backward(loss: Tensor):
     if not loss.requires_grad:
         return
     seed = Tensor(np.ones_like(loss.data))
-    grads = _run_backward(loss, seed, create_graph=False)
-    for node in _toposort(loss):
-        if node.requires_grad:
-            g = grads.get(id(node))
-            if g is not None:
-                if node._grad is None:
-                    node._grad = np.zeros_like(node.data)
-                node._grad += g.data
+    topo = _toposort(loss)
+    leaves = [t for t in topo if not t._parents]
+    grads = _run_backward(topo, seed, False, {id(t) for t in leaves})
+    for leaf in leaves:
+        g = grads[id(leaf)].data
+        if leaf._grad is None:
+            leaf._grad = np.array(g, dtype=np.float64)
+        else:
+            leaf._grad += g
 
 
 def grad(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list:
@@ -619,7 +643,7 @@ def grad(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> lis
     if loss.data.size != 1:
         raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
     seed = Tensor(np.ones_like(loss.data))
-    grads = _run_backward(loss, seed, create_graph=create_graph)
+    grads = _run_backward(_toposort(loss), seed, create_graph, {id(w) for w in wrt})
     out = []
     for w in wrt:
         g = grads.get(id(w))

@@ -18,7 +18,7 @@ from .api import (
 from .data import iter_batches
 from .graph import ModelGraph
 from .tensor import Tensor
-from .util import accuracy, cross_entropy, derive_rng
+from .util import cross_entropy, derive_rng
 
 log = logging.getLogger("nncompress")
 
@@ -37,9 +37,9 @@ class SGD:
 
     def step(self, lr_scale: float = 1.0, weight_decay_on: bool = True):
         for name, p, mult in self.params:
-            if p.grad is None:
+            g = p._grad  # the getter would hand back zeros for a parameter backward never reached
+            if g is None:
                 continue
-            g = p.grad
             if self.weight_decay and weight_decay_on:
                 g = g + self.weight_decay * p.data
             if self.momentum:

@@ -33,6 +33,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     onehot[np.arange(n), labels] = 1.0
     return T.mul(T.tsum(T.mul(logp, Tensor(onehot))), -1.0 / n)
 
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((np.argmax(logits, axis=1) == np.asarray(labels)).mean())

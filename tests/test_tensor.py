@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nncompress import tensor as T
+from nncompress.quantization import RANGE_FLOOR, FakeQuantizer, quant_grid
 from nncompress.tensor import Tensor, ShapeError
 
 from helpers import check_grad, numeric_grad
@@ -229,3 +230,105 @@ def test_grad_does_not_touch_buffers():
     (g,) = T.grad(T.tsum(T.mul(x, x)), [x])
     np.testing.assert_array_equal(g.data, [2.0, 4.0])
     assert x._grad is None
+
+
+def test_backward_leaves_intermediate_grads_unset():
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    w = Tensor([0.5, 0.25, 2.0], requires_grad=True)
+    h = T.mul(x, w)
+    y = T.relu(h)
+    T.tsum(T.mul(y, y)).backward()
+    assert h._grad is None and y._grad is None
+    np.testing.assert_array_equal(x.grad, [0.5, 0.0, 24.0])
+    np.testing.assert_array_equal(w.grad, [1.0, 0.0, 36.0])
+
+
+def test_grad_wrt_intermediate_tensor():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = T.mul(x, x)
+    loss = T.tsum(T.mul(y, Tensor([3.0, 5.0])))
+    gy, gx = T.grad(loss, [y, x])
+    np.testing.assert_array_equal(gy.data, [3.0, 5.0])
+    np.testing.assert_array_equal(gx.data, [6.0, 20.0])
+    assert x._grad is None and y._grad is None
+
+
+@pytest.mark.parametrize("op", [T.mul, T.div, T.maximum])
+@pytest.mark.parametrize("shape_a,shape_b", [((3, 4), (1, 4)), ((3, 1), (1, 4)), ((3, 4), ()), ((2, 3, 4), (3, 1))])
+def test_broadcast_elementwise_grads_match_fd(op, shape_a, shape_b):
+    rng = np.random.default_rng(14)
+    a0 = rng.uniform(0.5, 2.0, shape_a)
+    b0 = rng.uniform(0.5, 2.0, shape_b)
+    out_shape = np.broadcast_shapes(shape_a, shape_b)
+    u = Tensor(rng.uniform(-1, 1, out_shape))
+    assert op(Tensor(a0), Tensor(b0)).shape == out_shape
+    check_grad(lambda a: T.tsum(T.mul(op(a, Tensor(b0)), u)), a0)
+    check_grad(lambda b: T.tsum(T.mul(op(Tensor(a0), b), u)), b0)
+
+
+def _chain_fake_quant(x, step, q_min, q_max):
+    # the op-by-op composition that T.fake_quant fuses
+    step_b = T.broadcast_to(step, x.shape)
+    q = T.round_ste(T.clamp(T.div(x, step_b), q_min, q_max))
+    return T.mul(q, step_b)
+
+
+def _fake_quant_case(grid, per_channel, seed=15):
+    q_min, q_max = quant_grid(4, grid)
+    rng = np.random.default_rng(seed)
+    # power-of-two steps make the clip bounds and the rounding ties exact
+    step = 2.0 ** rng.integers(-3, 2, (3, 1, 1, 1)) if per_channel else np.asarray(0.25)
+    levels = rng.uniform(q_min - 3, q_max + 3, (3, 2, 4, 4))
+    levels[:, 0, 0, :] = [q_min, q_max, q_min - 0.5, q_max + 0.5]
+    levels[:, 0, 1, :] = [0.5, 1.5, -0.5, 2.5]
+    return levels * step, step, float(q_min), float(q_max)
+
+
+@pytest.mark.parametrize("grid", ["weight", "signed_act", "unsigned_act"])
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_fake_quant_forward_is_byte_equal_to_composition(grid, per_channel):
+    x, step, q_min, q_max = _fake_quant_case(grid, per_channel)
+    fused = T.fake_quant(Tensor(x), Tensor(step), q_min, q_max).data
+    chain = _chain_fake_quant(Tensor(x), Tensor(step), q_min, q_max).data
+    assert fused.tobytes() == chain.tobytes()
+    assert np.any(fused == q_max * np.broadcast_to(step, x.shape))
+
+
+@pytest.mark.parametrize("grid", ["weight", "signed_act", "unsigned_act"])
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_fake_quant_vjps_match_composition(grid, per_channel):
+    x0, step0, q_min, q_max = _fake_quant_case(grid, per_channel)
+    u = Tensor(np.random.default_rng(16).uniform(-1, 1, x0.shape))
+    grads = []
+    for fq in (T.fake_quant, _chain_fake_quant):
+        x, step = Tensor(x0, requires_grad=True), Tensor(step0, requires_grad=True)
+        grads.append(T.grad(T.tsum(T.mul(fq(x, step, q_min, q_max), u)), [x, step]))
+    for fused, chain in zip(*grads):
+        assert fused.shape == chain.shape
+        np.testing.assert_allclose(fused.data, chain.data, rtol=1e-12, atol=1e-12)
+
+
+def test_fake_quant_hessian_vector_product_matches_composition():
+    rng = np.random.default_rng(17)
+    w0 = rng.uniform(-1, 1, (4, 3, 3, 3))
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 5, 5)))
+    v = [Tensor(rng.uniform(-1, 1, w0.shape)), Tensor(rng.uniform(-1, 1, (4,)))]
+    fq = FakeQuantizer(bits=4, grid="weight", per_channel=True, channels=4)
+    fq.init_from_array(w0)
+    q_min, q_max = quant_grid(4, "weight")
+
+    def chain(w):
+        step = T.div(T.reshape(T.maximum(fq.scale, RANGE_FLOOR), (4, 1, 1, 1)), float(q_max))
+        return _chain_fake_quant(w, step, float(q_min), float(q_max))
+
+    results = []
+    for quantize in (fq, chain):
+        w = Tensor(w0, requires_grad=True)
+        out = T.conv2d(x, quantize(w), padding=1)
+        loss = T.tsum(T.mul(out, out))
+        gw, gs = T.grad(loss, [w, fq.scale], create_graph=True)
+        gv = T.add(T.tsum(T.mul(gw, v[0])), T.tsum(T.mul(gs, v[1])))
+        results.append([gw, gs] + T.grad(gv, [w, fq.scale]))
+    assert np.abs(results[0][2].data).max() > 1.0
+    for fused, composed in zip(*results):
+        np.testing.assert_allclose(fused.data, composed.data, rtol=1e-12, atol=1e-12)
