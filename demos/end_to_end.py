@@ -21,7 +21,7 @@ from nncompress import (
     build_model,
     create_compressed_model,
     evaluate,
-    export_model,
+    export_graph,
     load_model,
     make_dataset,
     train_model,
@@ -65,7 +65,7 @@ for rec in history[-3:]:
 print("final sparsity:", round(controllers[0].statistics()["achieved_sparsity"], 3))
 
 out = pathlib.Path(tempfile.mkdtemp())
-exported = export_model(controllers, model, out / "model.nncm")
+exported = export_graph(model, out / "model.nncm")
 reloaded, meta = load_model(out / "model.nncm")
 probe = make_dataset("stripes", 100, seed=123)[0]
 drift = np.abs(model.run(Tensor(probe), mode="eval").data - reloaded.run(Tensor(probe), mode="eval").data).max()

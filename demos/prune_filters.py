@@ -14,7 +14,7 @@ from nncompress import (
     Tensor,
     build_model,
     create_compressed_model,
-    export_model,
+    export_graph,
     load_model,
     make_dataset,
     train_model,
@@ -59,7 +59,7 @@ for nid, ok in sorted(stats["prunable"].items()):
     print(f"  {nid}: {ok}{note}")
 
 before = sum(p.data.size for _, _, p in model.parameters())
-exported = export_model(controllers, model, "/tmp/pruned.nncm")
+exported = export_graph(model, "/tmp/pruned.nncm")
 after = sum(p.data.size for _, _, p in exported.parameters())
 print(f"\nparameters {before} -> {after} after stripping")
 for nid in sorted(exported.nodes):

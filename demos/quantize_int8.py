@@ -13,7 +13,7 @@ from nncompress import (
     build_model,
     create_compressed_model,
     evaluate,
-    export_model,
+    export_graph,
     load_model,
     make_dataset,
     train_model,
@@ -54,7 +54,7 @@ history = train_model(model, controllers, (x_train, y_train), (x_val, y_val),
                       epochs=8, batch_size=32, lr=0.1, seed=seed)
 print(f"\nfinal val accuracy {history[-1]['val_accuracy']:.3f}")
 
-exported = export_model(controllers, model, "/tmp/int8.nncm")
+exported = export_graph(model, "/tmp/int8.nncm")
 loaded, _ = load_model("/tmp/int8.nncm")
 probe = Tensor(np.random.default_rng(1).normal(size=(16, 1, 8, 8)))
 drift = float(np.abs(model.run(probe).data - loaded.run(probe).data).max())

@@ -10,7 +10,7 @@ harden to their most likely state.
 from nncompress import (
     build_model,
     create_compressed_model,
-    export_model,
+    export_graph,
     make_dataset,
     train_model,
     train_val_split,
@@ -56,7 +56,7 @@ print("per-layer zero fraction:")
 for nid, frac in sorted(stats["per_layer"].items()):
     print(f"  {nid}: {frac:.3f}")
 
-exported = export_model(controllers, model, "/tmp/magnitude60.nncm")
+exported = export_graph(model, "/tmp/magnitude60.nncm")
 zeros = sum(int((p.data == 0).sum()) for _, _, p in exported.parameters())
 total = sum(p.data.size for _, _, p in exported.parameters())
 print(f"exported with masks baked in: {zeros}/{total} parameters are exactly zero")
@@ -87,7 +87,7 @@ def report_rb(rec):
 
 
 train_model(model, controllers, train_set, val_set, epochs=15, lr=0.1, seed=4, on_epoch=report_rb)
-exported = export_model(controllers, model, "/tmp/magnitude60.nncm")
+exported = export_graph(model, "/tmp/magnitude60.nncm")
 zeros = sum(int((p.data == 0).sum()) for _, _, p in exported.parameters())
 total = sum(p.data.size for _, _, p in exported.parameters())
 print(f"hardened gates zero out {zeros}/{total} parameters at export")

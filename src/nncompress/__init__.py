@@ -9,7 +9,6 @@ from .api import (
     ConfigError,
     collect_extra_params,
     create_compressed_model,
-    distributed,
     export_graph,
     export_model,
     scheduler_epoch_step,
@@ -49,7 +48,6 @@ __all__ = [
     "build_model",
     "collect_extra_params",
     "create_compressed_model",
-    "distributed",
     "evaluate",
     "export_graph",
     "export_model",

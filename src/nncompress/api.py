@@ -3,129 +3,53 @@
 A config names an ordered list of algorithm sections; each section's
 builder rewires the model graph and returns a controller.  The training
 loop talks only to the controllers: summed penalty loss, per-batch and
-per-epoch schedule advancement, statistics, and export.
+per-epoch schedule advancement, and statistics.  Export needs no
+controller: ``export_graph`` works from the hooks alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .base import CompressionBuilder, CompressionController
+from .base import CompressionBuilder, CompressionController, ConfigError, load_spec
 from .binarization import BinarizationBuilder
 from .graph import ModelGraph
 from .mixed_precision import plan_mixed_precision
-from .pruning import PruningBuilder
-from .quantization import QuantizationBuilder, initialize_quantizer_ranges
+from .pruning import FAMILY as PRUNING, PruningBuilder, propagate_pruning_masks, strip_pruned_filters
+from .quantization import FakeQuantizer, QuantizationBuilder, initialize_quantizer_ranges
 from .serialize import save_model
-from .sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
+from .sparsity import MagnitudeSparsityBuilder, ParamMask, RBGate, RBSparsityBuilder, rb_eval_mask
 from .tensor import Tensor
 from .util import cross_entropy
 
 BUILDERS: Dict[str, type] = {
-    "quantization": QuantizationBuilder,
-    "binarization": BinarizationBuilder,
-    "magnitude_sparsity": MagnitudeSparsityBuilder,
-    "rb_sparsity": RBSparsityBuilder,
-    "filter_pruning": PruningBuilder,
+    b.name: b for b in (QuantizationBuilder, BinarizationBuilder, MagnitudeSparsityBuilder,
+                        RBSparsityBuilder, PruningBuilder)
 }
 
 
-class ConfigError(ValueError):
-    pass
+@dataclass
+class ConfigSpec:
+    """Top level of a config; each ``compression`` entry is one algorithm section."""
+
+    seed: int = 0
+    input_shape: Optional[Tuple[int, ...]] = None
+    compression: List[dict] = field(default_factory=list)
 
 
-_SCHEDULE_SCHEMA = {
-    "mode": None,
-    "init": None,
-    "target": None,
-    "epochs": None,
-    "power": None,
-    "steps": None,
-    "patience": None,
-    "step": None,
-}
-
-_SECTION_SCHEMAS = {
-    "quantization": {
-        "algorithm": None,
-        "mode": None,
-        "bits": None,
-        "per_channel": None,
-        "init": {
-            "num_batches": None,
-            "type": None,
-            "min_percentile": None,
-            "max_percentile": None,
-        },
-        "mixed_precision": {
-            "candidate_bits": None,
-            "ratio_threshold": None,
-            "trace_samples": None,
-            "seed": None,
-            "direction": None,
-        },
-    },
-    "binarization": {
-        "algorithm": None,
-        "weight_scheme": None,
-        "stage_epochs": None,
-        "allowlist": None,
-        "denylist": None,
-    },
-    "magnitude_sparsity": {"algorithm": None, "schedule": _SCHEDULE_SCHEMA},
-    "rb_sparsity": {
-        "algorithm": None,
-        "schedule": _SCHEDULE_SCHEMA,
-        "score_init": None,
-        "score_lr_multiplier": None,
-    },
-    "filter_pruning": {
-        "algorithm": None,
-        "criterion": None,
-        "pruning_rate": None,
-        "scheduler": {"mode": None, "warmup_epochs": None, "epochs": None},
-        "exclude": None,
-    },
-}
-
-_TOP_SCHEMA = {"seed": None, "input_shape": None, "compression": None}
-
-
-def _check_keys(section: dict, schema: dict, path: str):
-    for key, value in section.items():
-        here = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ConfigError(f"unknown config key {here!r}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {here!r} must be a mapping")
-            _check_keys(value, sub, here)
-
-
-def validate_config(config: dict) -> dict:
-    """Check the config against the schema; returns a normalized copy.
-
-    Normalization: ``compression`` always a list.  Unknown keys are
-    rejected with their full path; each algorithm family may appear once;
-    binarization cannot be combined with quantization.
-    """
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a mapping")
-    _check_keys(config, _TOP_SCHEMA, "")
-    compression = config.get("compression", [])
-    if isinstance(compression, dict):
-        compression = [compression]
-    if not isinstance(compression, list):
-        raise ConfigError("config key 'compression' must be a section or list of sections")
+def _parse_config(config) -> Tuple[ConfigSpec, List[CompressionBuilder]]:
+    """The top-level spec and one builder, holding its section's spec, per section."""
+    if isinstance(config, dict) and isinstance(config.get("compression"), dict):
+        config = {**config, "compression": [config["compression"]]}
+    spec = load_spec(ConfigSpec, config)
+    builders = []
     seen = set()
-    for i, section in enumerate(compression):
+    for i, section in enumerate(spec.compression):
         path = f"compression[{i}]"
-        if not isinstance(section, dict):
-            raise ConfigError(f"{path} must be a mapping")
         algo = section.get("algorithm")
         if algo not in BUILDERS:
             raise ConfigError(
@@ -134,18 +58,22 @@ def validate_config(config: dict) -> dict:
         if algo in seen:
             raise ConfigError(f"duplicate {algo!r} section at {path}")
         seen.add(algo)
-        _check_keys(section, _SECTION_SCHEMAS[algo], path)
+        builders.append(BUILDERS[algo](section, path))
     if "binarization" in seen and "quantization" in seen:
         raise ConfigError("binarization and quantization cannot be combined")
-    if "input_shape" in config:
-        shape = config["input_shape"]
-        if not (
-            isinstance(shape, (list, tuple)) and all(isinstance(d, int) for d in shape)
-        ):
-            raise ConfigError("config key 'input_shape' must be a list of ints")
-    out = dict(config)
-    out["compression"] = [dict(s) for s in compression]
-    return out
+    return spec, builders
+
+
+def validate_config(config: dict) -> dict:
+    """Check the config against the section specs; returns a normalized copy.
+
+    Normalization: ``compression`` always a list.  Unknown keys and values
+    of the wrong type are rejected with their full path; each algorithm
+    family may appear once; binarization cannot be combined with
+    quantization.
+    """
+    spec, _ = _parse_config(config)
+    return {**config, "compression": [dict(s) for s in spec.compression]}
 
 
 def _normalize_batches(init_data) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
@@ -169,11 +97,11 @@ def create_compressed_model(
     configured, the second-order mixed-precision bit search, which needs
     labels.
     """
-    cfg = validate_config(config)
+    spec, builders = _parse_config(config)
     g = graph.copy()
-    if "input_shape" in cfg and tuple(cfg["input_shape"]) != tuple(g.input_shape):
+    if spec.input_shape is not None and spec.input_shape != tuple(g.input_shape):
         raise ConfigError(
-            f"config input_shape {tuple(cfg['input_shape'])} != model input shape {tuple(g.input_shape)}"
+            f"config input_shape {spec.input_shape} != model input shape {tuple(g.input_shape)}"
         )
     batches = _normalize_batches(init_data)
     for x, _ in batches:
@@ -182,21 +110,14 @@ def create_compressed_model(
                 f"init batch shape {x.shape[1:]} does not match model input {tuple(g.input_shape)}"
             )
 
-    controllers: List[CompressionController] = []
-    for section in cfg["compression"]:
-        builder: CompressionBuilder = BUILDERS[section["algorithm"]](section)
-        controllers.append(builder.apply_to(g))
+    controllers: List[CompressionController] = [b.apply_to(g) for b in builders]
 
-    for section, ctrl in zip(cfg["compression"], controllers):
-        if section["algorithm"] != "quantization":
+    for builder, ctrl in zip(builders, controllers):
+        if not isinstance(builder, QuantizationBuilder):
             continue
-        init = section.get("init", {})
-        num_batches = init.get("num_batches")
-        xs = [x for x, _ in batches]
-        if num_batches is not None:
-            xs = xs[: int(num_batches)]
+        xs = [x for x, _ in batches][: builder.spec.init.num_batches]
         initialize_quantizer_ranges(g, batches=xs if xs else None)
-        mp = section.get("mixed_precision")
+        mp = builder.spec.mixed_precision
         if mp is not None:
             labeled = [(x, y) for x, y in batches if y is not None]
             if not labeled:
@@ -207,11 +128,11 @@ def create_compressed_model(
                 g,
                 ctrl.handles["weight"],
                 loss_builder=lambda: cross_entropy(g.run(xt), y),
-                bit_choices=tuple(mp.get("candidate_bits", (2, 4, 8))),
-                num_trace_samples=int(mp.get("trace_samples", 32)),
-                target_ratio=float(mp.get("ratio_threshold", 1.5)),
-                direction=mp.get("direction", "at_least"),
-                seed=int(mp.get("seed", cfg.get("seed", 0))),
+                bit_choices=mp.candidate_bits,
+                num_trace_samples=mp.trace_samples,
+                target_ratio=mp.ratio_threshold,
+                direction=mp.direction,
+                seed=spec.seed if mp.seed is None else mp.seed,
             )
             ctrl.apply_bit_config(plan.assignment)
             ctrl.mixed_precision_plan = plan
@@ -235,37 +156,22 @@ def scheduler_epoch_step(controllers: Sequence[CompressionController], metric=No
         ctrl.scheduler.epoch_step(metric=metric)
 
 
-def distributed(controllers: Sequence[CompressionController]):
-    """Reserved for multi-process training; single-process build does nothing."""
-
-
 def export_model(
     controllers: Sequence[CompressionController], graph: ModelGraph, path
 ) -> ModelGraph:
-    """Write the deployable model: masks baked, filters stripped, quantizers kept.
-
-    Returns the exported graph; the file round-trips through load_model.
-    """
-    g = graph.copy()
-    for ctrl in controllers:
-        g = ctrl.prepare_export(g)
-    save_model(g, path)
-    return g
+    """Same as ``export_graph(graph, path)``; the controllers are not needed."""
+    return export_graph(graph, path)
 
 
 def export_graph(graph: ModelGraph, path) -> ModelGraph:
-    """Controller-free export for a graph restored from a checkpoint.
+    """Write the deployable model: masks baked, filters stripped, quantizers kept.
 
-    Reconstructs the export pipeline from the hook families present:
-    sparsity masks and gates are baked into weights, pruning masks are
-    stripped physically, quantizer and binarizer hooks ride along in the
-    file.  Equivalent to export_model when the controllers are at the
-    state the checkpoint captured.
+    Works from the hook families present, so a graph restored from a
+    checkpoint exports the same bytes as the live graph: sparsity masks and
+    gates are baked into weights, pruning masks are stripped physically,
+    quantizer and binarizer hooks ride along in the file.  Returns the
+    exported graph; the file round-trips through load_model.
     """
-    from .pruning import propagate_pruning_masks, strip_pruned_filters
-    from .quantization import FakeQuantizer
-    from .sparsity import ParamMask, RBGate, rb_eval_mask
-
     g = graph.copy()
     for h in g.hooks:
         if isinstance(h.transform, FakeQuantizer) and not h.transform.initialized:
@@ -280,17 +186,12 @@ def export_graph(graph: ModelGraph, path) -> ModelGraph:
             mask = rb_eval_mask(tr.scores) if isinstance(tr, RBGate) else tr.mask.data
             p.data = p.data * mask
         else:
-            if (
-                h.family == "filter_pruning"
-                and h.param_name == "weight"
-                and g.nodes[h.node_id].kind == "Conv2D"
-            ):
+            if h.family == PRUNING and h.param_name == "weight" and g.nodes[h.node_id].kind == "Conv2D":
                 conv_masks[h.node_id] = tr.mask.data.reshape(tr.mask.shape[0], -1)[:, 0] != 0
             kept.append(h)
     g.hooks = kept
-    if conv_masks:
-        mask_map = propagate_pruning_masks(g, conv_masks)
-        g = strip_pruned_filters(g, mask_map)
+    if any(h.family == PRUNING for h in kept):
+        g = strip_pruned_filters(g, propagate_pruning_masks(g, conv_masks))
     save_model(g, path)
     return g
 

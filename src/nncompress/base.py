@@ -2,16 +2,90 @@
 
 Each algorithm ships a builder that rewires a model graph (inserting hooks,
 never editing layer math) and hands back a controller owning the algorithm's
-training-time state: an additive loss term, a schedule, statistics, and an
-export transformation.
+training-time state: an additive loss term, a schedule, and statistics.
+Each config section is described by a dataclass spec in the algorithm's
+module; ``load_spec`` fills it from a mapping.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import dataclasses
+import functools
+import typing
+from typing import Dict, List, Tuple, Union
 
 from .graph import ModelGraph
 from .tensor import Tensor
+
+
+class ConfigError(ValueError):
+    pass
+
+
+_TYPE_NAMES = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "a mapping"
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_fields(cls) -> Dict[str, Tuple[object, bool]]:
+    """Field name -> (annotated type, required), resolved once per spec class."""
+    hints = typing.get_type_hints(cls)
+    missing = dataclasses.MISSING
+    return {
+        f.name: (hints[f.name], f.default is missing and f.default_factory is missing)
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _convert(tp, value, path: str):
+    """Check ``value`` against an annotated type; returns it in that type's form."""
+    if tp in _TYPE_NAMES:
+        if tp is float and isinstance(value, int) and not isinstance(value, bool):
+            return float(value)
+        if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+            return value
+        raise ConfigError(f"config key {path!r} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    if dataclasses.is_dataclass(tp):
+        return load_spec(tp, value, path)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _convert(args[0], value, path)
+    # a string is iterable, but never a list of patterns or numbers
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config key {path!r} must be a list, got {value!r}")
+    if origin is tuple and args[-1] is not Ellipsis:
+        if len(value) != len(args):
+            raise ConfigError(f"config key {path!r} must have {len(args)} entries, got {value!r}")
+        return tuple(_convert(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    items = [_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return items if origin is list else tuple(items)
+
+
+def load_spec(cls, section, path: str = ""):
+    """Build a spec dataclass from a config mapping.
+
+    Absent keys take the field defaults; unknown keys, missing required
+    keys and values of the wrong type raise ``ConfigError`` naming their
+    dotted path.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {path!r} must be a mapping" if path else "config must be a mapping")
+    fields = _spec_fields(cls)
+    for key in section:
+        if key not in fields:
+            raise ConfigError(f"unknown config key {_dotted(path, key)!r}")
+    values = {}
+    for key, (tp, required) in fields.items():
+        if key in section:
+            values[key] = _convert(tp, section[key], _dotted(path, key))
+        elif required:
+            raise ConfigError(f"missing config key {_dotted(path, key)!r}")
+    return cls(**values)
 
 
 class CompressionLoss:
@@ -63,16 +137,15 @@ class CompressionController:
         """Algorithm-owned trainables as (name, tensor, lr multiplier)."""
         return []
 
-    def prepare_export(self, graph: ModelGraph) -> ModelGraph:
-        """Rewrite a copy of the model into its deployable form."""
-        return graph
-
 
 class CompressionBuilder:
     name = "base"
+    spec_class: type
 
-    def __init__(self, config: dict):
-        self.config = dict(config)
+    def __init__(self, config: dict, path: str = ""):
+        """Parse a config section (its ``algorithm`` key aside) into ``self.spec``."""
+        section = {k: v for k, v in config.items() if k != "algorithm"}
+        self.spec = load_spec(self.spec_class, section, path)
 
     def apply_to(self, graph: ModelGraph) -> CompressionController:
         raise NotImplementedError

@@ -21,6 +21,7 @@ from .base import CompressionBuilder, CompressionController, CompressionSchedule
 from .graph import Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import ShapeError, Tensor
 
+FAMILY = "binarization"
 WEIGHT_SCHEMES = ("xnor", "dorefa")
 
 
@@ -236,7 +237,6 @@ def apply_binarization(
     weight_scheme: str = "xnor",
     allowlist: Optional[Sequence[str]] = None,
     denylist: Optional[Sequence[str]] = None,
-    family: str = "binarization",
 ) -> Dict[str, Tuple[WeightBinarizer, ActivationBinarizer]]:
     """Hook selected convolutions with weight and input binarizers."""
     handles = {}
@@ -245,8 +245,8 @@ def apply_binarization(
         node = graph.nodes[nid]
         wb = WeightBinarizer(weight_scheme)
         ab = ActivationBinarizer(channels=shapes[node.inputs[0]][0])
-        graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, family, wb, param_name="weight"))
-        graph.insert_hook(Hook(nid, HookPosition.PRE_INPUT, family, ab, input_index=0))
+        graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, wb, param_name="weight"))
+        graph.insert_hook(Hook(nid, HookPosition.PRE_INPUT, FAMILY, ab, input_index=0))
         handles[nid] = (wb, ab)
     return handles
 
@@ -267,14 +267,13 @@ class BinarizationScheduler(CompressionScheduler):
 
 
 class BinarizationController(CompressionController):
-    name = "binarization"
+    name = FAMILY
 
-    def __init__(self, graph: ModelGraph, handles: dict, config: dict):
+    def __init__(self, graph: ModelGraph, handles: dict, stage_epochs: Sequence[int]):
         super().__init__(graph)
         self.handles = handles
-        self.config = config
         self.stage = binarization_stage_at(0, [1, 0, 0, 0])  # pre-training: everything off
-        self.scheduler = BinarizationScheduler(self, config.get("stage_epochs", [2, 2, 2, 4]))
+        self.scheduler = BinarizationScheduler(self, stage_epochs)
 
     def apply_stage(self, stage: BinarizationStage):
         self.stage = stage
@@ -311,14 +310,19 @@ class BinarizationController(CompressionController):
         }
 
 
+@dataclass
+class BinarizationSpec:
+    weight_scheme: str = "xnor"
+    stage_epochs: Tuple[int, ...] = (2, 2, 2, 4)
+    allowlist: Optional[List[str]] = None  # None: every convolution
+    denylist: Optional[List[str]] = None  # None: default_denylist
+
+
 class BinarizationBuilder(CompressionBuilder):
-    name = "binarization"
+    name = FAMILY
+    spec_class = BinarizationSpec
 
     def apply_to(self, graph: ModelGraph) -> BinarizationController:
-        handles = apply_binarization(
-            graph,
-            weight_scheme=self.config.get("weight_scheme", "xnor"),
-            allowlist=self.config.get("allowlist"),
-            denylist=self.config.get("denylist"),
-        )
-        return BinarizationController(graph, handles, self.config)
+        spec = self.spec
+        handles = apply_binarization(graph, spec.weight_scheme, spec.allowlist, spec.denylist)
+        return BinarizationController(graph, handles, spec.stage_epochs)

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .api import ConfigError, create_compressed_model, export_graph, export_model
+from .api import ConfigError, create_compressed_model, export_graph
 from .data import make_dataset, train_val_split
 from .graph import GraphError
 from .models import PRESETS, build_model

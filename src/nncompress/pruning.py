@@ -23,6 +23,7 @@ from .quantization import FakeQuantizer
 from .sparsity import ParamMask
 from .tensor import Tensor
 
+FAMILY = "filter_pruning"
 CRITERIA = ("l1", "l2", "geometric_median")
 PASSTHROUGH_KINDS = ("BatchNorm", "ReLU", "MaxPool2D")
 
@@ -169,9 +170,7 @@ def propagate_pruning_masks(graph: ModelGraph, conv_masks: Dict[str, np.ndarray]
         cancelled |= conflict_origins
 
 
-def apply_filter_masks(
-    graph: ModelGraph, mask_map: PruningMaskMap, family: str = "filter_pruning"
-) -> Dict[str, Dict[str, ParamMask]]:
+def apply_filter_masks(graph: ModelGraph, mask_map: PruningMaskMap) -> Dict[str, Dict[str, ParamMask]]:
     """Install weight/bias mask hooks realizing a propagated mask map.
 
     Convolutions get their output masks on weight and bias; batch-norm
@@ -186,22 +185,20 @@ def apply_filter_masks(
                 raise ValueError(f"mask length mismatch on {nid!r}")
             wm = ParamMask(mask.reshape(-1, 1, 1, 1))
             bm = ParamMask(mask)
-            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, family, wm, param_name="weight"))
-            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, family, bm, param_name="bias"))
+            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, wm, param_name="weight"))
+            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, bm, param_name="bias"))
             hooks[nid] = {"weight": wm, "bias": bm}
         elif node.kind == "BatchNorm":
             mask = mask_map.input_masks[nid][0].astype(np.float64)
             gm = ParamMask(mask)
             bm = ParamMask(mask)
-            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, family, gm, param_name="gamma"))
-            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, family, bm, param_name="beta"))
+            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, gm, param_name="gamma"))
+            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, bm, param_name="beta"))
             hooks[nid] = {"gamma": gm, "beta": bm}
     return hooks
 
 
-def strip_pruned_filters(
-    graph: ModelGraph, mask_map: PruningMaskMap, mask_family: str = "filter_pruning"
-) -> ModelGraph:
+def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGraph:
     """Physically remove masked channels; mutates and returns the graph.
 
     Weight tensors are sliced along the masked axes, channel attrs updated,
@@ -231,7 +228,7 @@ def strip_pruned_filters(
             node.params["bias"].data = node.params["bias"].data[keep_out]
             node.attrs["out_channels"] = int(keep_out.sum())
             node.attrs["in_channels"] = int(keep_in.sum())
-            _slice_hook_state(graph, nid, keep_out, keep_in, mask_family)
+            _slice_hook_state(graph, nid, keep_out, keep_in)
         elif node.kind == "BatchNorm":
             keep = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
             for pname in ("gamma", "beta", "running_mean", "running_var"):
@@ -245,15 +242,15 @@ def strip_pruned_filters(
             w.data = w.data[:, keep]
             node.attrs["in_features"] = int(keep.sum())
 
-    graph.hooks = [h for h in graph.hooks if h.family != mask_family]
+    graph.hooks = [h for h in graph.hooks if h.family != FAMILY]
     graph.infer_shapes()  # validates the sliced graph end to end
     return graph
 
 
-def _slice_hook_state(graph: ModelGraph, nid: str, keep_out, keep_in, mask_family: str):
+def _slice_hook_state(graph: ModelGraph, nid: str, keep_out, keep_in):
     """Adjust per-channel state of hooks that survive stripping."""
     for h in graph.hooks:
-        if h.node_id != nid or h.family == mask_family:
+        if h.node_id != nid or h.family == FAMILY:
             continue
         tr = h.transform
         if h.position == HookPosition.PRE_PARAM and h.param_name == "weight":
@@ -268,35 +265,46 @@ def _slice_hook_state(graph: ModelGraph, nid: str, keep_out, keep_in, mask_famil
 # -- controller ------------------------------------------------------------
 
 
+@dataclass
+class PruningSchedulerSpec:
+    mode: str = "baseline"
+    warmup_epochs: int = 0
+    epochs: int = 5
+
+
+@dataclass
+class FilterPruningSpec:
+    pruning_rate: float
+    criterion: str = "l2"
+    scheduler: PruningSchedulerSpec = field(default_factory=PruningSchedulerSpec)
+    exclude: List[str] = field(default_factory=list)
+
+
 class PruningScheduler(CompressionScheduler):
-    def __init__(self, controller: "PruningController", cfg: dict, target: float):
+    def __init__(self, controller: "PruningController", spec: PruningSchedulerSpec, target: float):
         super().__init__()
         self.controller = controller
-        self.mode = cfg.get("mode", "baseline")
-        self.warmup_epochs = int(cfg.get("warmup_epochs", 0))
-        self.span = int(cfg.get("epochs", 5))
+        self.spec = spec
         self.target = target
-        pruning_rate_at_epoch(self.mode, 0, target, self.warmup_epochs, self.span)
+        pruning_rate_at_epoch(spec.mode, 0, target, spec.warmup_epochs, spec.epochs)
 
     def epoch_step(self, metric=None):
         super().epoch_step()
-        rate, frozen = pruning_rate_at_epoch(
-            self.mode, self.epoch, self.target, self.warmup_epochs, self.span
-        )
+        s = self.spec
+        rate, frozen = pruning_rate_at_epoch(s.mode, self.epoch, self.target, s.warmup_epochs, s.epochs)
         if not self.controller.frozen and rate != self.controller.rate:
             self.controller.set_rate(rate)
         self.controller.frozen = frozen
 
 
 class PruningController(CompressionController):
-    name = "filter_pruning"
+    name = FAMILY
 
-    def __init__(self, graph: ModelGraph, prunable: List[str], hooks, config: dict):
+    def __init__(self, graph: ModelGraph, prunable: List[str], hooks, spec: FilterPruningSpec):
         super().__init__(graph)
         self.prunable = prunable
         self.hooks = hooks
-        self.config = config
-        self.criterion = config.get("criterion", "l2")
+        self.criterion = spec.criterion
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown importance criterion {self.criterion!r}")
         self.rate = 0.0
@@ -305,8 +313,7 @@ class PruningController(CompressionController):
             nid: np.ones(graph.nodes[nid].attrs["out_channels"], dtype=bool) for nid in prunable
         }
         self.mask_map = propagate_pruning_masks(graph, self.conv_masks)
-        target = float(config["pruning_rate"])
-        self.scheduler = PruningScheduler(self, config.get("scheduler", {}), target)
+        self.scheduler = PruningScheduler(self, spec.scheduler, spec.pruning_rate)
 
     def plan_masks(self, rate: float) -> Dict[str, np.ndarray]:
         masks = {}
@@ -360,18 +367,13 @@ class PruningController(CompressionController):
             "prunable": {nid: self.mask_map.verdicts.get(nid, False) for nid in self.prunable},
         }
 
-    def prepare_export(self, graph: ModelGraph) -> ModelGraph:
-        mask_map = propagate_pruning_masks(graph, self.conv_masks)
-        return strip_pruned_filters(graph, mask_map)
-
 
 class PruningBuilder(CompressionBuilder):
-    name = "filter_pruning"
+    name = FAMILY
+    spec_class = FilterPruningSpec
 
     def apply_to(self, graph: ModelGraph) -> PruningController:
-        if "pruning_rate" not in self.config:
-            raise ValueError("filter pruning config needs a pruning_rate")
-        exclude = list(self.config.get("exclude", []))
+        exclude = self.spec.exclude
         for pattern in exclude:
             if not any(fnmatch.fnmatch(nid, pattern) for nid in graph.nodes):
                 warnings.warn(f"exclude pattern {pattern!r} matches no node")
@@ -383,4 +385,4 @@ class PruningBuilder(CompressionBuilder):
         masks = {nid: np.ones(graph.nodes[nid].attrs["out_channels"], dtype=bool) for nid in prunable}
         mask_map = propagate_pruning_masks(graph, masks)
         hooks = apply_filter_masks(graph, mask_map)
-        return PruningController(graph, prunable, hooks, self.config)
+        return PruningController(graph, prunable, hooks, self.spec)

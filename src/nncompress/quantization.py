@@ -11,6 +11,7 @@ the representable range and cut outside it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from .base import CompressionBuilder, CompressionController
 from .graph import Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import Tensor
 
+FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
 
 WEIGHTED_KINDS = ("Conv2D", "FullyConnected")
@@ -302,7 +304,6 @@ def insert_quantizers(
     per_channel_weights: bool = True,
     init_scheme: str = "minmax",
     percentiles: Tuple[float, float] = (0.1, 99.9),
-    family: str = "quantization",
 ) -> dict:
     """Attach fake quantizers per the standard placement policy.
 
@@ -325,7 +326,7 @@ def insert_quantizers(
         )
 
     fq_in = act_quantizer("signed_act")
-    graph.insert_hook(Hook(INPUT_ID, HookPosition.POST_OUTPUT, family, fq_in))
+    graph.insert_hook(Hook(INPUT_ID, HookPosition.POST_OUTPUT, FAMILY, fq_in))
     activations[INPUT_ID] = fq_in
 
     for node in graph.nodes.values():
@@ -338,11 +339,11 @@ def insert_quantizers(
                 per_channel=per_ch,
                 channels=node.attrs["out_channels"] if per_ch else None,
             )
-            graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, family, fq, param_name="weight"))
+            graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, FAMILY, fq, param_name="weight"))
             weights[node.id] = fq
         if node.kind in VALUE_PRODUCING_KINDS and node.id not in skip:
             fq = act_quantizer("unsigned_act" if node.kind == "ReLU" else "signed_act")
-            graph.insert_hook(Hook(node.id, HookPosition.POST_OUTPUT, family, fq))
+            graph.insert_hook(Hook(node.id, HookPosition.POST_OUTPUT, FAMILY, fq))
             activations[node.id] = fq
 
     # map each weighted layer to the activation quantizer that sees its output
@@ -355,12 +356,7 @@ def insert_quantizers(
     return {"weight": weights, "activation": activations, "mirror": mirror}
 
 
-def initialize_quantizer_ranges(
-    graph: ModelGraph,
-    batches=None,
-    family: str = "quantization",
-    num_init_samples: Optional[int] = None,
-):
+def initialize_quantizer_ranges(graph: ModelGraph, batches=None, num_init_samples: Optional[int] = None):
     """Set quantizer ranges: weights from their tensors, activations from data.
 
     With no batches, activation quantizers stay lazy and adopt ranges from
@@ -368,7 +364,7 @@ def initialize_quantizer_ranges(
     """
     act_qs = []
     for h in graph.hooks:
-        if h.family != family or not isinstance(h.transform, FakeQuantizer):
+        if h.family != FAMILY or not isinstance(h.transform, FakeQuantizer):
             continue
         if h.position is HookPosition.PRE_PARAM:
             h.transform.init_from_array(graph.nodes[h.node_id].params[h.param_name].data)
@@ -393,13 +389,38 @@ def initialize_quantizer_ranges(
 # -- algorithm wiring ------------------------------------------------------
 
 
-class QuantizationController(CompressionController):
-    name = "quantization"
+@dataclass
+class QuantizationInitSpec:
+    num_batches: Optional[int] = None  # None: every init batch
+    type: str = "minmax"
+    min_percentile: float = 0.1
+    max_percentile: float = 99.9
 
-    def __init__(self, graph: ModelGraph, handles: dict, config: dict):
+
+@dataclass
+class MixedPrecisionSpec:
+    candidate_bits: Tuple[int, ...] = (2, 4, 8)
+    ratio_threshold: float = 1.5
+    trace_samples: int = 32
+    seed: Optional[int] = None  # None: the config's top-level seed
+    direction: str = "at_least"
+
+
+@dataclass
+class QuantizationSpec:
+    mode: str = "symmetric"
+    bits: int = 8
+    per_channel: bool = True
+    init: QuantizationInitSpec = field(default_factory=QuantizationInitSpec)
+    mixed_precision: Optional[MixedPrecisionSpec] = None  # None: one bit width everywhere
+
+
+class QuantizationController(CompressionController):
+    name = FAMILY
+
+    def __init__(self, graph: ModelGraph, handles: dict):
         super().__init__(graph)
         self.handles = handles
-        self.config = config
         self.bit_config: Optional[Dict[str, int]] = None
         self.mixed_precision_plan = None
 
@@ -441,34 +462,21 @@ class QuantizationController(CompressionController):
             stats["bit_config"] = dict(self.bit_config)
         return stats
 
-    def prepare_export(self, graph: ModelGraph) -> ModelGraph:
-        for h in graph.hooks:
-            if isinstance(h.transform, FakeQuantizer) and not h.transform.initialized:
-                raise RuntimeError(
-                    f"cannot export: quantizer at {h.node_id!r} has uninitialized ranges"
-                )
-        return graph
-
 
 class QuantizationBuilder(CompressionBuilder):
-    name = "quantization"
+    name = FAMILY
+    spec_class = QuantizationSpec
 
     def apply_to(self, graph: ModelGraph) -> QuantizationController:
-        cfg = self.config
-        init = cfg.get("init", {})
-        bits = cfg.get("bits", 8)
-        mode = cfg.get("mode", "symmetric")
+        spec = self.spec
         handles = insert_quantizers(
             graph,
-            weight_bits=bits,
-            activation_bits=bits,
-            weight_mode=mode,
-            activation_mode=mode,
-            per_channel_weights=cfg.get("per_channel", True),
-            init_scheme=init.get("type", "minmax"),
-            percentiles=(
-                init.get("min_percentile", 0.1),
-                init.get("max_percentile", 99.9),
-            ),
+            weight_bits=spec.bits,
+            activation_bits=spec.bits,
+            weight_mode=spec.mode,
+            activation_mode=spec.mode,
+            per_channel_weights=spec.per_channel,
+            init_scheme=spec.init.type,
+            percentiles=(spec.init.min_percentile, spec.init.max_percentile),
         )
-        return QuantizationController(graph, handles, self.config)
+        return QuantizationController(graph, handles)

@@ -183,13 +183,12 @@ class MagnitudeSparsityScheduler(CompressionScheduler):
 class MagnitudeSparsityController(CompressionController):
     name = "magnitude_sparsity"
 
-    def __init__(self, graph: ModelGraph, hooks: Dict[str, ParamMask], config: dict):
+    def __init__(self, graph: ModelGraph, hooks: Dict[str, ParamMask], schedule: SparsityScheduleSpec):
         super().__init__(graph)
         self.hooks = hooks
-        self.config = config
         self.level = 0.0
         self.threshold = 0.0
-        self.scheduler = MagnitudeSparsityScheduler(self, schedule_from_config(config.get("schedule", {})))
+        self.scheduler = MagnitudeSparsityScheduler(self, schedule)
 
     def set_level(self, level: float):
         weights = {nid: self.graph.nodes[nid].params["weight"].data for nid in self.hooks}
@@ -210,21 +209,15 @@ class MagnitudeSparsityController(CompressionController):
             },
         }
 
-    def prepare_export(self, graph: ModelGraph) -> ModelGraph:
-        """Bake masks into the weights and drop the hooks."""
-        kept = []
-        for h in graph.hooks:
-            if h.family == self.name and isinstance(h.transform, ParamMask):
-                p = graph.nodes[h.node_id].params[h.param_name]
-                p.data = p.data * h.transform.mask.data
-            else:
-                kept.append(h)
-        graph.hooks = kept
-        return graph
+
+@dataclass
+class MagnitudeSparsitySpec:
+    schedule: SparsityScheduleSpec = field(default_factory=SparsityScheduleSpec)
 
 
 class MagnitudeSparsityBuilder(CompressionBuilder):
     name = "magnitude_sparsity"
+    spec_class = MagnitudeSparsitySpec
 
     def apply_to(self, graph: ModelGraph) -> MagnitudeSparsityController:
         hooks = {}
@@ -233,23 +226,7 @@ class MagnitudeSparsityBuilder(CompressionBuilder):
                 pm = ParamMask(np.ones(node.params["weight"].shape))
                 graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, self.name, pm, param_name="weight"))
                 hooks[node.id] = pm
-        return MagnitudeSparsityController(graph, hooks, self.config)
-
-
-def schedule_from_config(cfg: dict) -> SparsityScheduleSpec:
-    steps = cfg.get("steps")
-    if steps is not None:
-        steps = [(int(e), float(l)) for e, l in steps]
-    return SparsityScheduleSpec(
-        mode=cfg.get("mode", "polynomial"),
-        init=cfg.get("init", 0.0),
-        target=cfg.get("target", 0.5),
-        epochs=cfg.get("epochs", 10),
-        power=cfg.get("power", 1.0),
-        steps=steps,
-        patience=cfg.get("patience", 1e-3),
-        step=cfg.get("step", 0.05),
-    )
+        return MagnitudeSparsityController(graph, hooks, self.spec.schedule)
 
 
 # -- regularization-based method -------------------------------------------
@@ -338,21 +315,16 @@ class RBSparsityScheduler(CompressionScheduler):
 class RBSparsityController(CompressionController):
     name = "rb_sparsity"
 
-    def __init__(self, graph: ModelGraph, gates: Dict[str, RBGate], config: dict):
+    def __init__(self, graph: ModelGraph, gates: Dict[str, RBGate], spec: RBSparsitySpec):
         super().__init__(graph)
         self.gates = gates
-        self.config = config
-        schedule = config.get("schedule", {})
-        spec = schedule_from_config(schedule)
-        if "init" not in schedule and "mode" not in schedule:
-            # default: hold the target level from the start
-            spec = SparsityScheduleSpec(mode="polynomial", init=spec.target, target=spec.target, epochs=0)
-        self.level = spec.target
-        self.scheduler = RBSparsityScheduler(self, spec)
+        self.score_lr_multiplier = spec.score_lr_multiplier
+        self.level = spec.schedule.target
+        self.scheduler = RBSparsityScheduler(self, spec.schedule)
         self.loss = RBSparsityLoss(self)
 
     def extra_params(self):
-        mult = float(self.config.get("score_lr_multiplier", 1.0))
+        mult = self.score_lr_multiplier
         return [(f"rb_sparsity:{nid}:scores", g.scores, mult) for nid, g in self.gates.items()]
 
     def statistics(self) -> dict:
@@ -365,27 +337,31 @@ class RBSparsityController(CompressionController):
             "mean_gate_probability": float(probs.mean()),
         }
 
-    def prepare_export(self, graph: ModelGraph) -> ModelGraph:
-        kept = []
-        for h in graph.hooks:
-            if h.family == self.name and isinstance(h.transform, RBGate):
-                p = graph.nodes[h.node_id].params[h.param_name]
-                p.data = p.data * rb_eval_mask(h.transform.scores)
-            else:
-                kept.append(h)
-        graph.hooks = kept
-        return graph
+
+@dataclass
+class RBSparsitySpec:
+    schedule: SparsityScheduleSpec = field(default_factory=SparsityScheduleSpec)
+    score_init: float = 3.0
+    score_lr_multiplier: float = 1.0
 
 
 class RBSparsityBuilder(CompressionBuilder):
     name = "rb_sparsity"
+    spec_class = RBSparsitySpec
+
+    def __init__(self, config: dict, path: str = ""):
+        super().__init__(config, path)
+        schedule = config.get("schedule", {})
+        if "init" not in schedule and "mode" not in schedule:
+            # default: hold the target level from the start
+            target = self.spec.schedule.target
+            self.spec.schedule = SparsityScheduleSpec(init=target, target=target, epochs=0)
 
     def apply_to(self, graph: ModelGraph) -> RBSparsityController:
-        score_init = float(self.config.get("score_init", 3.0))
         gates = {}
         for node in graph.nodes.values():
             if node.kind in SPARSIFIABLE_KINDS:
-                gate = RBGate(np.full(node.params["weight"].shape, score_init))
+                gate = RBGate(np.full(node.params["weight"].shape, self.spec.score_init))
                 graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, self.name, gate, param_name="weight"))
                 gates[node.id] = gate
-        return RBSparsityController(graph, gates, self.config)
+        return RBSparsityController(graph, gates, self.spec)

@@ -1,8 +1,16 @@
+import dataclasses
+import json
+import re
+import typing
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nncompress.api import (
+    BUILDERS,
     ConfigError,
+    ConfigSpec,
     collect_extra_params,
     create_compressed_model,
     export_graph,
@@ -14,9 +22,26 @@ from nncompress.api import (
 )
 from nncompress.models import build_model
 from nncompress.quantization import FakeQuantizer
-from nncompress.serialize import load_model, serialize_model
+from nncompress.serialize import load_checkpoint, load_model, save_checkpoint, serialize_model
 from nncompress.sparsity import RBGate
 from nncompress.tensor import Tensor
+
+REPO = Path(__file__).resolve().parent.parent
+
+# (section, dotted path of the mistyped key); a string where a list of
+# patterns is expected must not be read one character at a time
+MISTYPED = [
+    ({"algorithm": "filter_pruning", "pruning_rate": 0.3, "exclude": "conv*"}, "exclude"),
+    ({"algorithm": "binarization", "allowlist": "conv*"}, "allowlist"),
+    ({"algorithm": "binarization", "denylist": "conv1"}, "denylist"),
+    ({"algorithm": "quantization", "bits": "8"}, "bits"),
+    ({"algorithm": "quantization", "per_channel": 1}, "per_channel"),
+    ({"algorithm": "binarization", "stage_epochs": 3}, "stage_epochs"),
+    ({"algorithm": "magnitude_sparsity", "schedule": {"epochs": "6"}}, "schedule.epochs"),
+    ({"algorithm": "magnitude_sparsity", "schedule": {"steps": [[1, 0.2, 3]]}}, "schedule.steps[0]"),
+    ({"algorithm": "quantization", "mixed_precision": {"candidate_bits": [4, "8"]}},
+     "mixed_precision.candidate_bits[1]"),
+]
 
 
 def stripes_like(n, seed=0):
@@ -66,6 +91,70 @@ def test_bad_algorithm_and_bad_shapes():
         validate_config({"input_shape": "8x8"})
     with pytest.raises(ConfigError, match="mapping"):
         validate_config({"compression": [{"algorithm": "quantization", "init": 4}]})
+
+
+@pytest.mark.parametrize("section, path", MISTYPED, ids=[p for _, p in MISTYPED])
+def test_mistyped_values_rejected_with_path(section, path):
+    with pytest.raises(ConfigError, match=re.escape(f"'compression[0].{path}'")):
+        validate_config({"compression": [section]})
+
+
+def test_missing_required_key_rejected_with_path():
+    with pytest.raises(ConfigError, match=re.escape("'compression[0].pruning_rate'")):
+        validate_config({"compression": [{"algorithm": "filter_pruning"}]})
+
+
+def test_mixed_precision_defaults():
+    def plan(top_seed, **mixed_precision):
+        section = {"algorithm": "quantization", "mixed_precision": mixed_precision}
+        cfg = {"seed": top_seed, "compression": [section]}
+        controllers, _ = create_compressed_model(build_model("cnn-small", 0), cfg, [stripes_like(16)])
+        return controllers[0].mixed_precision_plan
+
+    implicit = plan(3, trace_samples=2)
+    # the config's ratio default is 1.5, not plan_mixed_precision's 4.0, and
+    # the probe seed falls back to the top-level seed
+    explicit = plan(0, trace_samples=2, ratio_threshold=1.5, seed=3, candidate_bits=[2, 4, 8],
+                    direction="at_least")
+    assert (implicit.assignment, implicit.metric) == (explicit.assignment, explicit.metric)
+    assert implicit.metric != plan(0, trace_samples=2).metric
+
+
+def _spec_defaults(spec_cls, prefix=""):
+    """Dotted key -> default for every leaf field of a spec, nested specs expanded."""
+    out = {}
+    hints = typing.get_type_hints(spec_cls)
+    for f in dataclasses.fields(spec_cls):
+        tp = hints[f.name]
+        nested = [t for t in (tp, *typing.get_args(tp)) if dataclasses.is_dataclass(t)]
+        if nested:
+            out.update(_spec_defaults(nested[0], f"{prefix}{f.name}."))
+        elif f.default_factory is not dataclasses.MISSING:
+            out[prefix + f.name] = f.default_factory()
+        else:
+            out[prefix + f.name] = f.default
+    return out
+
+
+def test_readme_config_table_matches_specs():
+    text = (REPO / "README.md").read_text()
+    section = text[text.index("## Configuration"):text.index("## Model files")]
+    table = {}
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    for line in rows[2:]:  # after the header and its rule
+        cells = [c.strip() for c in line.strip("| ").split(" | ")]
+        key = re.match(r"`([^`]+)`", cells[1]).group(1)
+        table.setdefault(cells[0], {})[key] = cells[2]
+    specs = {"top level": ConfigSpec, **{name: b.spec_class for name, b in BUILDERS.items()}}
+    assert set(table) == set(specs)
+    for name, spec_cls in specs.items():
+        defaults = _spec_defaults(spec_cls)
+        assert set(table[name]) == set(defaults), name
+        for key, cell in table[name].items():
+            literal = re.fullmatch(r"`([^`]+)`", cell)
+            if literal:  # a JSON literal; prose cells describe computed defaults
+                want = list(defaults[key]) if isinstance(defaults[key], tuple) else defaults[key]
+                assert json.loads(literal.group(1)) == want, f"{name}.{key}"
 
 
 # -- model wrapping --------------------------------------------------------
@@ -293,21 +382,28 @@ def test_export_pruned_strips(tmp_path):
     np.testing.assert_allclose(loaded.run(x).data, ref, atol=1e-9)
 
 
-def test_export_graph_matches_controller_export(tmp_path):
+@pytest.mark.parametrize("config_path", sorted(REPO.glob("configs/*.json")), ids=lambda p: p.name)
+def test_export_from_checkpoint_matches_live(config_path, tmp_path):
+    config = json.loads(config_path.read_text())
+    controllers, wrapped = create_compressed_model(build_model("cnn-small", 2), config, [stripes_like(64)])
+    for _ in range(9):  # past every sample schedule's ramp, so masks and stages are live
+        scheduler_epoch_step(controllers)
+    export_graph(wrapped, tmp_path / "live.nncm")
+    save_checkpoint(wrapped, tmp_path / "checkpoint.nncm", config=config, epoch=8)
+    restored, _ = load_checkpoint(tmp_path / "checkpoint.nncm")
+    export_graph(restored, tmp_path / "restored.nncm")
+    assert (tmp_path / "live.nncm").read_bytes() == (tmp_path / "restored.nncm").read_bytes()
+
+
+def test_export_drops_pruning_hooks_when_nothing_is_prunable(tmp_path):
     g = build_model("cnn-small", 2)
-    cfg = {
-        "compression": [
-            {"algorithm": "magnitude_sparsity", "schedule": {"init": 0.3, "target": 0.3, "epochs": 0}},
-            {"algorithm": "filter_pruning", "criterion": "l1", "pruning_rate": 0.25},
-        ]
-    }
+    cfg = {"compression": [{"algorithm": "filter_pruning", "pruning_rate": 0.5, "exclude": ["*"]}]}
     controllers, wrapped = create_compressed_model(g, cfg)
     scheduler_epoch_step(controllers)
-    a = export_model(controllers, wrapped, tmp_path / "a.nncm")
-    b = export_graph(wrapped, tmp_path / "b.nncm")
-    assert a.num_params() == b.num_params()
-    x = Tensor(np.random.default_rng(6).normal(size=(4, 1, 8, 8)))
-    np.testing.assert_allclose(a.run(x).data, b.run(x).data, atol=1e-12)
+    assert controllers[0].prunable == [] and wrapped.hooks
+    exported = export_graph(wrapped, tmp_path / "dense.nncm")
+    assert not exported.hooks
+    assert serialize_model(exported) == serialize_model(g)
 
 
 def test_export_rejects_uninitialized_quantizers(tmp_path):

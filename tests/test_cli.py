@@ -7,6 +7,8 @@ import pytest
 
 from nncompress.cli import main
 
+from test_api import MISTYPED
+
 
 def run_cli(argv, capsys):
     code = main(list(argv))
@@ -77,6 +79,14 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"compression": [{"algorithm": "quantization", "bitz": 4}]})
     code, _, err = run_cli(train_args(tmp_path / "o3", config=cfg), capsys)
     assert code == 2 and "bitz" in err
+
+
+@pytest.mark.parametrize("section, path", MISTYPED, ids=[p for _, p in MISTYPED])
+def test_mistyped_config_exits_2(tmp_path, capsys, section, path):
+    cfg = write_config(tmp_path, {"compression": [section]})
+    argv = train_args(tmp_path / "out", config=cfg, model="cnn-residual", dataset="stripes")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and f"compression[0].{path}" in err
 
 
 def test_unknown_dataset_and_model(tmp_path, capsys):

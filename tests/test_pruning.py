@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nncompress import tensor as T
+from nncompress.api import export_graph
 from nncompress.graph import Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.pruning import (
     PruningBuilder,
@@ -368,7 +369,7 @@ def test_exclude_patterns_and_unmatched_warning():
         )
 
 
-def test_controller_statistics_and_export():
+def test_controller_statistics_and_export(tmp_path):
     g, _ = chain_bn(np.random.default_rng(24))
     ctrl = PruningBuilder({"pruning_rate": 0.4, "criterion": "l2"}).apply_to(g)
     ctrl.scheduler.epoch_step()
@@ -380,7 +381,7 @@ def test_controller_statistics_and_export():
 
     x = Tensor(np.random.default_rng(25).normal(size=(3, 1, 6, 6)))
     ref = g.run(x).data
-    exported = ctrl.prepare_export(g.copy())
+    exported = export_graph(g, tmp_path / "pruned.nncm")
     assert exported.nodes["c1"].attrs["out_channels"] == 3
     assert np.abs(exported.run(x).data - ref).max() <= 1e-9
 

@@ -3,6 +3,7 @@ import pytest
 
 from nncompress import serialize as S
 from nncompress import tensor as T
+from nncompress.api import export_graph
 from nncompress.graph import Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.quantization import (
     FakeQuantizer,
@@ -417,11 +418,11 @@ def test_builder_controller_flow():
         ctrl.apply_bit_config({"missing": 8})
 
 
-def test_export_rejects_uninitialized_quantizers():
+def test_export_rejects_uninitialized_quantizers(tmp_path):
     g = small_cnn()
-    ctrl = QuantizationBuilder({}).apply_to(g)
+    QuantizationBuilder({}).apply_to(g)
     with pytest.raises(RuntimeError, match="uninitialized"):
-        ctrl.prepare_export(g.copy())
+        export_graph(g, tmp_path / "q.nncm")
 
 
 def test_quantization_trains_end_to_end():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nncompress import tensor as T
+from nncompress.api import export_graph
 from nncompress.graph import ExecContext, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.serialize import deserialize_model, serialize_model
 from nncompress.sparsity import (
@@ -249,14 +250,14 @@ def test_magnitude_adaptive_uses_reported_metric():
     assert ctrl.level == pytest.approx(0.2)
 
 
-def test_magnitude_export_bakes_masks():
+def test_magnitude_export_bakes_masks(tmp_path):
     g = tiny_net()
     ctrl = MagnitudeSparsityBuilder({}).apply_to(g)
     ctrl.set_level(0.4)
     x = np.random.default_rng(2).normal(size=(2, 1, 4, 4))
     ref = g.run(Tensor(x)).data
 
-    exported = ctrl.prepare_export(g.copy())
+    exported = export_graph(g, tmp_path / "magnitude.nncm")
     assert not exported.hooks
     w = exported.nodes["conv"].params["weight"].data
     assert (w == 0).sum() == (ctrl.hooks["conv"].mask.data == 0).sum()
@@ -388,13 +389,13 @@ def test_rb_loss_drives_density_to_target():
     assert abs(probs.mean() - 0.5) < 0.01
 
 
-def test_rb_export_bakes_eval_mask():
+def test_rb_export_bakes_eval_mask(tmp_path):
     g = tiny_net()
     ctrl = RBSparsityBuilder({}).apply_to(g)
     ctrl.gates["conv"].scores.data[:] = -1.0  # prune the whole conv
     x = np.random.default_rng(6).normal(size=(2, 1, 4, 4))
     ref = g.run(Tensor(x)).data
-    exported = ctrl.prepare_export(g.copy())
+    exported = export_graph(g, tmp_path / "rb.nncm")
     assert not exported.hooks
     np.testing.assert_array_equal(exported.nodes["conv"].params["weight"].data, 0.0)
     np.testing.assert_array_equal(exported.run(Tensor(x)).data, ref)
