@@ -19,10 +19,12 @@ from .base import CompressionBuilder, CompressionController, ConfigError, load_s
 from .binarization import BinarizationBuilder
 from .graph import ModelGraph
 from .mixed_precision import plan_mixed_precision
-from .pruning import FAMILY as PRUNING, PruningBuilder, propagate_pruning_masks, strip_pruned_filters
+from .pruning import (
+    FAMILY as PRUNING, PruningBuilder, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters,
+)
 from .quantization import FakeQuantizer, QuantizationBuilder, initialize_quantizer_ranges
 from .serialize import save_model
-from .sparsity import MagnitudeSparsityBuilder, ParamMask, RBGate, RBSparsityBuilder, rb_eval_mask
+from .sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
 from .tensor import Tensor
 from .util import cross_entropy
 
@@ -30,6 +32,7 @@ BUILDERS: Dict[str, type] = {
     b.name: b for b in (QuantizationBuilder, BinarizationBuilder, MagnitudeSparsityBuilder,
                         RBSparsityBuilder, PruningBuilder)
 }
+SPARSITY = (MagnitudeSparsityBuilder.name, RBSparsityBuilder.name)
 
 
 @dataclass
@@ -113,10 +116,9 @@ def create_compressed_model(
     controllers: List[CompressionController] = [b.apply_to(g) for b in builders]
 
     for builder, ctrl in zip(builders, controllers):
-        if not isinstance(builder, QuantizationBuilder):
+        if builder.name != QuantizationBuilder.name:
             continue
-        xs = [x for x, _ in batches][: builder.spec.init.num_batches]
-        initialize_quantizer_ranges(g, batches=xs if xs else None)
+        initialize_quantizer_ranges(g, [x for x, _ in batches] or None, builder.spec.init.num_batches)
         mp = builder.spec.mixed_precision
         if mp is not None:
             labeled = [(x, y) for x, y in batches if y is not None]
@@ -177,21 +179,13 @@ def export_graph(graph: ModelGraph, path) -> ModelGraph:
         if isinstance(h.transform, FakeQuantizer) and not h.transform.initialized:
             raise RuntimeError(f"quantizer on {h.node_id!r} is uninitialized; cannot export")
 
-    kept = []
-    conv_masks = {}
     for h in g.hooks:
-        tr = h.transform
-        if h.family in ("magnitude_sparsity", "rb_sparsity") and isinstance(tr, (ParamMask, RBGate)):
+        if h.family in SPARSITY:
             p = g.nodes[h.node_id].params[h.param_name]
-            mask = rb_eval_mask(tr.scores) if isinstance(tr, RBGate) else tr.mask.data
-            p.data = p.data * mask
-        else:
-            if h.family == PRUNING and h.param_name == "weight" and g.nodes[h.node_id].kind == "Conv2D":
-                conv_masks[h.node_id] = tr.mask.data.reshape(tr.mask.shape[0], -1)[:, 0] != 0
-            kept.append(h)
-    g.hooks = kept
-    if any(h.family == PRUNING for h in kept):
-        g = strip_pruned_filters(g, propagate_pruning_masks(g, conv_masks))
+            p.data = p.data * h.transform.eval_mask()
+    g.hooks = [h for h in g.hooks if h.family not in SPARSITY]
+    if any(h.family == PRUNING for h in g.hooks):
+        g = strip_pruned_filters(g, propagate_pruning_masks(g, installed_filter_masks(g)))
     save_model(g, path)
     return g
 

@@ -22,6 +22,22 @@ class ConfigError(ValueError):
     pass
 
 
+class SpecError(ValueError):
+    """A spec value of the right type but out of range; ``key`` names the field."""
+
+    def __init__(self, key: str, reason):
+        super().__init__(f"{key}: {reason}")
+        self.key, self.reason = key, reason
+
+
+def check_rule(key: str, rule, *args):
+    """Run a module's own validating function on a spec field's value."""
+    try:
+        rule(*args)
+    except ValueError as err:
+        raise SpecError(key, err) from None
+
+
 _TYPE_NAMES = {
     bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "a mapping"
 }
@@ -70,8 +86,8 @@ def load_spec(cls, section, path: str = ""):
     """Build a spec dataclass from a config mapping.
 
     Absent keys take the field defaults; unknown keys, missing required
-    keys and values of the wrong type raise ``ConfigError`` naming their
-    dotted path.
+    keys, values of the wrong type and values the spec's ``__post_init__``
+    rejects as out of range raise ``ConfigError`` naming their dotted path.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"config key {path!r} must be a mapping" if path else "config must be a mapping")
@@ -85,7 +101,10 @@ def load_spec(cls, section, path: str = ""):
             values[key] = _convert(tp, section[key], _dotted(path, key))
         elif required:
             raise ConfigError(f"missing config key {_dotted(path, key)!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except SpecError as err:
+        raise ConfigError(f"config key {_dotted(path, err.key)!r} is out of range: {err.reason}") from None
 
 
 class CompressionLoss:
@@ -124,6 +143,8 @@ class CompressionScheduler:
 
 class CompressionController:
     name = "base"
+    lr_scale = 1.0  # learning-rate factor, read by train_model every epoch
+    weight_decay_on = True  # whether train_model applies weight decay this epoch
 
     def __init__(self, graph: ModelGraph):
         self.graph = graph

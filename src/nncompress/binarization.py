@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, CompressionScheduler
-from .graph import Hook, HookPosition, INPUT_ID, ModelGraph
+from .base import CompressionBuilder, CompressionController, CompressionScheduler, SpecError, check_rule
+from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import ShapeError, Tensor
 
 FAMILY = "binarization"
@@ -127,6 +127,12 @@ class WeightBinarizer:
             return w
         return binarize_weights(w, self.scheme)
 
+    def describe(self) -> str:
+        return f"binarize[{self.scheme}] {'on' if self.enabled else 'off'}"
+
+    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
+        """Nothing to drop: the scales are recomputed from the weights on every call."""
+
     def codec_state(self):
         return {"scheme": self.scheme, "enabled": self.enabled}, {}
 
@@ -143,6 +149,13 @@ class ActivationBinarizer:
         if not self.enabled:
             return x
         return binarize_activations(x, self.scale, self.thresholds)
+
+    def describe(self) -> str:
+        return f"ActivationBinarizer {'on' if self.enabled else 'off'}"
+
+    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
+        """Drop the thresholds of removed input channels."""
+        self.thresholds.data = self.thresholds.data[keep_in]
 
     def codec_state(self):
         return {"enabled": self.enabled}, {"scale": self.scale, "thresholds": self.thresholds}
@@ -169,9 +182,6 @@ serialize.register_hook_codec(ActivationBinarizer.codec_kind, _decode_activation
 # -- layer selection -------------------------------------------------------
 
 
-_WEIGHTED = ("Conv2D", "FullyConnected")
-
-
 def _weighted_layers_after(graph: ModelGraph, start: str) -> set:
     """Weighted nodes reachable from ``start`` through unweighted ones."""
     found, stack, seen = set(), [start], set()
@@ -181,7 +191,7 @@ def _weighted_layers_after(graph: ModelGraph, start: str) -> set:
             if consumer.id in seen:
                 continue
             seen.add(consumer.id)
-            if consumer.kind in _WEIGHTED:
+            if consumer.kind in WEIGHTED_KINDS:
                 found.add(consumer.id)
             else:
                 stack.append(consumer.id)
@@ -259,7 +269,6 @@ class BinarizationScheduler(CompressionScheduler):
         super().__init__()
         self.controller = controller
         self.stage_epochs = [int(d) for d in stage_epochs]
-        binarization_stage_at(0, self.stage_epochs)  # validate eagerly
 
     def epoch_step(self, metric=None):
         super().epoch_step()
@@ -316,6 +325,11 @@ class BinarizationSpec:
     stage_epochs: Tuple[int, ...] = (2, 2, 2, 4)
     allowlist: Optional[List[str]] = None  # None: every convolution
     denylist: Optional[List[str]] = None  # None: default_denylist
+
+    def __post_init__(self):
+        if self.weight_scheme not in WEIGHT_SCHEMES:
+            raise SpecError("weight_scheme", f"must be one of {list(WEIGHT_SCHEMES)}, got {self.weight_scheme!r}")
+        check_rule("stage_epochs", binarization_stage_at, 0, self.stage_epochs)
 
 
 class BinarizationBuilder(CompressionBuilder):

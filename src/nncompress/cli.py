@@ -20,9 +20,7 @@ from .api import ConfigError, create_compressed_model, export_graph
 from .data import make_dataset, train_val_split
 from .graph import GraphError
 from .models import PRESETS, build_model
-from .quantization import FakeQuantizer
 from .serialize import SerializationError, load_checkpoint, load_model, save_checkpoint
-from .sparsity import ParamMask, RBGate, rb_eval_mask
 from .tensor import ShapeError, Tensor
 from .train import NumericError, evaluate, train_model
 
@@ -120,7 +118,7 @@ def cmd_train(args) -> int:
 
 def cmd_export(args) -> int:
     try:
-        graph, meta = load_checkpoint(args.checkpoint)
+        graph, _ = load_checkpoint(args.checkpoint)
         exported = export_graph(graph, args.out)
     except (SerializationError, OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -148,28 +146,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _hook_detail(graph, hook) -> str:
-    tr = hook.transform
-    if isinstance(tr, FakeQuantizer):
-        span = "per-channel" if tr.per_channel else "per-tensor"
-        return f"fake-quant {tr.mode} {tr.grid} {tr.bits}b {span}"
-    if isinstance(tr, RBGate):
-        off = int((tr.scores.data <= 0).sum())
-        return f"stochastic gates: {off}/{tr.scores.size} off at eval"
-    if isinstance(tr, ParamMask):
-        mask = tr.mask.data
-        zeros = int((mask == 0).sum())
-        if hook.family == "filter_pruning" and mask.ndim == 4:
-            pruned = int((mask.reshape(mask.shape[0], -1)[:, 0] == 0).sum())
-            return f"filter mask: {pruned}/{mask.shape[0]} filters pruned"
-        return f"mask: {zeros}/{mask.size} zeros"
-    enabled = getattr(tr, "enabled", None)
-    state = "on" if enabled else "off"
-    scheme = getattr(tr, "scheme", None)
-    kind = f"binarize[{scheme}]" if scheme else type(tr).__name__
-    return f"{kind} {state}"
-
-
 def cmd_stats(args) -> int:
     try:
         graph, meta = load_checkpoint(args.checkpoint)
@@ -179,12 +155,11 @@ def cmd_stats(args) -> int:
     rows = [("node", "point", "family", "detail")]
     for h in graph.hooks:
         point = h.position.value + ("" if h.param_name is None else f":{h.param_name}")
-        rows.append((h.node_id, point, h.family, _hook_detail(graph, h)))
+        rows.append((h.node_id, point, h.family, h.transform.describe()))
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     for r in rows:
         print(f"{r[0]:<{widths[0]}}  {r[1]:<{widths[1]}}  {r[2]:<{widths[2]}}  {r[3]}")
-    ckpt = meta.get("checkpoint", {})
-    print(f"parameters: {graph.num_params()}  epoch: {ckpt.get('epoch')}")
+    print(f"parameters: {graph.num_params()}  epoch: {meta.get('epoch')}")
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ from .tensor import ShapeError, Tensor
 INPUT_ID = "input"
 
 NODE_KINDS = ("Conv2D", "FullyConnected", "BatchNorm", "ReLU", "Add", "MaxPool2D", "Flatten")
+WEIGHTED_KINDS = ("Conv2D", "FullyConnected")
 
 
 class GraphError(ValueError):

@@ -13,15 +13,13 @@ import fnmatch
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .base import CompressionBuilder, CompressionController, CompressionScheduler
-from .graph import Hook, HookPosition, INPUT_ID, ModelGraph
-from .quantization import FakeQuantizer
+from .base import CompressionBuilder, CompressionController, CompressionScheduler, SpecError, check_rule
+from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .sparsity import ParamMask
-from .tensor import Tensor
 
 FAMILY = "filter_pruning"
 CRITERIA = ("l1", "l2", "geometric_median")
@@ -60,13 +58,12 @@ def filter_mask(scores: np.ndarray, rate: float) -> np.ndarray:
 
 
 def pruning_rate_at_epoch(
-    mode: str, epoch: int, target: float, warmup_epochs: int = 0, epochs: int = 5,
-    initial: float = 0.0,
+    mode: str, epoch: int, target: float, warmup_epochs: int = 0, epochs: int = 5
 ) -> Tuple[float, bool]:
     """Scheduled rate and whether the pruned subset is frozen from here on.
 
     ``baseline`` jumps to the target right after warmup and freezes;
-    ``exponential`` ramps from ``initial`` over ``epochs`` and freezes only
+    ``exponential`` ramps from zero over ``epochs`` and freezes only
     once the target is reached.  The subset is re-selected at every rate
     change until frozen.
     """
@@ -82,7 +79,7 @@ def pruning_rate_at_epoch(
         t = epoch - warmup_epochs
         if epochs <= 0 or t >= epochs:
             return target, True
-        return target - (target - initial) * math.exp(-5.0 * t / epochs), False
+        return target - target * math.exp(-5.0 * t / epochs), False
     raise ValueError(f"unknown pruning scheduler mode {mode!r}")
 
 
@@ -179,32 +176,45 @@ def apply_filter_masks(graph: ModelGraph, mask_map: PruningMaskMap) -> Dict[str,
     """
     hooks: Dict[str, Dict[str, ParamMask]] = {}
     for nid, node in graph.nodes.items():
-        if node.kind == "Conv2D" and nid in mask_map.verdicts:
-            mask = mask_map.output_masks[nid].astype(np.float64)
-            if len(mask) != node.attrs["out_channels"]:
-                raise ValueError(f"mask length mismatch on {nid!r}")
-            wm = ParamMask(mask.reshape(-1, 1, 1, 1))
-            bm = ParamMask(mask)
-            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, wm, param_name="weight"))
-            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, bm, param_name="bias"))
-            hooks[nid] = {"weight": wm, "bias": bm}
-        elif node.kind == "BatchNorm":
-            mask = mask_map.input_masks[nid][0].astype(np.float64)
-            gm = ParamMask(mask)
-            bm = ParamMask(mask)
-            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, gm, param_name="gamma"))
-            graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, bm, param_name="beta"))
-            hooks[nid] = {"gamma": gm, "beta": bm}
+        if (node.kind == "Conv2D" and nid in mask_map.verdicts) or node.kind == "BatchNorm":
+            hooks[nid] = {}
+            for pname in ("weight", "bias") if node.kind == "Conv2D" else ("gamma", "beta"):
+                hooks[nid][pname] = ParamMask(np.ones(0))  # filled in by write_filter_masks
+                graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, hooks[nid][pname], param_name=pname))
+    write_filter_masks(graph, hooks, mask_map)
     return hooks
+
+
+def write_filter_masks(graph: ModelGraph, hooks: Dict[str, Dict[str, ParamMask]], mask_map: PruningMaskMap):
+    """Set installed filter-mask hooks to the channel masks of a propagated mask map."""
+    for nid, parts in hooks.items():
+        if graph.nodes[nid].kind == "Conv2D":
+            mask = mask_map.output_masks[nid].astype(np.float64)
+            parts["weight"].set_mask(mask.reshape(-1, 1, 1, 1))
+            parts["bias"].set_mask(mask)
+        else:
+            mask = mask_map.input_masks[nid][0].astype(np.float64)
+            parts["gamma"].set_mask(mask)
+            parts["beta"].set_mask(mask)
+
+
+def installed_filter_masks(graph: ModelGraph) -> Dict[str, np.ndarray]:
+    """Per-convolution keep-masks read back from the installed filter-mask hooks."""
+    return {
+        h.node_id: h.transform.mask.data.reshape(h.transform.mask.shape[0], -1)[:, 0] != 0
+        for h in graph.hooks
+        if h.family == FAMILY and h.param_name == "weight"
+    }
 
 
 def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGraph:
     """Physically remove masked channels; mutates and returns the graph.
 
-    Weight tensors are sliced along the masked axes, channel attrs updated,
-    per-channel hook state (quantizer scales, parameter masks) sliced to
-    match, and the realized mask hooks dropped.  Stripping must not change
-    the graph's output, so a mask that would reach the output is rejected.
+    The realized mask hooks are dropped, weight tensors sliced along the
+    masked axes, channel attrs updated, and every other hook on a sliced
+    convolution or fully connected layer told which channels survive
+    (``select_channels``).  Stripping must not change the graph's output,
+    so a mask that would reach the output is rejected.
     """
     out_id = graph.output_id()
     final = mask_map.output_masks.get(out_id)
@@ -217,49 +227,36 @@ def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGr
         if node.kind == "Add" and not np.array_equal(ins[0], ins[1]):
             raise ValueError(f"cannot strip: Add node {nid!r} has mismatched input masks")
 
+    graph.hooks = [h for h in graph.hooks if h.family != FAMILY]
     for nid, node in graph.nodes.items():
+        if node.kind == "BatchNorm":
+            keep = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
+            for pname in ("gamma", "beta", "running_mean", "running_var"):
+                node.params[pname].data = node.params[pname].data[keep]
+            node.attrs["num_features"] = int(keep.sum())
+        if node.kind not in WEIGHTED_KINDS:
+            continue
+        keep_out = np.asarray(mask_map.output_masks[nid], dtype=bool)
+        keep_in = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
+        w = node.params["weight"]
         if node.kind == "Conv2D":
-            keep_out = np.asarray(mask_map.output_masks[nid], dtype=bool)
-            keep_in = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
-            w = node.params["weight"]
             if w.shape[0] != len(keep_out) or w.shape[1] != len(keep_in):
                 raise ValueError(f"mask shapes do not match conv {nid!r} weight {w.shape}")
             w.data = w.data[keep_out][:, keep_in]
             node.params["bias"].data = node.params["bias"].data[keep_out]
             node.attrs["out_channels"] = int(keep_out.sum())
             node.attrs["in_channels"] = int(keep_in.sum())
-            _slice_hook_state(graph, nid, keep_out, keep_in)
-        elif node.kind == "BatchNorm":
-            keep = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
-            for pname in ("gamma", "beta", "running_mean", "running_var"):
-                node.params[pname].data = node.params[pname].data[keep]
-            node.attrs["num_features"] = int(keep.sum())
-        elif node.kind == "FullyConnected":
-            keep = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
-            w = node.params["weight"]
-            if w.shape[1] != len(keep):
+        else:
+            if w.shape[1] != len(keep_in):
                 raise ValueError(f"mask length does not match fc {nid!r} columns")
-            w.data = w.data[:, keep]
-            node.attrs["in_features"] = int(keep.sum())
+            w.data = w.data[:, keep_in]
+            node.attrs["in_features"] = int(keep_in.sum())
+        for h in graph.hooks:
+            if h.node_id == nid:
+                h.transform.select_channels(keep_out, keep_in)
 
-    graph.hooks = [h for h in graph.hooks if h.family != FAMILY]
     graph.infer_shapes()  # validates the sliced graph end to end
     return graph
-
-
-def _slice_hook_state(graph: ModelGraph, nid: str, keep_out, keep_in):
-    """Adjust per-channel state of hooks that survive stripping."""
-    for h in graph.hooks:
-        if h.node_id != nid or h.family == FAMILY:
-            continue
-        tr = h.transform
-        if h.position == HookPosition.PRE_PARAM and h.param_name == "weight":
-            if isinstance(tr, FakeQuantizer):
-                tr.slice_output_channels(keep_out)
-            elif isinstance(tr, ParamMask) and tr.mask.data.ndim == 4:
-                tr.set_mask(tr.mask.data[keep_out][:, keep_in])
-        elif h.position == HookPosition.PRE_INPUT and hasattr(tr, "thresholds"):
-            tr.thresholds.data = tr.thresholds.data[keep_in]
 
 
 # -- controller ------------------------------------------------------------
@@ -271,6 +268,9 @@ class PruningSchedulerSpec:
     warmup_epochs: int = 0
     epochs: int = 5
 
+    def __post_init__(self):
+        check_rule("mode", pruning_rate_at_epoch, self.mode, 0, 0.0)
+
 
 @dataclass
 class FilterPruningSpec:
@@ -279,6 +279,11 @@ class FilterPruningSpec:
     scheduler: PruningSchedulerSpec = field(default_factory=PruningSchedulerSpec)
     exclude: List[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        check_rule("pruning_rate", pruning_rate_at_epoch, "baseline", 0, self.pruning_rate)
+        if self.criterion not in CRITERIA:
+            raise SpecError("criterion", f"must be one of {list(CRITERIA)}, got {self.criterion!r}")
+
 
 class PruningScheduler(CompressionScheduler):
     def __init__(self, controller: "PruningController", spec: PruningSchedulerSpec, target: float):
@@ -286,7 +291,6 @@ class PruningScheduler(CompressionScheduler):
         self.controller = controller
         self.spec = spec
         self.target = target
-        pruning_rate_at_epoch(spec.mode, 0, target, spec.warmup_epochs, spec.epochs)
 
     def epoch_step(self, metric=None):
         super().epoch_step()
@@ -300,19 +304,15 @@ class PruningScheduler(CompressionScheduler):
 class PruningController(CompressionController):
     name = FAMILY
 
-    def __init__(self, graph: ModelGraph, prunable: List[str], hooks, spec: FilterPruningSpec):
+    def __init__(self, graph: ModelGraph, hooks, mask_map: PruningMaskMap, spec: FilterPruningSpec):
         super().__init__(graph)
-        self.prunable = prunable
+        self.prunable = list(mask_map.verdicts)
         self.hooks = hooks
         self.criterion = spec.criterion
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"unknown importance criterion {self.criterion!r}")
         self.rate = 0.0
         self.frozen = False
-        self.conv_masks: Dict[str, np.ndarray] = {
-            nid: np.ones(graph.nodes[nid].attrs["out_channels"], dtype=bool) for nid in prunable
-        }
-        self.mask_map = propagate_pruning_masks(graph, self.conv_masks)
+        self.conv_masks = {nid: mask_map.output_masks[nid] for nid in self.prunable}
+        self.mask_map = mask_map
         self.scheduler = PruningScheduler(self, spec.scheduler, spec.pruning_rate)
 
     def plan_masks(self, rate: float) -> Dict[str, np.ndarray]:
@@ -332,27 +332,8 @@ class PruningController(CompressionController):
         """Re-select the pruned subset from current weights at a new rate."""
         self.conv_masks = self.plan_masks(rate)
         self.mask_map = propagate_pruning_masks(self.graph, self.conv_masks)
-        for nid, parts in self.hooks.items():
-            node = self.graph.nodes[nid]
-            if node.kind == "Conv2D":
-                mask = self.mask_map.output_masks[nid].astype(np.float64)
-                parts["weight"].set_mask(mask.reshape(-1, 1, 1, 1))
-                parts["bias"].set_mask(mask)
-            else:
-                mask = self.mask_map.input_masks[nid][0].astype(np.float64)
-                parts["gamma"].set_mask(mask)
-                parts["beta"].set_mask(mask)
+        write_filter_masks(self.graph, self.hooks, self.mask_map)
         self.rate = rate
-
-    def zero_pruned_gradients(self):
-        """Clear pruned-filter gradients; run after backward when frozen."""
-        for nid in self.prunable:
-            keep = self.mask_map.output_masks[nid]
-            node = self.graph.nodes[nid]
-            for pname in ("weight", "bias"):
-                g = node.params[pname].grad
-                if g is not None:
-                    g[~keep] = 0.0
 
     def statistics(self) -> dict:
         per_layer = {}
@@ -384,5 +365,4 @@ class PruningBuilder(CompressionBuilder):
         ]
         masks = {nid: np.ones(graph.nodes[nid].attrs["out_channels"], dtype=bool) for nid in prunable}
         mask_map = propagate_pruning_masks(graph, masks)
-        hooks = apply_filter_masks(graph, mask_map)
-        return PruningController(graph, prunable, hooks, self.spec)
+        return PruningController(graph, apply_filter_masks(graph, mask_map), mask_map, self.spec)

@@ -11,20 +11,21 @@ the representable range and cut outside it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController
-from .graph import Hook, HookPosition, INPUT_ID, ModelGraph
+from .base import CompressionBuilder, CompressionController, SpecError, check_rule
+from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import Tensor
 
 FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
+MODES = ("symmetric", "asymmetric")
 
-WEIGHTED_KINDS = ("Conv2D", "FullyConnected")
 VALUE_PRODUCING_KINDS = ("Conv2D", "FullyConnected", "BatchNorm", "ReLU", "Add")
 
 
@@ -89,7 +90,7 @@ class FakeQuantizer:
         init_scheme: str = "minmax",
         percentiles: Tuple[float, float] = (0.1, 99.9),
     ):
-        if mode not in ("symmetric", "asymmetric"):
+        if mode not in MODES:
             raise ValueError(f"unknown quantization mode {mode!r}")
         quant_grid(bits, grid)  # validates both
         if per_channel and not channels:
@@ -134,12 +135,7 @@ class FakeQuantizer:
             lo = float(np.quantile(values, self.percentiles[0] / 100.0))
             hi = float(np.quantile(values, self.percentiles[1] / 100.0))
             am = max(abs(lo), abs(hi))
-        if self.mode == "symmetric":
-            self.scale.data[...] = max(am, RANGE_FLOOR)
-        else:
-            self.rmin.data[...] = lo
-            self.rmax.data[...] = max(hi, lo + RANGE_FLOOR)
-        self.initialized = True
+        self._set_range(lo, hi, am)
         self.collecting = False
         self._seen_min = self._seen_max = self._seen_absmax = None
         self._samples = []
@@ -154,8 +150,11 @@ class FakeQuantizer:
         else:
             am = np.abs(arr).max()
             lo, hi = arr.min(), arr.max()
+        self._set_range(lo, hi, am)
+
+    def _set_range(self, lo, hi, absmax):
         if self.mode == "symmetric":
-            self.scale.data[...] = np.maximum(am, RANGE_FLOOR)
+            self.scale.data[...] = np.maximum(absmax, RANGE_FLOOR)
         else:
             self.rmin.data[...] = lo
             self.rmax.data[...] = np.maximum(hi, lo + RANGE_FLOOR)
@@ -222,13 +221,15 @@ class FakeQuantizer:
             return [("scale", self.scale)]
         return [("rmin", self.rmin), ("rmax", self.rmax)]
 
-    def slice_output_channels(self, keep_mask: np.ndarray):
-        """Drop per-channel range entries for filters removed by pruning."""
-        if not self.per_channel:
-            return
-        keep = np.asarray(keep_mask, dtype=bool)
-        for _, p in self.trainable_range_params():
-            p.data = p.data[keep].copy()
+    def describe(self) -> str:
+        span = "per-channel" if self.per_channel else "per-tensor"
+        return f"fake-quant {self.mode} {self.grid} {self.bits}b {span}"
+
+    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
+        """Drop the per-channel range entries of removed filters."""
+        if self.per_channel:
+            for _, p in self.trainable_range_params():
+                p.data = p.data[keep_out].copy()
 
     def codec_state(self):
         attrs = {
@@ -297,10 +298,8 @@ def fusion_skips(graph: ModelGraph) -> set:
 
 def insert_quantizers(
     graph: ModelGraph,
-    weight_bits: int = 8,
-    activation_bits: int = 8,
-    weight_mode: str = "symmetric",
-    activation_mode: str = "symmetric",
+    bits: int = 8,
+    mode: str = "symmetric",
     per_channel_weights: bool = True,
     init_scheme: str = "minmax",
     percentiles: Tuple[float, float] = (0.1, 99.9),
@@ -318,8 +317,8 @@ def insert_quantizers(
 
     def act_quantizer(grid: str) -> FakeQuantizer:
         return FakeQuantizer(
-            bits=activation_bits,
-            mode=activation_mode,
+            bits=bits,
+            mode=mode,
             grid=grid,
             init_scheme=init_scheme,
             percentiles=percentiles,
@@ -333,8 +332,8 @@ def insert_quantizers(
         if node.kind in WEIGHTED_KINDS:
             per_ch = per_channel_weights and node.kind == "Conv2D"
             fq = FakeQuantizer(
-                bits=weight_bits,
-                mode=weight_mode,
+                bits=bits,
+                mode=mode,
                 grid="weight",
                 per_channel=per_ch,
                 channels=node.attrs["out_channels"] if per_ch else None,
@@ -356,11 +355,12 @@ def insert_quantizers(
     return {"weight": weights, "activation": activations, "mirror": mirror}
 
 
-def initialize_quantizer_ranges(graph: ModelGraph, batches=None, num_init_samples: Optional[int] = None):
+def initialize_quantizer_ranges(graph: ModelGraph, batches=None, num_batches: Optional[int] = None):
     """Set quantizer ranges: weights from their tensors, activations from data.
 
-    With no batches, activation quantizers stay lazy and adopt ranges from
-    the first batch they see.
+    Activation ranges are observed over the first ``num_batches`` batches
+    (all of them when None).  With no batches, activation quantizers stay
+    lazy and adopt ranges from the first batch they see.
     """
     act_qs = []
     for h in graph.hooks:
@@ -374,13 +374,8 @@ def initialize_quantizer_ranges(graph: ModelGraph, batches=None, num_init_sample
         return
     for q in act_qs:
         q.collecting = True
-    seen = 0
-    for batch in batches:
-        x = np.asarray(batch, dtype=np.float64)
-        graph.run(Tensor(x), mode="eval")
-        seen += x.shape[0]
-        if num_init_samples is not None and seen >= num_init_samples:
-            break
+    for batch in itertools.islice(batches, num_batches):
+        graph.run(Tensor(np.asarray(batch, dtype=np.float64)), mode="eval")
     for q in act_qs:
         q.collecting = False
         q.finalize()
@@ -396,6 +391,10 @@ class QuantizationInitSpec:
     min_percentile: float = 0.1
     max_percentile: float = 99.9
 
+    def __post_init__(self):
+        if self.num_batches is not None and self.num_batches < 1:
+            raise SpecError("num_batches", f"must be at least 1, got {self.num_batches}")
+
 
 @dataclass
 class MixedPrecisionSpec:
@@ -405,6 +404,10 @@ class MixedPrecisionSpec:
     seed: Optional[int] = None  # None: the config's top-level seed
     direction: str = "at_least"
 
+    def __post_init__(self):
+        if self.trace_samples < 1:
+            raise SpecError("trace_samples", f"must be at least 1, got {self.trace_samples}")
+
 
 @dataclass
 class QuantizationSpec:
@@ -413,6 +416,11 @@ class QuantizationSpec:
     per_channel: bool = True
     init: QuantizationInitSpec = field(default_factory=QuantizationInitSpec)
     mixed_precision: Optional[MixedPrecisionSpec] = None  # None: one bit width everywhere
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise SpecError("mode", f"must be one of {list(MODES)}, got {self.mode!r}")
+        check_rule("bits", quant_grid, self.bits, "weight")
 
 
 class QuantizationController(CompressionController):
@@ -471,10 +479,8 @@ class QuantizationBuilder(CompressionBuilder):
         spec = self.spec
         handles = insert_quantizers(
             graph,
-            weight_bits=spec.bits,
-            activation_bits=spec.bits,
-            weight_mode=spec.mode,
-            activation_mode=spec.mode,
+            bits=spec.bits,
+            mode=spec.mode,
             per_channel_weights=spec.per_channel,
             init_scheme=spec.init.type,
             percentiles=(spec.init.min_percentile, spec.init.max_percentile),

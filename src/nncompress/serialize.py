@@ -43,7 +43,7 @@ def register_hook_codec(kind: str, decoder: Callable[[dict, Dict[str, Tensor]], 
     _DECODERS[kind] = decoder
 
 
-def _pack_params(table: list, blob: bytearray, params: Dict[str, Tensor], trainable_flags=None):
+def _pack_params(table: list, blob: bytearray, params: Dict[str, Tensor]):
     for name, t in params.items():
         # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
         arr = np.asarray(t.data, dtype=_F8)

@@ -20,11 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, CompressionLoss, CompressionScheduler
-from .graph import Hook, HookPosition, ModelGraph
+from .base import CompressionBuilder, CompressionController, CompressionLoss, CompressionScheduler, SpecError
+from .graph import WEIGHTED_KINDS, Hook, HookPosition, ModelGraph
 from .tensor import Tensor
-
-SPARSIFIABLE_KINDS = ("Conv2D", "FullyConnected")
 
 
 # -- schedules -------------------------------------------------------------
@@ -43,26 +41,26 @@ class SparsityScheduleSpec:
 
     def __post_init__(self):
         if self.mode not in ("polynomial", "exponential", "multistep", "adaptive"):
-            raise ValueError(f"unknown sparsity schedule mode {self.mode!r}")
-        if not 0.0 <= self.init <= self.target < 1.0:
-            raise ValueError(
-                f"need 0 <= init <= target < 1, got init={self.init}, target={self.target}"
-            )
+            raise SpecError("mode", f"unknown sparsity schedule mode {self.mode!r}")
+        if not 0.0 <= self.target < 1.0:
+            raise SpecError("target", f"must be in [0, 1), got {self.target}")
+        if not 0.0 <= self.init <= self.target:
+            raise SpecError("init", f"need 0 <= init <= target, got init={self.init}, target={self.target}")
         if self.mode in ("polynomial", "exponential"):
             if self.epochs == 0 and self.init != self.target:
-                raise ValueError("a zero-epoch ramp cannot move init to a different target")
+                raise SpecError("epochs", "a zero-epoch ramp cannot move init to a different target")
             if self.epochs < 0:
-                raise ValueError("epoch span must be nonnegative")
+                raise SpecError("epochs", "epoch span must be nonnegative")
         if self.mode == "multistep":
             steps = self.steps or []
             if not steps:
-                raise ValueError("multistep schedule needs at least one step")
+                raise SpecError("steps", "multistep schedule needs at least one step")
             epochs = [e for e, _ in steps]
             levels = [l for _, l in steps]
             if epochs != sorted(epochs) or levels != sorted(levels):
-                raise ValueError("multistep steps must have nondecreasing epochs and levels")
+                raise SpecError("steps", "multistep steps must have nondecreasing epochs and levels")
             if levels[-1] != self.target:
-                raise ValueError("final multistep level must equal the target")
+                raise SpecError("steps", "final multistep level must equal the target")
 
 
 def sparsity_level_at_epoch(
@@ -150,6 +148,19 @@ class ParamMask:
     def __call__(self, p: Tensor, ctx=None) -> Tensor:
         return T.mul(p, T.broadcast_to(self.mask, p.shape))
 
+    def describe(self) -> str:
+        mask = self.mask.data
+        if mask.ndim == 4 and mask[0].size == 1:  # one entry per conv filter
+            return f"filter mask: {int((mask == 0).sum())}/{mask.shape[0]} filters pruned"
+        return f"mask: {int((mask == 0).sum())}/{mask.size} zeros"
+
+    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
+        """Drop the entries of removed filters (rows) and input channels (columns)."""
+        self.set_mask(self.mask.data[keep_out][:, keep_in])
+
+    def eval_mask(self) -> np.ndarray:
+        return self.mask.data
+
     def codec_state(self):
         return {}, {"mask": self.mask}
 
@@ -222,7 +233,7 @@ class MagnitudeSparsityBuilder(CompressionBuilder):
     def apply_to(self, graph: ModelGraph) -> MagnitudeSparsityController:
         hooks = {}
         for node in graph.nodes.values():
-            if node.kind in SPARSIFIABLE_KINDS:
+            if node.kind in WEIGHTED_KINDS:
                 pm = ParamMask(np.ones(node.params["weight"].shape))
                 graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, self.name, pm, param_name="weight"))
                 hooks[node.id] = pm
@@ -278,6 +289,17 @@ class RBGate:
                 raise RuntimeError("sampling stochastic gates needs an rng on the run context")
             return T.mul(p, sample_gates(self.scores, ctx.rng))
         return T.mul(p, Tensor(rb_eval_mask(self.scores)))
+
+    def describe(self) -> str:
+        off = int((self.scores.data <= 0).sum())
+        return f"stochastic gates: {off}/{self.scores.size} off at eval"
+
+    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
+        """Drop the scores of removed filters (rows) and input channels (columns)."""
+        self.scores.data = self.scores.data[keep_out][:, keep_in]
+
+    def eval_mask(self) -> np.ndarray:
+        return rb_eval_mask(self.scores)
 
     def codec_state(self):
         return {}, {"scores": self.scores}
@@ -360,7 +382,7 @@ class RBSparsityBuilder(CompressionBuilder):
     def apply_to(self, graph: ModelGraph) -> RBSparsityController:
         gates = {}
         for node in graph.nodes.values():
-            if node.kind in SPARSIFIABLE_KINDS:
+            if node.kind in WEIGHTED_KINDS:
                 gate = RBGate(np.full(node.params["weight"].shape, self.spec.score_init))
                 graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, self.name, gate, param_name="weight"))
                 gates[node.id] = gate

@@ -100,11 +100,8 @@ def train_model(
     val_loss: Optional[float] = None
     for epoch in range(epochs):
         scheduler_epoch_step(controllers, metric=val_loss)
-        lr_scale = 1.0
-        decay_on = True
-        for ctrl in controllers:
-            lr_scale *= getattr(ctrl, "lr_scale", 1.0)
-            decay_on = decay_on and getattr(ctrl, "weight_decay_on", True)
+        lr_scale = math.prod((ctrl.lr_scale for ctrl in controllers), start=1.0)
+        decay_on = all(ctrl.weight_decay_on for ctrl in controllers)
 
         task_sum = comp_value = 0.0
         for xb, yb in iter_batches(x_train, y_train, batch_size, rng=shuffle_rng):
@@ -115,9 +112,6 @@ def train_model(
             if not math.isfinite(loss.item()):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             T.backward(loss)
-            for ctrl in controllers:
-                if getattr(ctrl, "frozen", False) and hasattr(ctrl, "zero_pruned_gradients"):
-                    ctrl.zero_pruned_gradients()
             opt.step(lr_scale=lr_scale, weight_decay_on=decay_on)
             opt.zero_grad()
             scheduler_step(controllers)

@@ -43,6 +43,24 @@ MISTYPED = [
      "mixed_precision.candidate_bits[1]"),
 ]
 
+# (section, dotted path of the out-of-range key): the right type, a value no
+# builder can use
+OUT_OF_RANGE = [
+    ({"algorithm": "quantization", "bits": 1}, "bits"),
+    ({"algorithm": "quantization", "mode": "bogus"}, "mode"),
+    ({"algorithm": "quantization", "init": {"num_batches": 0}}, "init.num_batches"),
+    ({"algorithm": "quantization", "mixed_precision": {"trace_samples": 0}}, "mixed_precision.trace_samples"),
+    ({"algorithm": "filter_pruning", "pruning_rate": 1.5}, "pruning_rate"),
+    ({"algorithm": "filter_pruning", "pruning_rate": 0.3, "criterion": "l3"}, "criterion"),
+    ({"algorithm": "filter_pruning", "pruning_rate": 0.3, "scheduler": {"mode": "linear"}}, "scheduler.mode"),
+    ({"algorithm": "binarization", "stage_epochs": [1, 2]}, "stage_epochs"),
+    ({"algorithm": "binarization", "weight_scheme": "foo"}, "weight_scheme"),
+    ({"algorithm": "magnitude_sparsity", "schedule": {"target": 1.5}}, "schedule.target"),
+]
+BAD_VALUES = MISTYPED + OUT_OF_RANGE
+# ids stay unique: a mistyped key's id is its path, an out-of-range key's adds "=range"
+BAD_VALUE_IDS = [p for _, p in MISTYPED] + [f"{p}=range" for _, p in OUT_OF_RANGE]
+
 
 def stripes_like(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -93,7 +111,7 @@ def test_bad_algorithm_and_bad_shapes():
         validate_config({"compression": [{"algorithm": "quantization", "init": 4}]})
 
 
-@pytest.mark.parametrize("section, path", MISTYPED, ids=[p for _, p in MISTYPED])
+@pytest.mark.parametrize("section, path", BAD_VALUES, ids=BAD_VALUE_IDS)
 def test_mistyped_values_rejected_with_path(section, path):
     with pytest.raises(ConfigError, match=re.escape(f"'compression[0].{path}'")):
         validate_config({"compression": [section]})

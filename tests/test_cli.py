@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nncompress.cli import main
+from nncompress.serialize import load_checkpoint
 
-from test_api import MISTYPED
+from test_api import BAD_VALUE_IDS, BAD_VALUES, REPO
 
 
 def run_cli(argv, capsys):
@@ -81,7 +82,7 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     assert code == 2 and "bitz" in err
 
 
-@pytest.mark.parametrize("section, path", MISTYPED, ids=[p for _, p in MISTYPED])
+@pytest.mark.parametrize("section, path", BAD_VALUES, ids=BAD_VALUE_IDS)
 def test_mistyped_config_exits_2(tmp_path, capsys, section, path):
     cfg = write_config(tmp_path, {"compression": [section]})
     argv = train_args(tmp_path / "out", config=cfg, model="cnn-residual", dataset="stripes")
@@ -182,6 +183,37 @@ def test_stats_shows_pruned_filter_counts(tmp_path, capsys):
     assert code == 0
     assert "1/4 filters pruned" in stdout
     assert "2/8 filters pruned" in stdout
+
+
+# stats rows of one-epoch cnn-small checkpoints, as printed before each hook
+# transform described itself
+PINNED_STATS_ROWS = {
+    "binarize": [
+        "conv2  pre_param:weight  binarization  binarize[xnor] off",
+        "conv2  pre_input         binarization  ActivationBinarizer off",
+    ],
+    "rb_sparsity50": [
+        "conv1  pre_param:weight  rb_sparsity  stochastic gates: 7/36 off at eval",
+        "conv2  pre_param:weight  rb_sparsity  stochastic gates: 35/288 off at eval",
+        "fc     pre_param:weight  rb_sparsity  stochastic gates: 7/64 off at eval",
+    ],
+}
+
+
+@pytest.mark.parametrize("config", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_stats_describes_every_hook(tmp_path, capsys, config):
+    out = tmp_path / "run"
+    code, _, _ = run_cli(train_args(out, config=config, model="cnn-small", dataset="stripes", epochs=1), capsys)
+    assert code == 0
+    code, stdout, _ = run_cli(["stats", "--checkpoint", str(out / "checkpoint.nncm")], capsys)
+    assert code == 0
+    graph, _ = load_checkpoint(out / "checkpoint.nncm")
+    lines = stdout.splitlines()
+    assert lines[0].split() == ["node", "point", "family", "detail"]
+    assert [line.split()[0] for line in lines[1:-1]] == [h.node_id for h in graph.hooks]
+    assert lines[-1] == f"parameters: {graph.num_params()}  epoch: 0"
+    for row in PINNED_STATS_ROWS.get(config.stem, []):
+        assert row in lines
 
 
 def test_csv_dataset_round_trip(tmp_path, capsys):

@@ -17,7 +17,7 @@ from nncompress.pruning import (
 )
 from nncompress.quantization import FakeQuantizer, quant_grid
 from nncompress.serialize import serialize_model
-from nncompress.sparsity import MagnitudeSparsityBuilder
+from nncompress.sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
 from nncompress.tensor import Tensor
 
 from topologies import TOPOLOGIES, chain_bn, chain_relu, drop, rand_conv, rand_fc, simple
@@ -210,8 +210,8 @@ def test_frozen_filters_untouched_by_sgd():
     x = Tensor(np.random.default_rng(10).normal(size=(2, 1, 6, 6)))
     for _ in range(3):
         out = g.run(x, mode="train")
+        # the filter-mask hooks' vjps already zero the pruned filters' gradients
         T.backward(T.tsum(T.mul(out, out)))
-        ctrl.zero_pruned_gradients()
         for _, _, p in g.parameters():
             if p.grad is not None:
                 p.data = p.data - 0.05 * p.grad
@@ -295,19 +295,31 @@ def test_strip_slices_per_channel_quantizer_state():
     assert np.abs(masked.run(x).data - stripped.run(x).data).max() <= 1e-9
 
 
-def test_strip_slices_elementwise_mask_hooks():
+def magnitude_masks_at_30(g):
+    MagnitudeSparsityBuilder({}).apply_to(g).set_level(0.3)
+
+
+def random_rb_gates(g):
+    rng = np.random.default_rng(21)
+    for gate in RBSparsityBuilder({}).apply_to(g).gates.values():
+        gate.scores.data = rng.normal(size=gate.scores.shape)
+
+
+@pytest.mark.parametrize("sparsify", [magnitude_masks_at_30, random_rb_gates],
+                         ids=["magnitude_sparsity", "rb_sparsity"])
+def test_strip_slices_elementwise_mask_hooks(sparsify):
     g, _ = chain_relu(np.random.default_rng(17))
-    sp = MagnitudeSparsityBuilder({}).apply_to(g)
-    sp.set_level(0.3)
-    masks = {"c1": drop(6, [1])}
+    sparsify(g)
+    # c2 feeds the fully connected layer through Flatten, so fc's hook loses columns
+    masks = {"c1": drop(6, [1]), "c2": drop(4, [2])}
     mm = propagate_pruning_masks(g, masks)
     masked = g.copy()
     apply_filter_masks(masked, mm)
     stripped = strip_pruned_filters(g.copy(), mm)
-    kept_hook = [h for h in stripped.hooks if h.node_id == "c1"][0].transform
-    assert kept_hook.mask.shape == (5, 1, 3, 3)
     x = Tensor(np.random.default_rng(18).normal(size=(4, 1, 6, 6)))
     assert np.abs(masked.run(x).data - stripped.run(x).data).max() <= 1e-9
+    shapes = {h.node_id: h.transform.eval_mask().shape for h in stripped.hooks}
+    assert shapes == {"c1": (5, 1, 3, 3), "c2": (3, 5, 3, 3), "fc": (3, 3 * 36)}
 
 
 # -- controller ------------------------------------------------------------

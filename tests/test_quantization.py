@@ -377,7 +377,7 @@ def test_num_init_samples_caps_observation():
     h = insert_quantizers(g)
     big = np.full((4, 1, 8, 8), 50.0)
     batches = [np.ones((4, 1, 8, 8)), big]
-    initialize_quantizer_ranges(g, batches, num_init_samples=4)
+    initialize_quantizer_ranges(g, batches, num_batches=1)
     assert float(h["activation"][INPUT_ID].scale.data) == pytest.approx(1.0)
 
 
