@@ -12,17 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import tensor as T
 from .graph import ModelGraph
-from .quantization import FakeQuantizer
 from .tensor import Tensor
 from .util import derive_rng
 
+if TYPE_CHECKING:  # quantization imports DIRECTIONS from here
+    from .quantization import FakeQuantizer
+
 BASELINE_BITS = 8
+DIRECTIONS = ("at_least", "at_most")  # the ratio bound is a floor or a ceiling
 
 
 def estimate_hessian_trace(
@@ -90,7 +93,7 @@ def select_bitwidth_config(
     lower metric, then the higher total bit count, then the
     lexicographically smaller assignment.
     """
-    if direction not in ("at_least", "at_most"):
+    if direction not in DIRECTIONS:
         raise ValueError(f"unknown ratio direction {direction!r}")
     if not profiles:
         raise ValueError("no quantized layers to assign bits to")

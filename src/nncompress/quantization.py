@@ -20,11 +20,13 @@ import numpy as np
 from . import serialize, tensor as T
 from .base import CompressionBuilder, CompressionController, SpecError, check_rule
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
+from .mixed_precision import DIRECTIONS
 from .tensor import Tensor
 
 FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
 MODES = ("symmetric", "asymmetric")
+INIT_SCHEMES = ("minmax", "percentile")
 
 VALUE_PRODUCING_KINDS = ("Conv2D", "FullyConnected", "BatchNorm", "ReLU", "Add")
 
@@ -95,7 +97,7 @@ class FakeQuantizer:
         quant_grid(bits, grid)  # validates both
         if per_channel and not channels:
             raise ValueError("per-channel quantizer needs a channel count")
-        if init_scheme not in ("minmax", "percentile"):
+        if init_scheme not in INIT_SCHEMES:
             raise ValueError(f"unknown range init scheme {init_scheme!r}")
         self.bits = int(bits)
         self.mode = mode
@@ -394,6 +396,14 @@ class QuantizationInitSpec:
     def __post_init__(self):
         if self.num_batches is not None and self.num_batches < 1:
             raise SpecError("num_batches", f"must be at least 1, got {self.num_batches}")
+        if self.type not in INIT_SCHEMES:
+            raise SpecError("type", f"must be one of {list(INIT_SCHEMES)}, got {self.type!r}")
+        for key in ("min_percentile", "max_percentile"):
+            if not 0.0 <= getattr(self, key) <= 100.0:
+                raise SpecError(key, f"must lie in [0, 100], got {getattr(self, key)}")
+        if self.min_percentile > self.max_percentile:
+            raise SpecError("min_percentile", f"must not exceed max_percentile {self.max_percentile}, "
+                            f"got {self.min_percentile}")
 
 
 @dataclass
@@ -407,6 +417,12 @@ class MixedPrecisionSpec:
     def __post_init__(self):
         if self.trace_samples < 1:
             raise SpecError("trace_samples", f"must be at least 1, got {self.trace_samples}")
+        if self.direction not in DIRECTIONS:
+            raise SpecError("direction", f"must be one of {list(DIRECTIONS)}, got {self.direction!r}")
+        if not self.candidate_bits:
+            raise SpecError("candidate_bits", "must name at least one bit width")
+        for bits in self.candidate_bits:
+            check_rule("candidate_bits", quant_grid, bits, "weight")
 
 
 @dataclass

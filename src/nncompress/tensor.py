@@ -589,11 +589,14 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def _run_backward(topo: list, seed: Tensor, create_graph: bool, keep: set) -> dict:
+def _run_backward(topo: list, seed: Tensor, create_graph: bool, keep: set, needed=None) -> dict:
     """Reverse sweep over ``topo`` (root last), seeded at the root.
 
-    Each gradient is dropped as soon as its tensor's vjps have run; returns
-    ``{id(t): grad Tensor}`` for the reached tensors whose id is in ``keep``.
+    With ``needed`` (a set of tensor ids closed under "child of a member"),
+    only vjps into those tensors run; without it every vjp runs and every
+    reached tensor is differentiated.  Each gradient is dropped as soon as
+    its tensor's vjps have run; returns ``{id(t): grad Tensor}`` for the
+    reached tensors whose id is in ``keep``.
     """
     grads: dict = {id(topo[-1]): seed}
     kept: dict = {}
@@ -605,15 +608,31 @@ def _run_backward(topo: list, seed: Tensor, create_graph: bool, keep: set) -> di
             if id(node) in keep:
                 kept[id(node)] = g
             for parent, vjp in node._parents:
+                if needed is not None and id(parent) not in needed:
+                    continue
                 pg = vjp(g)
                 prev = grads.get(id(parent))
                 grads[id(parent)] = pg if prev is None else add(prev, pg)
     return kept
 
 
+def _on_paths_from(topo: list, wrt_ids: set) -> set:
+    """Ids of the tensors in ``topo`` (parents first) that are in ``wrt_ids``
+    or have a parent that is: every tensor whose gradient can reach ``wrt``."""
+    needed = set(wrt_ids)
+    for node in topo:
+        for parent, _ in node._parents:
+            if id(parent) in needed:
+                needed.add(id(node))
+                break
+    return needed
+
+
 def backward(loss: Tensor):
     """Add d(loss)/d(t) into ``.grad`` of every leaf tensor ``t`` reachable
-    from loss.  Intermediate tensors get no ``.grad``.
+    from loss.  Intermediate tensors get no ``.grad``.  Every leaf is kept,
+    so every tensor on the tape is differentiated and the sweep skips the
+    path marking that ``grad`` does.
 
     Gradients accumulate across calls; use ``zero_grad`` between steps.
     """
@@ -639,11 +658,18 @@ def grad(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> lis
     """Return d(loss)/d(w) for each w in ``wrt`` as tensors, without touching
     ``.grad`` buffers.  With ``create_graph`` the returned tensors stay on the
     tape, so expressions of them can be differentiated again.
+
+    Only tensors on a path from ``wrt`` to ``loss`` are differentiated: a vjp
+    into any other tensor never runs.  Every gradient that is kept still gets
+    all its contributions in the same order, so the values are the bits a
+    sweep over the whole tape would give.
     """
     if loss.data.size != 1:
         raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
     seed = Tensor(np.ones_like(loss.data))
-    grads = _run_backward(_toposort(loss), seed, create_graph, {id(w) for w in wrt})
+    topo = _toposort(loss)
+    wrt_ids = {id(w) for w in wrt}
+    grads = _run_backward(topo, seed, create_graph, wrt_ids, _on_paths_from(topo, wrt_ids))
     out = []
     for w in wrt:
         g = grads.get(id(w))

@@ -50,6 +50,11 @@ OUT_OF_RANGE = [
     ({"algorithm": "quantization", "mode": "bogus"}, "mode"),
     ({"algorithm": "quantization", "init": {"num_batches": 0}}, "init.num_batches"),
     ({"algorithm": "quantization", "mixed_precision": {"trace_samples": 0}}, "mixed_precision.trace_samples"),
+    ({"algorithm": "quantization", "init": {"type": "bogus"}}, "init.type"),
+    ({"algorithm": "quantization", "init": {"max_percentile": 150}}, "init.max_percentile"),
+    ({"algorithm": "quantization", "init": {"min_percentile": 60, "max_percentile": 50}}, "init.min_percentile"),
+    ({"algorithm": "quantization", "mixed_precision": {"direction": "sideways"}}, "mixed_precision.direction"),
+    ({"algorithm": "quantization", "mixed_precision": {"candidate_bits": [1, 8]}}, "mixed_precision.candidate_bits"),
     ({"algorithm": "filter_pruning", "pruning_rate": 1.5}, "pruning_rate"),
     ({"algorithm": "filter_pruning", "pruning_rate": 0.3, "criterion": "l3"}, "criterion"),
     ({"algorithm": "filter_pruning", "pruning_rate": 0.3, "scheduler": {"mode": "linear"}}, "scheduler.mode"),
@@ -114,6 +119,12 @@ def test_bad_algorithm_and_bad_shapes():
 @pytest.mark.parametrize("section, path", BAD_VALUES, ids=BAD_VALUE_IDS)
 def test_mistyped_values_rejected_with_path(section, path):
     with pytest.raises(ConfigError, match=re.escape(f"'compression[0].{path}'")):
+        validate_config({"compression": [section]})
+
+
+def test_empty_candidate_bits_rejected_with_path():
+    section = {"algorithm": "quantization", "mixed_precision": {"candidate_bits": []}}
+    with pytest.raises(ConfigError, match=re.escape("'compression[0].mixed_precision.candidate_bits'")):
         validate_config({"compression": [section]})
 
 

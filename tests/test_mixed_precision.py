@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from nncompress import tensor as T
+from nncompress.api import create_compressed_model
+from nncompress.data import make_dataset
 from nncompress.graph import INPUT_ID
 from nncompress.mixed_precision import (
     LayerProfile,
@@ -10,9 +14,11 @@ from nncompress.mixed_precision import (
     quantization_error,
     select_bitwidth_config,
 )
+from nncompress.models import build_model
 from nncompress.quantization import QuantizationBuilder, initialize_quantizer_ranges
 from nncompress.tensor import Tensor
 
+from test_api import REPO
 from test_quantization import small_cnn
 
 
@@ -157,3 +163,21 @@ def test_plan_on_quantized_model():
 
     ctrl.apply_bit_config(plan.assignment)
     assert ctrl.handles["weight"]["conv1"].bits == plan.assignment["conv1"]
+
+
+def test_plan_matches_recorded_bits():
+    # cnn-residual, seed 0, configs/mixed_precision.json: the assignment and
+    # per-layer traces, recorded as float hex before reverse sweeps were
+    # pruned to the paths that reach the probed weight
+    config = json.loads((REPO / "configs" / "mixed_precision.json").read_text())
+    x, y = make_dataset("stripes", 128, seed=0)
+    batches = [(x[i : i + 32], y[i : i + 32]) for i in range(0, 128, 32)]
+    controllers, _ = create_compressed_model(build_model("cnn-residual", 0), config, batches)
+    plan = controllers[0].mixed_precision_plan
+    assert plan.assignment == {"conv_b": 4, "conv_a": 4, "stem": 8, "fc": 8}
+    assert [(p.node_id, p.avg_trace.hex()) for p in plan.profiles] == [
+        ("conv_b", "0x1.8ae006fa48e54p-7"),
+        ("conv_a", "0x1.15c2c731797fcp-5"),
+        ("stem", "0x1.9a1da2abdb959p-5"),
+        ("fc", "0x1.16b925c50e009p-2"),
+    ]

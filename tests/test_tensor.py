@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from nncompress import tensor as T
-from nncompress.quantization import RANGE_FLOOR, FakeQuantizer, quant_grid
+from nncompress.quantization import (
+    RANGE_FLOOR,
+    FakeQuantizer,
+    QuantizationBuilder,
+    initialize_quantizer_ranges,
+    quant_grid,
+)
 from nncompress.tensor import Tensor, ShapeError
 
 from helpers import check_grad, numeric_grad
+from topologies import TOPOLOGIES
 
 
 def test_add_elementwise():
@@ -251,6 +258,57 @@ def test_grad_wrt_intermediate_tensor():
     np.testing.assert_array_equal(gy.data, [3.0, 5.0])
     np.testing.assert_array_equal(gx.data, [6.0, 20.0])
     assert x._grad is None and y._grad is None
+
+
+def quantized_topology_loss(build):
+    """A topology with 4-bit quantizers, a train-mode loss and every trainable tensor."""
+    rng = np.random.default_rng(3)
+    g, _ = build(rng)
+    ctrl = QuantizationBuilder({"bits": 4}).apply_to(g)
+    x = rng.normal(size=(3,) + tuple(g.input_shape))
+    initialize_quantizer_ranges(g, [x])
+    out = g.run(Tensor(x), mode="train")
+    loss = T.tsum(T.mul(T.mul(out, out), Tensor(rng.normal(size=out.shape))))
+    params = [p for _, _, p in g.parameters()] + [p for _, p, _ in ctrl.extra_params()]
+    return loss, params
+
+
+@pytest.mark.parametrize("name,build", TOPOLOGIES)
+def test_grad_of_one_tensor_matches_grad_of_all(name, build):
+    loss, params = quantized_topology_loss(build)
+    full = T.grad(loss, params)
+    for p, g_all in zip(params, full):
+        (g,) = T.grad(loss, [p])
+        assert g.data.tobytes() == g_all.data.tobytes()
+
+
+@pytest.mark.parametrize("name,build", TOPOLOGIES)
+def test_hessian_vector_product_of_one_tensor_matches_all(name, build):
+    loss, params = quantized_topology_loss(build)
+    rng = np.random.default_rng(4)
+    full = T.grad(loss, params, create_graph=True)
+    for i, (p, g_all) in enumerate(zip(params, full)):
+        v = Tensor(rng.normal(size=p.shape))
+        hv_all = T.grad(T.tsum(T.mul(g_all, v)), params)[i]
+        (g,) = T.grad(loss, [p], create_graph=True)
+        (hv,) = T.grad(T.tsum(T.mul(g, v)), [p])
+        assert hv.data.tobytes() == hv_all.data.tobytes()
+
+
+def test_grad_never_runs_vjps_off_the_path_to_wrt():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, 4.0], requires_grad=True)
+
+    def explode(g):
+        raise AssertionError("vjp into a tensor off the path to wrt")
+
+    side = T._node(w.data * 2.0, [(w, explode)], "side")
+    loss = T.tsum(T.add(T.mul(x, x), side))
+    (gx,) = T.grad(loss, [x])
+    np.testing.assert_array_equal(gx.data, [2.0, 4.0])
+    # backward differentiates every leaf, so it does reach the side branch
+    with pytest.raises(AssertionError, match="off the path"):
+        loss.backward()
 
 
 @pytest.mark.parametrize("op", [T.mul, T.div, T.maximum])
