@@ -44,10 +44,9 @@ def binarize_weights(w: Tensor, scheme: str) -> Tensor:
     if scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown weight scheme {scheme!r}")
     if scheme == "dorefa":
-        alpha = np.full(w.shape, np.mean(np.abs(w.data)))
+        alpha = np.mean(np.abs(w.data))
     else:
-        per_in = np.abs(w.data).mean(axis=(0, 2, 3))
-        alpha = np.broadcast_to(per_in.reshape(1, -1, 1, 1), w.shape).copy()
+        alpha = np.abs(w.data).mean(axis=(0, 2, 3), keepdims=True)
     sgn = T.ste_apply(w, _sign, name="sign_ste")
     return T.mul(sgn, Tensor(alpha))
 
@@ -67,9 +66,9 @@ def binarize_activations(x: Tensor, s: Tensor, t: Tensor) -> Tensor:
         raise ShapeError(
             f"binarize_activations: {t.shape} thresholds for {x.shape[1]} channels"
         )
+    # one full-size s for both products, so its gradient is summed once over x
     s_b = T.broadcast_to(s, x.shape)
-    t_b = T.broadcast_to(T.reshape(t, (t.shape[0], 1, 1)), x.shape)
-    z = T.sub(x, T.mul(s_b, t_b))
+    z = T.sub(x, T.mul(s_b, T.reshape(t, (t.shape[0], 1, 1))))
     h = T.ste_apply(z, lambda d: (d > 0).astype(np.float64), name="heaviside_ste")
     return T.mul(s_b, h)
 

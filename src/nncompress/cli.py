@@ -163,6 +163,13 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nncompress", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -174,10 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--epochs", type=int, default=10)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--batch-size", type=int, default=32)
+    t.add_argument("--batch-size", type=_positive_int, default=32)
     t.add_argument("--lr", type=float, default=0.1)
     t.add_argument("--momentum", type=float, default=0.0)
-    t.add_argument("--samples", type=int, default=512, help="synthetic dataset size")
+    t.add_argument("--samples", type=_positive_int, default=512, help="synthetic dataset size")
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("export", help="strip and bake a checkpoint into a deployable model file")
@@ -188,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("eval", help="accuracy of a model file on a dataset")
     v.add_argument("--model", required=True)
     v.add_argument("--dataset", required=True)
-    v.add_argument("--samples", type=int, default=256)
+    v.add_argument("--samples", type=_positive_int, default=256)
     v.add_argument("--seed", type=int, default=1)
     v.set_defaults(fn=cmd_eval)
 

@@ -85,6 +85,8 @@ def train_val_split(x, y, val_fraction: float = 0.2, seed: int = 0):
     order = rng.permutation(len(x))
     x, y = x[order], y[order]
     n_val = max(1, int(len(x) * val_fraction))
+    if len(x) <= n_val:
+        raise ValueError(f"{len(x)} samples leave none for training once {n_val} are held out for validation")
     return (x[:-n_val], y[:-n_val]), (x[-n_val:], y[-n_val:])
 
 

@@ -293,7 +293,7 @@ class ModelGraph:
         gamma, beta = params["gamma"], params["beta"]
         if ctx.mode == "train":
             mu = T.tmean(x, axis=axes, keepdims=True)
-            xc = T.sub(x, T.broadcast_to(mu, x.shape))
+            xc = T.sub(x, mu)
             var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
             # running buffers track batch statistics outside the tape
             rm = node.params["running_mean"]
@@ -303,14 +303,10 @@ class ModelGraph:
         else:
             mu = T.reshape(node.params["running_mean"].detach(), pshape)
             var = T.reshape(node.params["running_var"].detach(), pshape)
-            xc = T.sub(x, T.broadcast_to(mu, x.shape))
+            xc = T.sub(x, mu)
         inv = T.div(1.0, T.tsqrt(T.add(var, eps)))
-        xhat = T.mul(xc, T.broadcast_to(inv, x.shape))
-        out = T.add(
-            T.mul(xhat, T.broadcast_to(T.reshape(gamma, pshape), x.shape)),
-            T.broadcast_to(T.reshape(beta, pshape), x.shape),
-        )
-        return out
+        xhat = T.mul(xc, inv)
+        return T.add(T.mul(xhat, T.reshape(gamma, pshape)), T.reshape(beta, pshape))
 
     # -- derived metrics ---------------------------------------------------
 

@@ -195,20 +195,15 @@ class FakeQuantizer:
         # tuned bounds ride on the raw trainables so boundary gradients land on them
         lo_eff = T.add(self.rmin, Tensor(lo_t - self.rmin.data))
         hi_eff = T.add(self.rmax, Tensor(hi_t - self.rmax.data))
-        lo_b = T.broadcast_to(self._channel_view(lo_eff, t.ndim), t.shape)
-        hi_b = T.broadcast_to(self._channel_view(hi_eff, t.ndim), t.shape)
-
-        def spread(arr):
-            shaped = np.reshape(arr, arr.shape + (1,) * (t.ndim - arr.ndim))
-            return Tensor(np.broadcast_to(shaped, t.shape).copy())
-
-        step_b = spread((hi_t - lo_t) / levels)
+        lo = self._channel_view(lo_eff, t.ndim)
+        hi = self._channel_view(hi_eff, t.ndim)
+        step = self._channel_view(Tensor((hi_t - lo_t) / levels), t.ndim)
         # anchoring at the integer zero point (not at lo) keeps 0 -> 0 exact
         # even when range tuning leaves the raw bounds untouched
-        z_b = spread(np.asarray(z, dtype=np.float64))
-        clipped = T.clamp(t, lo_b, hi_b)
-        q = T.round_ste(T.add(T.div(clipped, step_b), z_b))
-        return T.mul(T.sub(q, z_b), step_b)
+        zp = self._channel_view(Tensor(z), t.ndim)
+        clipped = T.clamp(t, lo, hi)
+        q = T.round_ste(T.add(T.div(clipped, step), zp))
+        return T.mul(T.sub(q, zp), step)
 
     # -- bookkeeping -------------------------------------------------------
 

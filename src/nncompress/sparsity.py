@@ -146,7 +146,7 @@ class ParamMask:
         self.mask = Tensor(np.asarray(mask, dtype=np.float64))
 
     def __call__(self, p: Tensor, ctx=None) -> Tensor:
-        return T.mul(p, T.broadcast_to(self.mask, p.shape))
+        return T.mul(p, self.mask)
 
     def describe(self) -> str:
         mask = self.mask.data

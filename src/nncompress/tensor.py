@@ -393,6 +393,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     kept = tuple(1 if i in axes else s for i, s in enumerate(old))
 
     def vjp(g):
+        # spreading the gradient over the summed axes is this op's adjoint
         return broadcast_to(reshape(g, kept), old)
 
     return _node(data, [(a, vjp)], "sum")
@@ -419,58 +420,50 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def pad2d(a, pad: int) -> Tensor:
-    """Zero-pad the last two axes of a 4-d tensor by ``pad`` on each side."""
-    a = as_tensor(a)
-    if pad == 0:
-        return a
-    if a.ndim != 4:
-        raise ShapeError(f"pad2d: expected 4-d input, got {a.shape}")
-    width = ((0, 0), (0, 0), (pad, pad), (pad, pad))
-    data = np.pad(a.data, width)
-    return _node(data, [(a, lambda g: _crop2d(g, pad))], "pad2d")
-
-
-def _crop2d(a, pad: int) -> Tensor:
-    a = as_tensor(a)
-    data = a.data[:, :, pad:-pad, pad:-pad].copy()
-    return _node(data, [(a, lambda g: pad2d(g, pad))], "crop2d")
-
-
 def _window_count(size: int, k: int, s: int) -> int:
     return (size - k) // s + 1
 
 
-def im2col(a, kh: int, kw: int, sh: int, sw: int) -> Tensor:
-    """Unfold sliding windows: [N,C,H,W] -> [N, C*kh*kw, oh*ow]."""
+def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
+    """Unfold sliding windows of the input zero-padded by ``pad`` on each
+    side of the last two axes: [N,C,H,W] -> [N, C*kh*kw, oh*ow]."""
     a = as_tensor(a)
+    if a.ndim != 4:
+        raise ShapeError(f"im2col: expected 4-d input, got {a.shape}")
     n, c, h, w = a.shape
-    if h < kh or w < kw:
-        raise ShapeError(f"im2col: window {kh}x{kw} does not fit input {h}x{w}")
-    oh, ow = _window_count(h, kh, sh), _window_count(w, kw, sw)
-    view = np.lib.stride_tricks.sliding_window_view(a.data, (kh, kw), axis=(2, 3))
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if hp < kh or wp < kw:
+        raise ShapeError(f"im2col: window {kh}x{kw} does not fit padded input {hp}x{wp}")
+    oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
+    xp = np.pad(a.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else a.data
+    view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     view = view[:, :, ::sh, ::sw, :, :]  # [N,C,oh,ow,kh,kw]
     cols = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow).copy()
     shape_in = a.shape
 
     def vjp(g):
-        return _col2im(g, shape_in, kh, kw, sh, sw)
+        return _col2im(g, shape_in, kh, kw, sh, sw, pad)
 
     return _node(cols, [(a, vjp)], "im2col")
 
 
-def _col2im(cols, shape_in, kh, kw, sh, sw) -> Tensor:
+def _col2im(cols, shape_in, kh, kw, sh, sw, pad) -> Tensor:
+    """Adjoint of ``im2col``: add every window back into the padded input,
+    then crop the padding away."""
     cols = as_tensor(cols)
     n, c, h, w = shape_in
-    oh, ow = _window_count(h, kh, sh), _window_count(w, kw, sw)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
     src = cols.data.reshape(n, c, kh, kw, oh, ow)
-    out = np.zeros((n, c, h, w), dtype=np.float64)
+    out = np.zeros((n, c, hp, wp), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
             out[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += src[:, :, i, j, :, :]
+    if pad:
+        out = out[:, :, pad : pad + h, pad : pad + w].copy()
 
     def vjp(g):
-        return im2col(g, kh, kw, sh, sw)
+        return im2col(g, kh, kw, sh, sw, pad)
 
     return _node(out, [(cols, vjp)], "col2im")
 
@@ -536,12 +529,9 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     o, ci, kh, kw = w.shape
     if c != ci:
         raise ShapeError(f"conv2d: input channels {c} != weight in_channels {ci}")
-    xp = pad2d(x, padding)
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if hp < kh or wp < kw:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} does not fit padded input {hp}x{wp}")
-    oh, ow = _window_count(hp, kh, stride), _window_count(wp, kw, stride)
-    cols = im2col(xp, kh, kw, stride, stride)  # [N, C*kh*kw, L]
+    cols = im2col(x, kh, kw, stride, stride, padding)  # [N, C*kh*kw, L]
+    oh = _window_count(h + 2 * padding, kh, stride)
+    ow = _window_count(wd + 2 * padding, kw, stride)
     cols = reshape(transpose(cols, (1, 0, 2)), (c * kh * kw, n * oh * ow))
     out = matmul(reshape(w, (o, c * kh * kw)), cols)  # [O, N*L]
     out = transpose(reshape(out, (o, n, oh, ow)), (1, 0, 2, 3))
@@ -549,6 +539,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
         b = as_tensor(b)
         if b.shape != (o,):
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({o},)")
+        # a full-size bias leaves the sum C-contiguous, as BatchNorm's sums expect
         out = add(out, broadcast_to(reshape(b, (1, o, 1, 1)), out.shape))
     return out
 
@@ -563,7 +554,7 @@ def linear(x, w, b=None) -> Tensor:
         b = as_tensor(b)
         if b.shape != (w.shape[0],):
             raise ShapeError(f"linear: bias shape {b.shape} != ({w.shape[0]},)")
-        out = add(out, broadcast_to(reshape(b, (1, w.shape[0])), out.shape))
+        out = add(out, b)
     return out
 
 

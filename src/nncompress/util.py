@@ -26,9 +26,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     labels = np.asarray(labels)
     n, c = logits.shape
     shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    z = T.sub(logits, T.broadcast_to(shift, logits.shape))
+    z = T.sub(logits, shift)
     lse = T.tlog(T.tsum(T.texp(z), axis=1, keepdims=True))
-    logp = T.sub(z, T.broadcast_to(lse, z.shape))
+    logp = T.sub(z, lse)
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
     return T.mul(T.tsum(T.mul(logp, Tensor(onehot))), -1.0 / n)

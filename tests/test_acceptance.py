@@ -161,7 +161,7 @@ def test_criterion_2_gradient_suite():
         ("mean", (3, 4), lambda x, m=c((3, 4)): T.tmean(T.mul(x, T.mul(x, m)))),
         ("matmul", (2, 3), lambda x, k=c((3, 4)), m=c((2, 4)): T.tsum(T.mul(T.matmul(x, k), m))),
         ("linear", (2, 4), lambda x, w=c((3, 4)), b=c((3,)), m=c((2, 3)): T.tsum(T.mul(T.linear(x, w, b), m))),
-        ("pad2d", (1, 2, 3, 3), lambda x, m=c((1, 2, 5, 5)): T.tsum(T.mul(T.pad2d(x, 1), m))),
+        ("im2col_pad", (1, 2, 4, 4), lambda x, m=c((1, 18, 4)): T.tsum(T.mul(T.im2col(x, 3, 3, 2, 2, pad=1), m))),
         ("im2col", (1, 2, 4, 4), lambda x, m=c((1, 8, 4)): T.tsum(T.mul(T.im2col(x, 2, 2, 2, 2), m))),
         ("maxpool2d", None, lambda x, m=c((1, 2, 2, 2)): T.tsum(T.mul(T.maxpool2d(x, 2), m))),
         ("conv2d_x", None, lambda x, m=c((1, 2, 4, 4)): T.tsum(T.mul(T.conv2d(x, w_cv, b_cv, stride=1, padding=1), m))),

@@ -98,6 +98,26 @@ def test_unknown_dataset_and_model(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--batch-size", "0"],
+        ["train", "--samples", "1"],
+        ["eval", "--model", "model.nncm", "--dataset", "blobs", "--samples", "0"],
+    ],
+    ids=["train-batch-size-0", "train-samples-1", "eval-samples-0"],
+)
+def test_sizes_below_one_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "train":
+        argv = train_args(tmp_path / "o") + argv[1:]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_3(tmp_path, capsys):
     code, _, err = run_cli(

@@ -1,0 +1,249 @@
+"""Operands at their natural shape give the bits of full-size broadcast copies.
+
+Layers and hooks pass scalars, ``(1, C, 1, 1)``, ``(C, 1, 1, 1)`` or
+``(N, 1)`` operands and let the engine's binary ops broadcast.  Each
+reference below is the same formula written with an explicit
+``broadcast_to`` (or a numpy copy) of every such operand.  Forward values
+and leaf gradients must agree byte for byte.  The references run on the
+same machine as the code under test, so differing BLAS kernels cannot make
+these tests flaky the way recorded hashes would.
+"""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from nncompress import tensor as T
+from nncompress.api import create_compressed_model, total_compression_loss
+from nncompress.binarization import _sign, binarize_activations, binarize_weights
+from nncompress.data import make_dataset
+from nncompress.graph import INPUT_ID, ModelGraph
+from nncompress.models import build_model
+from nncompress.quantization import FakeQuantizer, tune_asymmetric_range
+from nncompress.sparsity import ParamMask
+from nncompress.tensor import Tensor
+from nncompress.util import cross_entropy
+
+from test_api import REPO
+from test_graph import bn_node
+
+
+def assert_same_bits(build, reference, leaves, seed=0):
+    """``build()`` and ``reference()`` agree in forward bytes and in the
+    bytes of every leaf's gradient of a random weighted sum of the output."""
+    rng = np.random.default_rng(seed)
+    weights = None
+    seen = []
+    for fn in (build, reference):
+        for leaf in leaves:
+            leaf.zero_grad()
+        out = fn()
+        if weights is None:
+            weights = Tensor(rng.normal(size=out.shape))
+        T.backward(T.tsum(T.mul(out, weights)))
+        seen.append((out.shape, out.data.tobytes(), [leaf.grad.tobytes() for leaf in leaves]))
+    assert seen[0][0] == seen[1][0]
+    assert seen[0][1] == seen[1][1], "forward bytes differ"
+    for i, (a, b) in enumerate(zip(seen[0][2], seen[1][2])):
+        assert a == b, f"gradient bytes of leaf {i} differ"
+
+
+def leaf(rng, shape, low=-2.0, high=2.0):
+    return Tensor(rng.uniform(low, high, shape), requires_grad=True)
+
+
+# -- BatchNorm ---------------------------------------------------------------
+
+
+def reference_batchnorm(x, gamma, beta, running_mean, running_var, mode, eps=1e-5):
+    c = gamma.shape[0]
+    pshape = (1, c) + (1,) * (x.ndim - 2)
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    if mode == "train":
+        mu = T.tmean(x, axis=axes, keepdims=True)
+        xc = T.sub(x, T.broadcast_to(mu, x.shape))
+        var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
+    else:
+        mu = T.reshape(Tensor(running_mean), pshape)
+        var = T.reshape(Tensor(running_var), pshape)
+        xc = T.sub(x, T.broadcast_to(mu, x.shape))
+    inv = T.div(1.0, T.tsqrt(T.add(var, eps)))
+    xhat = T.mul(xc, T.broadcast_to(inv, x.shape))
+    return T.add(
+        T.mul(xhat, T.broadcast_to(T.reshape(gamma, pshape), x.shape)),
+        T.broadcast_to(T.reshape(beta, pshape), x.shape),
+    )
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(4, 3, 5, 5), (6, 3)], ids=["conv", "fc"])
+def test_batchnorm_matches_broadcast_reference(mode, shape):
+    rng = np.random.default_rng(1)
+    g = ModelGraph(input_shape=shape[1:])
+    node = g.add_node(bn_node("bn", INPUT_ID, shape[1]))
+    gamma, beta = node.params["gamma"], node.params["beta"]
+    gamma.data = rng.uniform(0.5, 1.5, shape[1])
+    beta.data = rng.uniform(-1, 1, shape[1])
+    running_mean = rng.uniform(-0.5, 0.5, shape[1])
+    running_var = rng.uniform(0.5, 2.0, shape[1])
+    x = leaf(rng, shape)
+
+    def build():
+        node.params["running_mean"].data = running_mean.copy()
+        node.params["running_var"].data = running_var.copy()
+        return g.run(x, mode=mode)
+
+    def reference():
+        return reference_batchnorm(x, gamma, beta, running_mean, running_var, mode)
+
+    assert_same_bits(build, reference, [x, gamma, beta])
+
+
+# -- asymmetric quantizer ------------------------------------------------------
+
+
+def reference_asymmetric(fq, t):
+    levels = float(2**fq.bits - 1)
+    lo_t, hi_t, z = tune_asymmetric_range(fq.rmin.data, fq.rmax.data, fq.bits)
+    lo_eff = T.add(fq.rmin, Tensor(lo_t - fq.rmin.data))
+    hi_eff = T.add(fq.rmax, Tensor(hi_t - fq.rmax.data))
+
+    def view(p):
+        return T.reshape(p, (p.shape[0],) + (1,) * (t.ndim - 1)) if fq.per_channel else p
+
+    def spread(arr):
+        shaped = np.reshape(arr, arr.shape + (1,) * (t.ndim - arr.ndim))
+        return Tensor(np.broadcast_to(shaped, t.shape).copy())
+
+    lo_b = T.broadcast_to(view(lo_eff), t.shape)
+    hi_b = T.broadcast_to(view(hi_eff), t.shape)
+    step_b = spread((hi_t - lo_t) / levels)
+    z_b = spread(np.asarray(z, dtype=np.float64))
+    q = T.round_ste(T.add(T.div(T.clamp(t, lo_b, hi_b), step_b), z_b))
+    return T.mul(T.sub(q, z_b), step_b)
+
+
+@pytest.mark.parametrize(
+    "per_channel, shape",
+    [(False, (3, 4, 5, 5)), (False, (6, 7)), (True, (4, 3, 3, 3)), (True, (5, 8))],
+    ids=["tensor-4d", "tensor-2d", "channel-4d", "channel-2d"],
+)
+def test_asymmetric_quantizer_matches_broadcast_reference(per_channel, shape):
+    rng = np.random.default_rng(2)
+    fq = FakeQuantizer(
+        bits=4, mode="asymmetric", grid="weight", per_channel=per_channel, channels=shape[0]
+    )
+    rshape = fq.rmin.shape
+    # ranges narrower than the data, so both clip bounds receive gradient
+    fq.rmin.data = rng.uniform(-1.5, -0.2, rshape)
+    fq.rmax.data = rng.uniform(0.3, 1.5, rshape)
+    fq.initialized = True
+    t = leaf(rng, shape)
+    assert_same_bits(lambda: fq(t), lambda: reference_asymmetric(fq, t), [t, fq.rmin, fq.rmax])
+
+
+# -- binarization --------------------------------------------------------------
+
+
+def reference_binarize_weights(w, scheme):
+    if scheme == "dorefa":
+        alpha = np.full(w.shape, np.mean(np.abs(w.data)))
+    else:
+        per_in = np.abs(w.data).mean(axis=(0, 2, 3))
+        alpha = np.broadcast_to(per_in.reshape(1, -1, 1, 1), w.shape).copy()
+    return T.mul(T.ste_apply(w, _sign, name="sign_ste"), Tensor(alpha))
+
+
+@pytest.mark.parametrize("scheme", ["xnor", "dorefa"])
+def test_binarize_weights_matches_broadcast_reference(scheme):
+    w = leaf(np.random.default_rng(3), (4, 3, 3, 3))
+    assert_same_bits(
+        lambda: binarize_weights(w, scheme), lambda: reference_binarize_weights(w, scheme), [w]
+    )
+
+
+def reference_binarize_activations(x, s, t):
+    s_b = T.broadcast_to(s, x.shape)
+    t_b = T.broadcast_to(T.reshape(t, (t.shape[0], 1, 1)), x.shape)
+    z = T.sub(x, T.mul(s_b, t_b))
+    h = T.ste_apply(z, lambda d: (d > 0).astype(np.float64), name="heaviside_ste")
+    return T.mul(s_b, h)
+
+
+def test_binarize_activations_matches_broadcast_reference():
+    rng = np.random.default_rng(4)
+    x = leaf(rng, (3, 4, 5, 5))
+    s = Tensor(np.array(0.8), requires_grad=True)
+    t = leaf(rng, (4,), -0.5, 0.5)
+    assert_same_bits(
+        lambda: binarize_activations(x, s, t),
+        lambda: reference_binarize_activations(x, s, t),
+        [x, s, t],
+    )
+
+
+# -- loss and masks -------------------------------------------------------------
+
+
+def reference_cross_entropy(logits, labels):
+    n, c = logits.shape
+    shift = Tensor(logits.data.max(axis=1, keepdims=True))
+    z = T.sub(logits, T.broadcast_to(shift, logits.shape))
+    lse = T.tlog(T.tsum(T.texp(z), axis=1, keepdims=True))
+    logp = T.sub(z, T.broadcast_to(lse, z.shape))
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    return T.mul(T.tsum(T.mul(logp, Tensor(onehot))), -1.0 / n)
+
+
+def test_cross_entropy_matches_broadcast_reference():
+    rng = np.random.default_rng(5)
+    logits = leaf(rng, (16, 5), -4.0, 4.0)
+    labels = rng.integers(0, 5, size=16)
+    assert_same_bits(
+        lambda: cross_entropy(logits, labels),
+        lambda: reference_cross_entropy(logits, labels),
+        [logits],
+    )
+
+
+def test_filter_mask_matches_broadcast_reference():
+    rng = np.random.default_rng(6)
+    p = leaf(rng, (5, 3, 3, 3))
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0]).reshape(5, 1, 1, 1)
+    hook = ParamMask(mask)
+    assert_same_bits(
+        lambda: hook(p), lambda: T.mul(p, T.broadcast_to(Tensor(mask), p.shape)), [p]
+    )
+
+
+# -- convolution and the training tape -----------------------------------------
+
+
+def test_conv2d_output_is_c_contiguous():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(2, 3, 6, 6)))
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    b = Tensor(rng.normal(size=4))
+    assert T.conv2d(x, w, b, padding=1).data.flags["C_CONTIGUOUS"]
+
+
+def test_train_step_tape_has_only_conv_bias_broadcasts():
+    config = json.loads((REPO / "configs" / "int8_sparse50.json").read_text())
+    x, y = make_dataset("stripes", 64, seed=0)
+    batches = [(x[i : i + 32], y[i : i + 32]) for i in range(0, 64, 32)]
+    controllers, g = create_compressed_model(build_model("cnn-residual", 0), config, batches)
+    out = g.run(Tensor(x[:32]), mode="train", rng=np.random.default_rng(0))
+    loss = T.add(cross_entropy(out, y[:32]), total_compression_loss(controllers))
+    tape = T._toposort(loss)
+    ops = Counter(node._op for node in tape)
+    assert not {"pad2d", "crop2d"} & set(ops)
+    broadcasts = [node for node in tape if node._op == "broadcast_to"]
+    biases = {id(node.params["bias"]) for node in g.nodes.values() if node.kind == "Conv2D"}
+    assert len(broadcasts) == len(biases) == 3
+    for node in broadcasts:
+        (reshaped, _), = node._parents
+        (bias, _), = reshaped._parents
+        assert id(bias) in biases
