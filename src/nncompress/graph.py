@@ -182,6 +182,7 @@ class ModelGraph:
                     f"Conv2D {node.id!r}: input channels {c} != in_channels {a['in_channels']}"
                 )
             k, s, p = a["kernel"], a.get("stride", 1), a.get("padding", 0)
+            self._check_window(node, kernel=k, stride=s, padding=p)
             oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
             if oh < 1 or ow < 1:
                 raise GraphError(f"Conv2D {node.id!r}: kernel {k} does not fit input {h}x{w}")
@@ -211,12 +212,20 @@ class ModelGraph:
             c, h, w = self._expect_rank(node, ins[0], 3)
             k = a["kernel"]
             s = a.get("stride", k)
+            self._check_window(node, kernel=k, stride=s)
             if h < k or w < k:
                 raise GraphError(f"MaxPool2D {node.id!r}: window {k} does not fit input {h}x{w}")
             return (c, (h - k) // s + 1, (w - k) // s + 1)
         if kind == "Flatten":
             return (_prod(ins[0]),)
         raise GraphError(f"unknown node kind {kind!r}")
+
+    @staticmethod
+    def _check_window(node: NodeSpec, **attrs: int):
+        for name, value in attrs.items():
+            low = 0 if name == "padding" else 1
+            if value < low:
+                raise GraphError(f"{node.kind} {node.id!r}: {name} must be >= {low}, got {value}")
 
     @staticmethod
     def _expect_rank(node: NodeSpec, shape: Tuple[int, ...], rank: int) -> Tuple[int, ...]:

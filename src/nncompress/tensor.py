@@ -425,11 +425,15 @@ def _window_count(size: int, k: int, s: int) -> int:
 
 
 def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
-    """Unfold sliding windows of the input zero-padded by ``pad`` on each
-    side of the last two axes: [N,C,H,W] -> [N, C*kh*kw, oh*ow]."""
+    """Copy the windows of [N,C,H,W] ``a``, zero-padded by ``pad`` on H and W,
+    once into conv2d's operand [C*kh*kw, N*oh*ow]: rows (c,i,j), cols (n,y,x)."""
     a = as_tensor(a)
     if a.ndim != 4:
         raise ShapeError(f"im2col: expected 4-d input, got {a.shape}")
+    if min(kh, kw, sh, sw) < 1 or pad < 0:
+        raise ShapeError(
+            f"im2col: window {kh}x{kw} and stride {sh}x{sw} must be >= 1, padding {pad} >= 0"
+        )
     n, c, h, w = a.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     if hp < kh or wp < kw:
@@ -438,7 +442,7 @@ def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
     xp = np.pad(a.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else a.data
     view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     view = view[:, :, ::sh, ::sw, :, :]  # [N,C,oh,ow,kh,kw]
-    cols = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow).copy()
+    cols = np.array(view.transpose(1, 4, 5, 0, 2, 3), order="C").reshape(c * kh * kw, n * oh * ow)
     shape_in = a.shape
 
     def vjp(g):
@@ -454,11 +458,12 @@ def _col2im(cols, shape_in, kh, kw, sh, sw, pad) -> Tensor:
     n, c, h, w = shape_in
     hp, wp = h + 2 * pad, w + 2 * pad
     oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
-    src = cols.data.reshape(n, c, kh, kw, oh, ow)
+    src = cols.data.reshape(c, kh, kw, n, oh, ow)
     out = np.zeros((n, c, hp, wp), dtype=np.float64)
+    dst = out.transpose(1, 0, 2, 3)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += src[:, :, i, j, :, :]
+            dst[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += src[:, i, j]
     if pad:
         out = out[:, :, pad : pad + h, pad : pad + w].copy()
 
@@ -472,6 +477,8 @@ def maxpool2d(a, k: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over non-overlapping (by default) kxk windows."""
     a = as_tensor(a)
     s = k if stride is None else stride
+    if k < 1 or s < 1:
+        raise ShapeError(f"maxpool2d: window {k} and stride {s} must be >= 1")
     n, c, h, w = a.shape
     if h < k or w < k:
         raise ShapeError(f"maxpool2d: window {k} does not fit input {h}x{w}")
@@ -529,10 +536,9 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     o, ci, kh, kw = w.shape
     if c != ci:
         raise ShapeError(f"conv2d: input channels {c} != weight in_channels {ci}")
-    cols = im2col(x, kh, kw, stride, stride, padding)  # [N, C*kh*kw, L]
+    cols = im2col(x, kh, kw, stride, stride, padding)  # [C*kh*kw, N*L]
     oh = _window_count(h + 2 * padding, kh, stride)
     ow = _window_count(wd + 2 * padding, kw, stride)
-    cols = reshape(transpose(cols, (1, 0, 2)), (c * kh * kw, n * oh * ow))
     out = matmul(reshape(w, (o, c * kh * kw)), cols)  # [O, N*L]
     out = transpose(reshape(out, (o, n, oh, ow)), (1, 0, 2, 3))
     if b is not None:

@@ -155,6 +155,44 @@ def test_shape_inference_and_mismatch_errors():
         bad.add_node(conv_node("c1", INPUT_ID, 3, 4, 3))
 
 
+def _added(spec):
+    return lambda: ModelGraph(input_shape=(2, 8, 8)).add_node(spec)
+
+
+def _pool(**attrs):
+    return _added(NodeSpec(id="p", kind="MaxPool2D", inputs=[INPUT_ID], attrs=attrs))
+
+
+_IMAGE = np.zeros((1, 2, 8, 8))
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (_added(conv_node("c", INPUT_ID, 2, 2, 3, stride=0)), GraphError, "Conv2D 'c': stride"),
+        (_added(conv_node("c", INPUT_ID, 2, 2, 0)), GraphError, "Conv2D 'c': kernel"),
+        (_added(conv_node("c", INPUT_ID, 2, 2, 3, padding=-1)), GraphError, "Conv2D 'c': padding"),
+        (_pool(kernel=0), GraphError, "MaxPool2D 'p': kernel"),
+        (_pool(kernel=2, stride=0), GraphError, "MaxPool2D 'p': stride"),
+        (lambda: T.im2col(_IMAGE, 3, 3, 0, 0), ShapeError, "im2col: .*stride 0x0"),
+        (lambda: T.im2col(_IMAGE, 0, 0, 1, 1), ShapeError, "im2col: window 0x0"),
+        (lambda: T.im2col(_IMAGE, 3, 3, 1, 1, pad=-1), ShapeError, "im2col: .*padding -1"),
+        (lambda: T.maxpool2d(_IMAGE, 2, 0), ShapeError, "maxpool2d: .*stride 0"),
+        (lambda: T.maxpool2d(_IMAGE, 0), ShapeError, "maxpool2d: window 0"),
+    ],
+    ids=[
+        "conv-stride0", "conv-kernel0", "conv-pad-1", "pool-kernel0", "pool-stride0",
+        "im2col-stride0", "im2col-kernel0", "im2col-pad-1", "maxpool2d-stride0", "maxpool2d-kernel0",
+    ],
+)
+def test_bad_window_attributes_rejected(build, error, match):
+    """Kernel and stride below 1 or padding below 0 raise a typed error naming
+    the node (or op) and the attribute, never a ZeroDivisionError or an
+    empty result."""
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_input_batch_shape_checked():
     g = ModelGraph(input_shape=(3,))
     g.add_node(NodeSpec(id="flat", kind="Flatten", inputs=[INPUT_ID]))

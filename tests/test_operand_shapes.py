@@ -247,3 +247,100 @@ def test_train_step_tape_has_only_conv_bias_broadcasts():
         (reshaped, _), = node._parents
         (bias, _), = reshaped._parents
         assert id(bias) in biases
+
+
+# -- convolution lowering -------------------------------------------------------
+
+# stride, padding, kernel and batch size; the input is 5x6 so that rows and
+# columns of windows differ
+LOWERING_GRID = pytest.mark.parametrize(
+    "stride, pad, k, n",
+    [(s, p, k, n) for s in (1, 2) for p in (0, 1) for k in (1, 3) for n in (1, 3)],
+)
+
+
+def _out_size(size, k, s, pad):
+    return (size + 2 * pad - k) // s + 1
+
+
+def reference_im2col(a, kh, kw, sh, sw, pad):
+    """The per-sample lowering: [N, C*kh*kw, oh*ow] columns."""
+    n, c, h, w = a.shape
+    oh, ow = _out_size(h, kh, sh, pad), _out_size(w, kw, sw, pad)
+    xp = np.pad(a.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow).copy()
+    shape_in = a.shape
+    return T._node(cols, [(a, lambda g: reference_col2im(g, shape_in, kh, kw, sh, sw, pad))], "im2col")
+
+
+def reference_col2im(cols, shape_in, kh, kw, sh, sw, pad):
+    n, c, h, w = shape_in
+    oh, ow = _out_size(h, kh, sh, pad), _out_size(w, kw, sw, pad)
+    src = cols.data.reshape(n, c, kh, kw, oh, ow)
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += src[:, :, i, j]
+    if pad:
+        out = out[:, :, pad : pad + h, pad : pad + w].copy()
+    return T._node(out, [(cols, lambda g: reference_im2col(g, kh, kw, sh, sw, pad))], "col2im")
+
+
+def reference_conv2d(x, w, b, stride, pad):
+    """conv2d on per-sample columns, transposed and reshaped into the GEMM operand."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh, ow = _out_size(h, kh, stride, pad), _out_size(wd, kw, stride, pad)
+    cols = reference_im2col(x, kh, kw, stride, stride, pad)
+    cols = T.reshape(T.transpose(cols, (1, 0, 2)), (c * kh * kw, n * oh * ow))
+    out = T.matmul(T.reshape(w, (o, c * kh * kw)), cols)
+    out = T.transpose(T.reshape(out, (o, n, oh, ow)), (1, 0, 2, 3))
+    return T.add(out, T.broadcast_to(T.reshape(b, (1, o, 1, 1)), out.shape))
+
+
+@LOWERING_GRID
+def test_conv2d_matches_per_sample_lowering(stride, pad, k, n):
+    rng = np.random.default_rng(8)
+    x, w, b = leaf(rng, (n, 2, 5, 6)), leaf(rng, (3, 2, k, k)), leaf(rng, (3,))
+    assert_same_bits(
+        lambda: T.conv2d(x, w, b, stride, pad), lambda: reference_conv2d(x, w, b, stride, pad), [x, w, b]
+    )
+    # a Hessian-vector product runs col2im's vjp, im2col, on the double-backward tape
+    vx, vw = Tensor(rng.normal(size=x.shape)), Tensor(rng.normal(size=w.shape))
+    seen = []
+    for conv in (T.conv2d, reference_conv2d):
+        out = conv(x, w, b, stride, pad)
+        gx, gw = T.grad(T.tsum(T.mul(out, out)), [x, w], create_graph=True)
+        dot = T.add(T.tsum(T.mul(gx, vx)), T.tsum(T.mul(gw, vw)))
+        seen.append([g.data.tobytes() for g in T.grad(dot, [x, w, b])])
+    assert seen[0] == seen[1], "Hessian-vector product bytes differ"
+
+
+def test_im2col_feeds_matmul_directly():
+    rng = np.random.default_rng(9)
+    x, w, b = leaf(rng, (2, 3, 6, 6)), leaf(rng, (4, 3, 3, 3)), leaf(rng, (4,))
+    tape = T._toposort(T.tsum(T.conv2d(x, w, b, stride=2, padding=1)))
+    (cols,) = [node for node in tape if node._op == "im2col"]
+    consumers = [node for node in tape if any(p is cols for p, _ in node._parents)]
+    assert [node._op for node in consumers] == ["matmul"]
+
+
+@LOWERING_GRID
+def test_im2col_returns_a_fresh_contiguous_operand(stride, pad, k, n):
+    x = Tensor(np.random.default_rng(10).normal(size=(n, 2, 5, 6)))
+    cols = T.im2col(x, k, k, stride, stride, pad).data
+    assert cols.shape == (2 * k * k, n * _out_size(5, k, stride, pad) * _out_size(6, k, stride, pad))
+    assert cols.flags["C_CONTIGUOUS"]
+    assert not np.shares_memory(cols, x.data)
+
+
+@LOWERING_GRID
+def test_col2im_is_the_adjoint_of_im2col(stride, pad, k, n):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(n, 2, 5, 6))
+    cols = T.im2col(x, k, k, stride, stride, pad)
+    y = rng.normal(size=cols.shape)
+    lhs = np.vdot(cols.data, y)
+    rhs = np.vdot(x, T._col2im(y, x.shape, k, k, stride, stride, pad).data)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
