@@ -107,13 +107,6 @@ def load_spec(cls, section, path: str = ""):
         raise ConfigError(f"config key {_dotted(path, err.key)!r} is out of range: {err.reason}") from None
 
 
-class CompressionLoss:
-    """Additive penalty evaluated once per training step.  Defaults to zero."""
-
-    def __call__(self) -> Tensor:
-        return Tensor(0.0)
-
-
 class CompressionScheduler:
     """Tracks training progress; subclasses translate it into algorithm state.
 
@@ -148,8 +141,11 @@ class CompressionController:
 
     def __init__(self, graph: ModelGraph):
         self.graph = graph
-        self.loss = CompressionLoss()
         self.scheduler = CompressionScheduler()
+
+    def loss(self) -> Tensor:
+        """Additive penalty evaluated once per training step.  Defaults to zero."""
+        return Tensor(0.0)
 
     def statistics(self) -> dict:
         return {}

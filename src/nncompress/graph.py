@@ -158,11 +158,6 @@ class ModelGraph:
             if h.point() == (node_id, position, param_name, input_index)
         ]
 
-    def _apply_hooks(self, value: Tensor, hooks: List[Hook], ctx: ExecContext) -> Tensor:
-        for h in hooks:
-            value = h.transform(value, ctx)
-        return value
-
     # -- shape inference ---------------------------------------------------
 
     def infer_shapes(self) -> Dict[str, Tuple[int, ...]]:
@@ -174,33 +169,40 @@ class ModelGraph:
         return shapes
 
     def _infer_node(self, node: NodeSpec, ins: List[Tuple[int, ...]]) -> Tuple[int, ...]:
-        kind, a = node.kind, node.attrs
+        kind = node.kind
+
+        def attr(name: str, default: Optional[int] = None) -> int:
+            """An integer attr; ``default`` stands in for an optional one that is absent."""
+            if name not in node.attrs and default is None:
+                raise GraphError(f"{kind} {node.id!r}: missing attr {name!r}")
+            value = node.attrs.get(name, default)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise GraphError(f"{kind} {node.id!r}: attr {name!r} must be an integer, got {value!r}")
+            return value
+
         if kind == "Conv2D":
             c, h, w = self._expect_rank(node, ins[0], 3)
-            if c != a["in_channels"]:
-                raise GraphError(
-                    f"Conv2D {node.id!r}: input channels {c} != in_channels {a['in_channels']}"
-                )
-            k, s, p = a["kernel"], a.get("stride", 1), a.get("padding", 0)
+            cin = attr("in_channels")
+            if c != cin:
+                raise GraphError(f"Conv2D {node.id!r}: input channels {c} != in_channels {cin}")
+            k, s, p = attr("kernel"), attr("stride", 1), attr("padding", 0)
             self._check_window(node, kernel=k, stride=s, padding=p)
             oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
             if oh < 1 or ow < 1:
                 raise GraphError(f"Conv2D {node.id!r}: kernel {k} does not fit input {h}x{w}")
-            return (a["out_channels"], oh, ow)
+            return (attr("out_channels"), oh, ow)
         if kind == "FullyConnected":
             (f,) = self._expect_rank(node, ins[0], 1)
-            if f != a["in_features"]:
-                raise GraphError(
-                    f"FullyConnected {node.id!r}: input features {f} != in_features {a['in_features']}"
-                )
-            return (a["out_features"],)
+            fin = attr("in_features")
+            if f != fin:
+                raise GraphError(f"FullyConnected {node.id!r}: input features {f} != in_features {fin}")
+            return (attr("out_features"),)
         if kind == "BatchNorm":
             shape = ins[0]
             c = shape[0]
-            if c != a["num_features"]:
-                raise GraphError(
-                    f"BatchNorm {node.id!r}: input channels {c} != num_features {a['num_features']}"
-                )
+            features = attr("num_features")
+            if c != features:
+                raise GraphError(f"BatchNorm {node.id!r}: input channels {c} != num_features {features}")
             return shape
         if kind == "ReLU":
             return ins[0]
@@ -210,8 +212,8 @@ class ModelGraph:
             return ins[0]
         if kind == "MaxPool2D":
             c, h, w = self._expect_rank(node, ins[0], 3)
-            k = a["kernel"]
-            s = a.get("stride", k)
+            k = attr("kernel")
+            s = attr("stride", k)
             self._check_window(node, kernel=k, stride=s)
             if h < k or w < k:
                 raise GraphError(f"MaxPool2D {node.id!r}: window {k} does not fit input {h}x{w}")
@@ -244,30 +246,28 @@ class ModelGraph:
             raise ShapeError(
                 f"graph input: expected [N, {', '.join(map(str, self.input_shape))}], got {x.shape}"
             )
+        by_point: Dict[tuple, List[Hook]] = {}  # each point's hooks, in registration order
         for h in self.hooks:
             if h.node_id != INPUT_ID and h.node_id not in self.nodes:
                 raise GraphError(f"dangling hook on removed node {h.node_id!r}")
+            by_point.setdefault(h.point(), []).append(h)
         ctx = ExecContext(mode=mode, rng=rng)
-        values: Dict[str, Tensor] = {}
-        values[INPUT_ID] = self._apply_hooks(
-            x, self.hooks_at(INPUT_ID, HookPosition.POST_OUTPUT), ctx
-        )
+
+        def hooked(value: Tensor, node_id, position, param_name=None, input_index=0) -> Tensor:
+            for h in by_point.get((node_id, position, param_name, input_index), ()):
+                value = h.transform(value, ctx)
+            return value
+
+        values: Dict[str, Tensor] = {INPUT_ID: hooked(x, INPUT_ID, HookPosition.POST_OUTPUT)}
         for nid, node in self.nodes.items():
-            ins = []
-            for i, ref in enumerate(node.inputs):
-                v = values[ref]
-                v = self._apply_hooks(
-                    v, self.hooks_at(nid, HookPosition.PRE_INPUT, input_index=i), ctx
-                )
-                ins.append(v)
-            params = {}
-            for name, p in node.params.items():
-                params[name] = self._apply_hooks(
-                    p, self.hooks_at(nid, HookPosition.PRE_PARAM, param_name=name), ctx
-                )
+            ins = [
+                hooked(values[ref], nid, HookPosition.PRE_INPUT, input_index=i) for i, ref in enumerate(node.inputs)
+            ]
+            params = {
+                name: hooked(p, nid, HookPosition.PRE_PARAM, param_name=name) for name, p in node.params.items()
+            }
             out = self._exec_node(node, ins, params, ctx)
-            out = self._apply_hooks(out, self.hooks_at(nid, HookPosition.POST_OUTPUT), ctx)
-            values[nid] = out
+            values[nid] = hooked(out, nid, HookPosition.POST_OUTPUT)
         return values[self.output_id()]
 
     def _exec_node(self, node: NodeSpec, ins: List[Tensor], params: Dict[str, Tensor], ctx: ExecContext) -> Tensor:

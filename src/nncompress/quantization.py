@@ -76,8 +76,8 @@ def tune_asymmetric_range(rmin, rmax, bits: int):
 class FakeQuantizer:
     """Quantize-dequantize transform with trainable range parameters.
 
-    Starts in a pass-through state; ranges are set either by an explicit
-    initialization pass or lazily from the first tensor seen.
+    Ranges are set by ``observe`` and ``finalize``: over an explicit
+    initialization pass, or lazily from the first tensor seen.
     """
 
     codec_kind = "fake_quant"
@@ -113,46 +113,35 @@ class FakeQuantizer:
         self.collecting = False
         self.init_scheme = init_scheme
         self.percentiles = (float(percentiles[0]), float(percentiles[1]))
-        self._seen_min = None
-        self._seen_max = None
-        self._seen_absmax = None
         self._samples: List[np.ndarray] = []
 
     # -- range initialization ---------------------------------------------
 
     def observe(self, arr: np.ndarray):
-        if self.init_scheme == "percentile":
-            self._samples.append(np.asarray(arr, dtype=np.float64).ravel().copy())
-        mn, mx, am = float(arr.min()), float(arr.max()), float(np.abs(arr).max())
-        self._seen_min = mn if self._seen_min is None else min(self._seen_min, mn)
-        self._seen_max = mx if self._seen_max is None else max(self._seen_max, mx)
-        self._seen_absmax = am if self._seen_absmax is None else max(self._seen_absmax, am)
+        """Keep a tensor's values: one row per output channel, or one row in all."""
+        arr = np.asarray(arr, dtype=np.float64)
+        self._samples.append(arr.reshape(arr.shape[0] if self.per_channel else 1, -1))
 
     def finalize(self):
-        if self._seen_min is None:
+        """Set ranges from every observed value, by min/max or the configured percentiles."""
+        if not self._samples:
             raise RuntimeError("quantizer saw no data during range initialization")
-        lo, hi, am = self._seen_min, self._seen_max, self._seen_absmax
-        if self.init_scheme == "percentile" and self._samples:
-            values = np.concatenate(self._samples)
-            lo = float(np.quantile(values, self.percentiles[0] / 100.0))
-            hi = float(np.quantile(values, self.percentiles[1] / 100.0))
-            am = max(abs(lo), abs(hi))
+        values = np.concatenate(self._samples, axis=1)
+        if self.init_scheme == "percentile":
+            lo, hi = np.quantile(values, [p / 100.0 for p in self.percentiles], axis=1)
+            am = np.maximum(np.abs(lo), np.abs(hi))
+        else:
+            lo, hi, am = values.min(axis=1), values.max(axis=1), np.abs(values).max(axis=1)
+        if not self.per_channel:
+            lo, hi, am = lo[0], hi[0], am[0]
         self._set_range(lo, hi, am)
         self.collecting = False
-        self._seen_min = self._seen_max = self._seen_absmax = None
         self._samples = []
 
     def init_from_array(self, arr: np.ndarray):
-        """Set ranges straight from a parameter tensor's current values."""
-        arr = np.asarray(arr, dtype=np.float64)
-        if self.per_channel:
-            axes = tuple(range(1, arr.ndim))
-            am = np.abs(arr).max(axis=axes)
-            lo, hi = arr.min(axis=axes), arr.max(axis=axes)
-        else:
-            am = np.abs(arr).max()
-            lo, hi = arr.min(), arr.max()
-        self._set_range(lo, hi, am)
+        """Set ranges straight from one array's values."""
+        self.observe(arr)
+        self.finalize()
 
     def _set_range(self, lo, hi, absmax):
         if self.mode == "symmetric":
@@ -169,11 +158,7 @@ class FakeQuantizer:
             self.observe(t.data)
             return t
         if not self.initialized:
-            if self.grid == "weight":
-                self.init_from_array(t.data)
-            else:
-                self.observe(t.data)
-                self.finalize()
+            self.init_from_array(t.data)
         if self.mode == "symmetric":
             return self._quantize_symmetric(t)
         return self._quantize_asymmetric(t)
@@ -206,12 +191,6 @@ class FakeQuantizer:
         return T.mul(T.sub(q, zp), step)
 
     # -- bookkeeping -------------------------------------------------------
-
-    def zero_point(self):
-        if self.mode != "asymmetric":
-            return np.zeros_like(np.asarray(self.scale.data))
-        _, _, z = tune_asymmetric_range(self.rmin.data, self.rmax.data, self.bits)
-        return z
 
     def trainable_range_params(self) -> List[Tuple[str, Tensor]]:
         if self.mode == "symmetric":
@@ -374,7 +353,6 @@ def initialize_quantizer_ranges(graph: ModelGraph, batches=None, num_batches: Op
     for batch in itertools.islice(batches, num_batches):
         graph.run(Tensor(np.asarray(batch, dtype=np.float64)), mode="eval")
     for q in act_qs:
-        q.collecting = False
         q.finalize()
 
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, CompressionLoss, CompressionScheduler, SpecError
+from .base import CompressionBuilder, CompressionController, CompressionScheduler, SpecError
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, ModelGraph
 from .tensor import Tensor
 
@@ -314,15 +314,6 @@ def _decode_rb_gate(attrs, params):
 serialize.register_hook_codec(RBGate.codec_kind, _decode_rb_gate)
 
 
-class RBSparsityLoss(CompressionLoss):
-    def __init__(self, controller: "RBSparsityController"):
-        self.controller = controller
-
-    def __call__(self) -> Tensor:
-        scores = [g.scores for g in self.controller.gates.values()]
-        return rb_regularizer_loss(scores, self.controller.level)
-
-
 class RBSparsityScheduler(CompressionScheduler):
     def __init__(self, controller: "RBSparsityController", spec: SparsityScheduleSpec):
         super().__init__()
@@ -343,7 +334,9 @@ class RBSparsityController(CompressionController):
         self.score_lr_multiplier = spec.score_lr_multiplier
         self.level = spec.schedule.target
         self.scheduler = RBSparsityScheduler(self, spec.schedule)
-        self.loss = RBSparsityLoss(self)
+
+    def loss(self) -> Tensor:
+        return rb_regularizer_loss([g.scores for g in self.gates.values()], self.level)
 
     def extra_params(self):
         mult = self.score_lr_multiplier

@@ -476,6 +476,8 @@ def _col2im(cols, shape_in, kh, kw, sh, sw, pad) -> Tensor:
 def maxpool2d(a, k: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over non-overlapping (by default) kxk windows."""
     a = as_tensor(a)
+    if a.ndim != 4:
+        raise ShapeError(f"maxpool2d: expected 4-d input, got {a.shape}")
     s = k if stride is None else stride
     if k < 1 or s < 1:
         raise ShapeError(f"maxpool2d: window {k} and stride {s} must be >= 1")

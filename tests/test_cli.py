@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from nncompress.cli import main
-from nncompress.serialize import load_checkpoint
+from nncompress.graph import GraphError
+from nncompress.models import build_model
+from nncompress.serialize import MAGIC, load_checkpoint, load_model, serialize_model
 
 from test_api import BAD_VALUE_IDS, BAD_VALUES, REPO
 
@@ -166,6 +169,29 @@ def test_eval_shape_mismatch(tmp_path, capsys):
     # mlp trained on 8-dim blobs cannot consume 8x8 images
     code, _, err = run_cli(["eval", "--model", str(model_path), "--dataset", "stripes"], capsys)
     assert code == 2 and err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda attrs: attrs.pop("kernel"),
+        lambda attrs: attrs.update(kernel="2"),
+        lambda attrs: attrs.update(kernel=True),
+    ],
+    ids=["missing", "string", "bool"],
+)
+def test_bad_node_attr_is_a_graph_error(tmp_path, capsys, edit):
+    data = serialize_model(build_model("cnn-small"))
+    (mlen,) = struct.unpack("<I", data[4:8])
+    manifest = json.loads(data[8 : 8 + mlen])
+    edit(next(n for n in manifest["nodes"] if n["id"] == "conv1")["attrs"])
+    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    path = tmp_path / "m.nncm"
+    path.write_bytes(MAGIC + struct.pack("<I", len(mbytes)) + mbytes + data[8 + mlen :])
+    with pytest.raises(GraphError, match="Conv2D 'conv1': .*attr 'kernel'"):
+        load_model(path)
+    code, _, err = run_cli(["eval", "--model", str(path), "--dataset", "stripes", "--samples", "16"], capsys)
+    assert code == 2 and "conv1" in err and "kernel" in err
 
 
 def test_stats_lists_compression_hooks(tmp_path, capsys):

@@ -179,16 +179,18 @@ _IMAGE = np.zeros((1, 2, 8, 8))
         (lambda: T.im2col(_IMAGE, 3, 3, 1, 1, pad=-1), ShapeError, "im2col: .*padding -1"),
         (lambda: T.maxpool2d(_IMAGE, 2, 0), ShapeError, "maxpool2d: .*stride 0"),
         (lambda: T.maxpool2d(_IMAGE, 0), ShapeError, "maxpool2d: window 0"),
+        (lambda: T.maxpool2d(_IMAGE[0], 2), ShapeError, "maxpool2d: expected 4-d input"),
     ],
     ids=[
         "conv-stride0", "conv-kernel0", "conv-pad-1", "pool-kernel0", "pool-stride0",
         "im2col-stride0", "im2col-kernel0", "im2col-pad-1", "maxpool2d-stride0", "maxpool2d-kernel0",
+        "maxpool2d-3d",
     ],
 )
 def test_bad_window_attributes_rejected(build, error, match):
-    """Kernel and stride below 1 or padding below 0 raise a typed error naming
-    the node (or op) and the attribute, never a ZeroDivisionError or an
-    empty result."""
+    """Kernel and stride below 1, padding below 0 or an input of the wrong
+    rank raise a typed error naming the node (or op) and the attribute, never
+    a ZeroDivisionError, numpy's ValueError or an empty result."""
     with pytest.raises(error, match=match):
         build()
 

@@ -293,6 +293,52 @@ def test_lazy_init_uses_first_batch():
     assert fq.rmax.data == pytest.approx(2.0)
 
 
+def _range_bits(fq: FakeQuantizer) -> bytes:
+    return b"".join(p.data.tobytes() for _, p in fq.trainable_range_params())
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("init_scheme", ["minmax", "percentile"])
+def test_batched_observation_matches_one_concatenated_batch(mode, init_scheme):
+    rng = np.random.default_rng(4)
+    batches = [scale * rng.normal(size=(n, 3, 4, 4)) for n, scale in ((5, 1.0), (2, 3.0), (7, 0.5))]
+
+    def quantizer():
+        return FakeQuantizer(
+            bits=8, mode=mode, grid="signed_act", init_scheme=init_scheme, percentiles=(1.0, 99.0)
+        )
+
+    split, whole = quantizer(), quantizer()
+    for b in batches:
+        split.observe(b)
+    split.finalize()
+    whole.observe(np.concatenate(batches))
+    whole.finalize()
+    assert _range_bits(split) == _range_bits(whole)
+    values = np.concatenate([b.ravel() for b in batches])
+    lo = np.quantile(values, 0.01) if init_scheme == "percentile" else values.min()
+    hi = np.quantile(values, 0.99) if init_scheme == "percentile" else values.max()
+    if mode == "symmetric":
+        absmax = max(abs(lo), abs(hi)) if init_scheme == "percentile" else np.abs(values).max()
+        assert split.scale.data.tobytes() == np.float64(absmax).tobytes()
+    else:
+        assert split.rmin.data.tobytes() == np.float64(lo).tobytes()
+        assert split.rmax.data.tobytes() == np.float64(hi).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_lazy_per_channel_weight_init_matches_init_from_array(mode):
+    spread = np.array([0.1, 1.0, 3.0, 0.0]).reshape(4, 1, 1, 1)  # the last channel hits the range floor
+    w = spread * np.random.default_rng(5).normal(size=(4, 3, 3, 3))
+    lazy = FakeQuantizer(bits=4, mode=mode, grid="weight", per_channel=True, channels=4)
+    eager = FakeQuantizer(bits=4, mode=mode, grid="weight", per_channel=True, channels=4)
+    eager.init_from_array(w)
+    out = lazy(Tensor(w))
+    assert lazy.initialized
+    assert _range_bits(lazy) == _range_bits(eager)
+    assert out.data.tobytes() == eager(Tensor(w)).data.tobytes()
+
+
 # -- insertion policy ------------------------------------------------------
 
 
