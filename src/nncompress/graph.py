@@ -258,11 +258,17 @@ class ModelGraph:
                 value = h.transform(value, ctx)
             return value
 
+        # an activation is dropped after its last consumer, so a pass without a
+        # tape holds a few activations at a time, not every one in the graph
+        last_use = {ref: nid for nid, node in self.nodes.items() for ref in node.inputs}
         values: Dict[str, Tensor] = {INPUT_ID: hooked(x, INPUT_ID, HookPosition.POST_OUTPUT)}
         for nid, node in self.nodes.items():
             ins = [
                 hooked(values[ref], nid, HookPosition.PRE_INPUT, input_index=i) for i, ref in enumerate(node.inputs)
             ]
+            for ref in node.inputs:
+                if last_use[ref] == nid:
+                    values.pop(ref, None)
             params = {
                 name: hooked(p, nid, HookPosition.PRE_PARAM, param_name=name) for name, p in node.params.items()
             }

@@ -58,20 +58,30 @@ def _pack_params(table: list, blob: bytearray, params: Dict[str, Tensor]):
         blob.extend(arr.tobytes(order="C"))
 
 
-def _unpack_params(table: list, blob: bytes) -> Dict[str, Tensor]:
+def _field(entry, key: str, where: str):
+    """``entry[key]``; a missing field or an entry that is not an object is
+    a malformed manifest."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise SerializationError(f"malformed manifest: {where} has no field {key!r}")
+    return entry[key]
+
+
+def _unpack_params(table: list, blob: bytes, owner: str) -> Dict[str, Tensor]:
     out = {}
     for entry in table:
-        shape = tuple(entry["shape"])
+        name = _field(entry, "name", f"a parameter entry of {owner}")
+        where = f"parameter {name!r} of {owner}"
+        shape = tuple(_field(entry, "shape", where))
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        start = _field(entry, "offset", where)
         end = start + 8 * count
         if end > len(blob):
             raise SerializationError(
-                f"truncated blob: parameter {entry['name']!r} needs bytes [{start}, {end}) "
+                f"truncated blob: parameter {name!r} needs bytes [{start}, {end}) "
                 f"but blob has {len(blob)}"
             )
         arr = np.frombuffer(blob, dtype=_F8, count=count, offset=start).reshape(shape).copy()
-        out[entry["name"]] = Tensor(arr, requires_grad=entry["trainable"])
+        out[name] = Tensor(arr, requires_grad=_field(entry, "trainable", where))
     return out
 
 
@@ -130,51 +140,63 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
         manifest = json.loads(data[8 : 8 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SerializationError(f"unreadable manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise SerializationError(
+            f"malformed manifest: expected a JSON object, got {type(manifest).__name__}"
+        )
     if manifest.get("version") != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported format version {manifest.get('version')!r}, expected {FORMAT_VERSION}"
         )
+    blob_size = _field(manifest, "blob_size", "the manifest")
     blob = data[8 + mlen :]
-    if len(blob) < manifest["blob_size"]:
+    if len(blob) < blob_size:
         raise SerializationError(
-            f"truncated blob: manifest declares {manifest['blob_size']} bytes, found {len(blob)}"
+            f"truncated blob: manifest declares {blob_size} bytes, found {len(blob)}"
         )
-    blob = blob[: manifest["blob_size"]]
-    if hashlib.sha256(blob).hexdigest() != manifest["checksum"]:
+    blob = blob[:blob_size]
+    if hashlib.sha256(blob).hexdigest() != _field(manifest, "checksum", "the manifest"):
         raise SerializationError("checksum mismatch: parameter data is corrupt")
 
-    graph = ModelGraph(input_shape=tuple(manifest["input_shape"]))
-    for entry in manifest["nodes"]:
+    graph = ModelGraph(input_shape=tuple(_field(manifest, "input_shape", "the manifest")))
+    for entry in _field(manifest, "nodes", "the manifest"):
+        nid = _field(entry, "id", "a node entry")
+        where = f"node {nid!r}"
         graph.add_node(
             NodeSpec(
-                id=entry["id"],
-                kind=entry["kind"],
-                inputs=list(entry["inputs"]),
-                attrs=entry["attrs"],
-                params=_unpack_params(entry["params"], blob),
+                id=nid,
+                kind=_field(entry, "kind", where),
+                inputs=list(_field(entry, "inputs", where)),
+                attrs=_field(entry, "attrs", where),
+                params=_unpack_params(_field(entry, "params", where), blob, where),
             )
         )
-    for entry in manifest["hooks"]:
-        kind = entry["kind"]
+    for entry in _field(manifest, "hooks", "the manifest"):
+        node_id = _field(entry, "node_id", "a hook entry")
+        where = f"the hook at {node_id!r}"
+        kind = _field(entry, "kind", where)
         if kind not in _DECODERS:
             raise SerializationError(f"no decoder registered for hook kind {kind!r}")
-        transform = _DECODERS[kind](entry["attrs"], _unpack_params(entry["params"], blob))
+        params = _unpack_params(_field(entry, "params", where), blob, where)
+        transform = _DECODERS[kind](_field(entry, "attrs", where), params)
         graph.insert_hook(
             Hook(
-                node_id=entry["node_id"],
-                position=HookPosition(entry["position"]),
-                family=entry["family"],
+                node_id=node_id,
+                position=HookPosition(_field(entry, "position", where)),
+                family=_field(entry, "family", where),
                 transform=transform,
-                param_name=entry["param_name"],
-                input_index=entry["input_index"],
+                param_name=_field(entry, "param_name", where),
+                input_index=_field(entry, "input_index", where),
             )
         )
     return graph, manifest.get("extra", {})
 
 
 def save_model(graph: ModelGraph, path, extra: Optional[dict] = None):
+    # serialize before opening: a graph that cannot be saved leaves the file as it was
+    data = serialize_model(graph, extra)
     with open(path, "wb") as f:
-        f.write(serialize_model(graph, extra))
+        f.write(data)
 
 
 def load_model(path) -> Tuple[ModelGraph, dict]:

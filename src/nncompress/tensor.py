@@ -46,6 +46,9 @@ def no_grad():
 class Tensor:
     """A dense n-dimensional float64 array with an optional gradient buffer."""
 
+    # set on an op's output once ``backward`` has freed the tape through it
+    _released = False
+
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
@@ -580,6 +583,11 @@ def _toposort(root: Tensor) -> list:
             continue
         if id(node) in visited:
             continue
+        if node._released:
+            raise RuntimeError(
+                f"the tape through this {node._op!r} tensor was released by backward(); "
+                "run the forward pass again to differentiate it"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:
@@ -634,6 +642,11 @@ def backward(loss: Tensor):
     path marking that ``grad`` does.
 
     Gradients accumulate across calls; use ``zero_grad`` between steps.
+    Once the leaf gradients are filled the tape is released: every tensor
+    produced by an op drops its links to its inputs, so the tape is freed
+    without the cyclic collector, and a later ``backward`` or ``grad``
+    that reaches one of those tensors raises ``RuntimeError``.  ``grad``
+    keeps its tape, so it can sweep one forward pass many times.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -651,6 +664,10 @@ def backward(loss: Tensor):
             leaf._grad = np.array(g, dtype=np.float64)
         else:
             leaf._grad += g
+    for node in topo:
+        if node._parents:
+            node._parents = ()
+            node._released = True
 
 
 def grad(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list:

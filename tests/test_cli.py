@@ -1,5 +1,5 @@
 import json
-import struct
+import re
 import subprocess
 import sys
 
@@ -9,9 +9,10 @@ import pytest
 from nncompress.cli import main
 from nncompress.graph import GraphError
 from nncompress.models import build_model
-from nncompress.serialize import MAGIC, load_checkpoint, load_model, serialize_model
+from nncompress.serialize import load_checkpoint, load_model, serialize_model
 
 from test_api import BAD_VALUE_IDS, BAD_VALUES, REPO
+from test_serialize import MALFORMED_MANIFESTS, with_manifest
 
 
 def run_cli(argv, capsys):
@@ -181,17 +182,24 @@ def test_eval_shape_mismatch(tmp_path, capsys):
     ids=["missing", "string", "bool"],
 )
 def test_bad_node_attr_is_a_graph_error(tmp_path, capsys, edit):
-    data = serialize_model(build_model("cnn-small"))
-    (mlen,) = struct.unpack("<I", data[4:8])
-    manifest = json.loads(data[8 : 8 + mlen])
-    edit(next(n for n in manifest["nodes"] if n["id"] == "conv1")["attrs"])
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
+    def edit_conv1(manifest):
+        edit(next(n for n in manifest["nodes"] if n["id"] == "conv1")["attrs"])
+        return manifest
+
     path = tmp_path / "m.nncm"
-    path.write_bytes(MAGIC + struct.pack("<I", len(mbytes)) + mbytes + data[8 + mlen :])
+    path.write_bytes(with_manifest(serialize_model(build_model("cnn-small")), edit_conv1))
     with pytest.raises(GraphError, match="Conv2D 'conv1': .*attr 'kernel'"):
         load_model(path)
     code, _, err = run_cli(["eval", "--model", str(path), "--dataset", "stripes", "--samples", "16"], capsys)
     assert code == 2 and "conv1" in err and "kernel" in err
+
+
+@pytest.mark.parametrize("edit,message", MALFORMED_MANIFESTS)
+def test_malformed_manifest_exits_2(tmp_path, capsys, edit, message):
+    path = tmp_path / "m.nncm"
+    path.write_bytes(with_manifest(serialize_model(build_model("cnn-small")), edit))
+    code, _, err = run_cli(["eval", "--model", str(path), "--dataset", "stripes", "--samples", "16"], capsys)
+    assert code == 2 and re.search(message, err)
 
 
 def test_stats_lists_compression_hooks(tmp_path, capsys):

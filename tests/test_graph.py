@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,28 @@ def test_add_skip_connection():
     g.add_node(NodeSpec(id="s", kind="Add", inputs=["r", INPUT_ID]))
     out = g.run(Tensor(np.array([[-1.0, 2.0]])))
     np.testing.assert_array_equal(out.data, [[-1.0, 4.0]])
+
+
+def test_run_drops_each_activation_after_its_last_consumer():
+    g = ModelGraph(input_shape=(2,))
+    g.add_node(NodeSpec(id="r1", kind="ReLU", inputs=[INPUT_ID]))
+    g.add_node(NodeSpec(id="r2", kind="ReLU", inputs=["r1"]))
+    g.add_node(NodeSpec(id="s", kind="Add", inputs=["r2", INPUT_ID]))
+    seen, alive_at_s = [], []
+
+    def keep_ref(t, ctx):
+        seen.append(weakref.ref(t))
+        return t
+
+    def check(t, ctx):
+        alive_at_s.append(seen[0]() is not None)
+        return t
+
+    g.insert_hook(Hook("r1", HookPosition.POST_OUTPUT, "probe", keep_ref))
+    g.insert_hook(Hook("s", HookPosition.POST_OUTPUT, "probe", check))
+    out = g.run(Tensor(np.array([[-1.0, 2.0]])))
+    np.testing.assert_array_equal(out.data, [[-1.0, 4.0]])
+    assert alive_at_s == [False]
 
 
 def test_pre_input_hook_targets_one_edge():

@@ -1,9 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from nncompress import serialize as S
 from nncompress import tensor as T
 from nncompress.graph import Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
+from nncompress.models import build_model
 from nncompress.serialize import SerializationError
 from nncompress.tensor import Tensor
 
@@ -53,18 +57,39 @@ def test_bad_magic_rejected():
         S.deserialize_model(b"NN")
 
 
-def test_version_mismatch_rejected():
-    data = bytearray(S.serialize_model(small_model()))
-    # rewrite the manifest with a bumped version
-    import json, struct
-
+def with_manifest(data: bytes, edit) -> bytes:
+    """``data`` with its manifest replaced by ``edit(manifest)``."""
     (mlen,) = struct.unpack("<I", data[4:8])
-    manifest = json.loads(data[8 : 8 + mlen])
-    manifest["version"] = 99
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    patched = S.MAGIC + struct.pack("<I", len(mbytes)) + mbytes + bytes(data[8 + mlen :])
+    mbytes = json.dumps(edit(json.loads(data[8 : 8 + mlen])), sort_keys=True).encode()
+    return S.MAGIC + struct.pack("<I", len(mbytes)) + mbytes + data[8 + mlen :]
+
+
+def _without_offset(manifest):
+    del manifest["nodes"][0]["params"][0]["offset"]
+    return manifest
+
+
+MALFORMED_MANIFESTS = [
+    pytest.param(
+        lambda m: {k: v for k, v in m.items() if k != "blob_size"},
+        "the manifest has no field 'blob_size'",
+        id="no-blob-size",
+    ),
+    pytest.param(_without_offset, "parameter '.+' of node '.+' has no field 'offset'", id="no-offset"),
+    pytest.param(lambda m: [m], "expected a JSON object, got list", id="list"),
+]
+
+
+def test_version_mismatch_rejected():
+    patched = with_manifest(S.serialize_model(small_model()), lambda m: {**m, "version": 99})
     with pytest.raises(SerializationError, match="unsupported format version"):
         S.deserialize_model(patched)
+
+
+@pytest.mark.parametrize("edit,message", MALFORMED_MANIFESTS)
+def test_malformed_manifest_is_a_serialization_error(edit, message):
+    with pytest.raises(SerializationError, match=message):
+        S.deserialize_model(with_manifest(S.serialize_model(small_model()), edit))
 
 
 def test_checksum_detects_corruption():
@@ -85,6 +110,17 @@ def test_unserializable_hook_rejected():
     g.insert_hook(Hook("fc", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
     with pytest.raises(SerializationError, match="no codec"):
         S.serialize_model(g)
+
+
+def test_failed_save_leaves_the_existing_file(tmp_path):
+    g = build_model("cnn-small")
+    path = tmp_path / "m.nncm"
+    S.save_model(g, path)
+    saved = path.read_bytes()
+    g.insert_hook(Hook("fc", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+    with pytest.raises(SerializationError, match="no codec"):
+        S.save_model(g, path)
+    assert path.read_bytes() == saved
 
 
 class _ScaleTransform:

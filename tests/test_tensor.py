@@ -1,7 +1,15 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
 from nncompress import tensor as T
+from nncompress.api import create_compressed_model, total_compression_loss
+from nncompress.data import make_dataset
+from nncompress.graph import Hook, HookPosition
+from nncompress.models import build_model
 from nncompress.quantization import (
     RANGE_FLOOR,
     FakeQuantizer,
@@ -10,8 +18,10 @@ from nncompress.quantization import (
     quant_grid,
 )
 from nncompress.tensor import Tensor, ShapeError
+from nncompress.util import cross_entropy
 
 from helpers import check_grad, numeric_grad
+from test_api import REPO
 from topologies import TOPOLOGIES
 
 
@@ -248,6 +258,82 @@ def test_backward_leaves_intermediate_grads_unset():
     assert h._grad is None and y._grad is None
     np.testing.assert_array_equal(x.grad, [0.5, 0.0, 24.0])
     np.testing.assert_array_equal(w.grad, [1.0, 0.0, 36.0])
+
+
+def test_second_backward_on_a_released_tape_raises():
+    w = Tensor([2.0], requires_grad=True)
+    l1 = T.tsum(T.mul(T.mul(w, w), 3.0))
+    T.backward(l1)
+    np.testing.assert_array_equal(w.grad, [12.0])
+    with pytest.raises(RuntimeError, match="'sum' tensor was released"):
+        T.backward(l1)
+    np.testing.assert_array_equal(w.grad, [12.0])
+
+
+def test_backward_through_a_shared_released_tensor_raises():
+    w = Tensor([2.0], requires_grad=True)
+    h = T.mul(w, w)
+    l1, l2 = T.tsum(T.mul(h, 3.0)), T.tsum(T.mul(h, 5.0))
+    T.backward(l1)
+    with pytest.raises(RuntimeError, match="'mul' tensor was released"):
+        T.backward(l2)
+    np.testing.assert_array_equal(w.grad, [12.0])
+
+
+def test_grad_after_backward_on_the_same_tape_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    loss = T.tsum(T.texp(x))
+    T.backward(loss)
+    with pytest.raises(RuntimeError, match="released by backward"):
+        T.grad(loss, [x])
+
+
+def test_hessian_vector_products_over_one_kept_tape_match_finite_differences():
+    # grad() keeps its tape: two probes sweep the same create_graph gradient
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-1.0, 1.0, 4)
+
+    def f(x):
+        return T.tsum(T.div(T.mul(T.sigmoid(x), T.texp(T.mul(x, 0.25))), T.tsqrt(T.add(T.mul(x, x), 1.0))))
+
+    def gradient(arr):
+        x = Tensor(arr, requires_grad=True)
+        T.backward(f(x))
+        return x.grad
+
+    x = Tensor(x0, requires_grad=True)
+    (g,) = T.grad(f(x), [x], create_graph=True)
+    eps = 1e-5
+    for _ in range(2):
+        v = rng.normal(size=4)
+        (hv,) = T.grad(T.tsum(T.mul(g, Tensor(v))), [x])
+        fd = (gradient(x0 + eps * v) - gradient(x0 - eps * v)) / (2 * eps)
+        np.testing.assert_allclose(hv.data, fd, rtol=1e-6, atol=1e-8)
+
+
+def test_train_step_tape_is_freed_without_the_collector():
+    config = json.loads((REPO / "configs" / "int8_sparse50.json").read_text())
+    x, y = make_dataset("stripes", 64, seed=0)
+    batches = [(x[i : i + 32], y[i : i + 32]) for i in range(0, 64, 32)]
+    controllers, g = create_compressed_model(build_model("cnn-residual", 0), config, batches)
+    seen = []
+
+    def probe(t, ctx):
+        seen.append(weakref.ref(t))
+        return t
+
+    g.insert_hook(Hook("bn_a", HookPosition.POST_OUTPUT, "probe", probe))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = g.run(Tensor(x[:32]), mode="train", rng=np.random.default_rng(0))
+        loss = T.add(cross_entropy(out, y[:32]), total_compression_loss(controllers))
+        T.backward(loss)
+        del out, loss
+        assert len(seen) == 1 and seen[0]() is None, "bn_a's output outlived its step"
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_grad_wrt_intermediate_tensor():
