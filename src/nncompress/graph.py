@@ -87,6 +87,13 @@ class ModelGraph:
     # -- construction -----------------------------------------------------
 
     def add_node(self, spec: NodeSpec) -> NodeSpec:
+        self._link(spec)
+        self.infer_shapes()  # validates shape compatibility eagerly
+        return spec
+
+    def _link(self, spec: NodeSpec):
+        """Append a node after the structural checks (id, kind, inputs, arity);
+        shapes are left to ``infer_shapes``."""
         if spec.id == INPUT_ID or spec.id in self.nodes:
             raise GraphError(f"duplicate or reserved node id {spec.id!r}")
         if spec.kind not in NODE_KINDS:
@@ -96,8 +103,6 @@ class ModelGraph:
                 raise GraphError(f"node {spec.id!r} references undefined input {ref!r}")
         self._check_arity(spec)
         self.nodes[spec.id] = spec
-        self.infer_shapes()  # validates shape compatibility eagerly
-        return spec
 
     def _check_arity(self, spec: NodeSpec):
         n = len(spec.inputs)
@@ -117,7 +122,23 @@ class ModelGraph:
         return terminals[0]
 
     def copy(self) -> "ModelGraph":
-        return _copy.deepcopy(self)
+        """An independent graph: new node specs, parameters and hooks.
+
+        Parameters and hook transforms are deep-copied through one memo, so a
+        tensor that two hooks (or a hook and a node) reach stays shared inside
+        the copy; functions are shared with the original, as ``copy.deepcopy``
+        shares them.
+        """
+        memo: dict = {}
+        g = ModelGraph(self.input_shape)
+        for nid, node in self.nodes.items():
+            params = {name: _copy.deepcopy(p, memo) for name, p in node.params.items()}
+            g.nodes[nid] = NodeSpec(nid, node.kind, list(node.inputs), dict(node.attrs), params)
+        g.hooks = [
+            Hook(h.node_id, h.position, h.family, _copy.deepcopy(h.transform, memo), h.param_name, h.input_index)
+            for h in self.hooks
+        ]
+        return g
 
     def parameters(self, trainable_only: bool = True) -> List[Tuple[str, str, Tensor]]:
         """(node_id, param_name, tensor) triples in topological order."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from typing import Callable, Dict, Optional, Tuple
 
@@ -66,14 +67,36 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+# what a typed manifest field must hold: (test, description)
+_LIST = (lambda v: isinstance(v, list), "a list")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_COUNT = (_is_count, "a non-negative integer")
+_SHAPE = (lambda v: isinstance(v, list) and all(_is_count(s) for s in v), "a list of non-negative integers")
+_NAMES = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings")
+
+
+def _typed(entry, key: str, where: str, kind):
+    """``_field(entry, key, where)``, which must pass ``kind``'s test."""
+    value = _field(entry, key, where)
+    test, description = kind
+    if not test(value):
+        raise SerializationError(f"malformed manifest: field {key!r} of {where} must be {description}, got {value!r}")
+    return value
+
+
 def _unpack_params(table: list, blob: bytes, owner: str) -> Dict[str, Tensor]:
     out = {}
     for entry in table:
         name = _field(entry, "name", f"a parameter entry of {owner}")
         where = f"parameter {name!r} of {owner}"
-        shape = tuple(_field(entry, "shape", where))
-        count = int(np.prod(shape)) if shape else 1
-        start = _field(entry, "offset", where)
+        shape = _typed(entry, "shape", where, _SHAPE)
+        count = math.prod(shape)
+        start = _typed(entry, "offset", where, _COUNT)
         end = start + 8 * count
         if end > len(blob):
             raise SerializationError(
@@ -81,7 +104,7 @@ def _unpack_params(table: list, blob: bytes, owner: str) -> Dict[str, Tensor]:
                 f"but blob has {len(blob)}"
             )
         arr = np.frombuffer(blob, dtype=_F8, count=count, offset=start).reshape(shape).copy()
-        out[name] = Tensor(arr, requires_grad=_field(entry, "trainable", where))
+        out[name] = Tensor(arr, requires_grad=_typed(entry, "trainable", where, _BOOL))
     return out
 
 
@@ -158,27 +181,28 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
     if hashlib.sha256(blob).hexdigest() != _field(manifest, "checksum", "the manifest"):
         raise SerializationError("checksum mismatch: parameter data is corrupt")
 
-    graph = ModelGraph(input_shape=tuple(_field(manifest, "input_shape", "the manifest")))
-    for entry in _field(manifest, "nodes", "the manifest"):
+    graph = ModelGraph(input_shape=_typed(manifest, "input_shape", "the manifest", _SHAPE))
+    for entry in _typed(manifest, "nodes", "the manifest", _LIST):
         nid = _field(entry, "id", "a node entry")
         where = f"node {nid!r}"
-        graph.add_node(
+        graph._link(
             NodeSpec(
                 id=nid,
                 kind=_field(entry, "kind", where),
-                inputs=list(_field(entry, "inputs", where)),
-                attrs=_field(entry, "attrs", where),
-                params=_unpack_params(_field(entry, "params", where), blob, where),
+                inputs=_typed(entry, "inputs", where, _NAMES),
+                attrs=_typed(entry, "attrs", where, _OBJECT),
+                params=_unpack_params(_typed(entry, "params", where, _LIST), blob, where),
             )
         )
-    for entry in _field(manifest, "hooks", "the manifest"):
+    graph.infer_shapes()  # one pass once every node is in, not one per node
+    for entry in _typed(manifest, "hooks", "the manifest", _LIST):
         node_id = _field(entry, "node_id", "a hook entry")
         where = f"the hook at {node_id!r}"
         kind = _field(entry, "kind", where)
         if kind not in _DECODERS:
             raise SerializationError(f"no decoder registered for hook kind {kind!r}")
-        params = _unpack_params(_field(entry, "params", where), blob, where)
-        transform = _DECODERS[kind](_field(entry, "attrs", where), params)
+        params = _unpack_params(_typed(entry, "params", where, _LIST), blob, where)
+        transform = _DECODERS[kind](_typed(entry, "attrs", where, _OBJECT), params)
         graph.insert_hook(
             Hook(
                 node_id=node_id,

@@ -13,6 +13,7 @@ gradient through unchanged.
 
 from __future__ import annotations
 
+import copy as _copy
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -88,6 +89,18 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
+
+    def __deepcopy__(self, memo) -> "Tensor":
+        """A leaf holding copies of the data and gradient; an op output's tape
+        is not copied.  Arrays go through ``memo``, so an array that two
+        tensors share stays shared in the copy."""
+        out = Tensor.__new__(Tensor)
+        out.data = _copy.deepcopy(self.data, memo)
+        out.requires_grad = self.requires_grad
+        out._grad = _copy.deepcopy(self._grad, memo)
+        out._parents = ()
+        out._op = "leaf"
+        return out
 
     def __float__(self) -> float:
         return self.item()

@@ -1,9 +1,11 @@
+import copy
 import weakref
 
 import numpy as np
 import pytest
 
 from nncompress import tensor as T
+from nncompress.binarization import ActivationBinarizer
 from nncompress.graph import (
     ExecContext,
     GraphError,
@@ -13,6 +15,11 @@ from nncompress.graph import (
     ModelGraph,
     NodeSpec,
 )
+from nncompress.models import build_model
+from nncompress.pruning import PruningBuilder, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters
+from nncompress.quantization import FakeQuantizer
+from nncompress.serialize import serialize_model
+from nncompress.sparsity import ParamMask, RBGate
 from nncompress.tensor import ShapeError, Tensor
 
 
@@ -307,6 +314,110 @@ def test_copy_is_independent():
     h = g.copy()
     h.nodes["fc"].params["weight"].data[:] = 0.0
     assert g.nodes["fc"].params["weight"].data.sum() == 6.0
+
+
+def _conv_graph():
+    g = ModelGraph(input_shape=(2, 6, 6))
+    g.add_node(conv_node("c", INPUT_ID, 2, 3, 3, w=np.random.default_rng(0).normal(size=(3, 2, 3, 3))))
+    return g
+
+
+def _weight_hook(transform):
+    return Hook("c", HookPosition.PRE_PARAM, "fam", transform, param_name="weight")
+
+
+@pytest.mark.parametrize(
+    "hook, state",
+    [
+        (lambda: _weight_hook(FakeQuantizer(bits=8, grid="weight", per_channel=True, channels=3)), "scale"),
+        (lambda: _weight_hook(ParamMask(np.ones((3, 2, 3, 3)))), "mask"),
+        (lambda: _weight_hook(RBGate(np.ones((3, 2, 3, 3)))), "scores"),
+        (lambda: Hook("c", HookPosition.PRE_INPUT, "fam", ActivationBinarizer(2)), "thresholds"),
+    ],
+    ids=["quantizer-scale", "mask", "gate-scores", "binarizer-thresholds"],
+)
+def test_copy_owns_hook_state(hook, state):
+    g = _conv_graph()
+    g.insert_hook(hook())
+    original = getattr(g.hooks[0].transform, state)
+    before = original.data.copy()
+    copied = getattr(g.copy().hooks[0].transform, state)
+    assert copied is not original and np.array_equal(copied.data, before)
+    copied.data[...] = 7.0
+    np.testing.assert_array_equal(original.data, before)
+
+
+def test_strip_on_a_copy_leaves_the_original_unsliced():
+    g = build_model("cnn-small")
+    pruning = PruningBuilder({"pruning_rate": 0.5, "criterion": "l2"}).apply_to(g)
+    pruning.scheduler.epoch_step()
+    fq = FakeQuantizer(bits=8, grid="weight", per_channel=True, channels=4)
+    fq.init_from_array(g.nodes["conv1"].params["weight"].data)
+    g.insert_hook(Hook("conv1", HookPosition.PRE_PARAM, "quantization", fq, param_name="weight"))
+    g.insert_hook(Hook("conv2", HookPosition.PRE_PARAM, "rb_sparsity", RBGate(np.ones((8, 4, 3, 3))),
+                       param_name="weight"))
+    g.insert_hook(Hook("conv2", HookPosition.PRE_INPUT, "binarization", ActivationBinarizer(4)))
+    before = serialize_model(g)
+    stripped = strip_pruned_filters(g.copy(), propagate_pruning_masks(g, installed_filter_masks(g)))
+    sliced = {h.family: h.transform for h in stripped.hooks}
+    assert sliced["quantization"].scale.shape == (2,)
+    assert sliced["rb_sparsity"].scores.shape == (4, 2, 3, 3)
+    assert sliced["binarization"].thresholds.shape == (2,)
+    assert serialize_model(g) == before
+
+
+class _Holds:
+    """A codec-less transform that keeps a reference to some tensor."""
+
+    def __init__(self, tensor):
+        self.tensor = tensor
+
+    def __call__(self, t, ctx):
+        return t
+
+
+def test_copy_keeps_shared_tensors_shared():
+    g = _conv_graph()
+    shared = Tensor(np.ones(3), requires_grad=True)
+    weight = g.nodes["c"].params["weight"]
+    g.insert_hook(_weight_hook(_Holds(shared)))
+    g.insert_hook(Hook("c", HookPosition.POST_OUTPUT, "fam", _Holds(shared)))
+    g.insert_hook(Hook("c", HookPosition.PRE_PARAM, "fam", _Holds(weight), param_name="bias"))
+    h = g.copy()
+    a, b, w = (hook.transform.tensor for hook in h.hooks)
+    assert a is b and a is not shared and np.array_equal(a.data, shared.data)
+    assert w is h.nodes["c"].params["weight"] and w is not weight
+
+
+def test_copy_shares_functions():
+    g = _conv_graph()
+    fn = lambda t, ctx: t  # noqa: E731
+    g.insert_hook(Hook("c", HookPosition.POST_OUTPUT, "fam", fn))
+    h = g.copy()
+    assert h.hooks[0] is not g.hooks[0]
+    assert h.hooks[0].transform is fn
+    assert h.hooks[0].point() == g.hooks[0].point() and h.hooks[0].family == "fam"
+
+
+def test_copy_keeps_trainability_and_gradients():
+    g = _conv_graph()
+    g.add_node(bn_node("bn", "c", 3))
+    w = g.nodes["c"].params["weight"]
+    w.grad = np.full(w.shape, 0.5)
+    h = g.copy()
+    hw = h.nodes["c"].params["weight"]
+    assert hw.requires_grad and hw._grad is not w._grad and np.array_equal(hw._grad, w._grad)
+    assert h.nodes["c"].params["bias"]._grad is None
+    assert not h.nodes["bn"].params["running_mean"].requires_grad
+    assert h.nodes["c"].attrs == g.nodes["c"].attrs and h.nodes["c"].attrs is not g.nodes["c"].attrs
+    assert h.nodes["bn"].inputs == ["c"] and h.nodes["bn"].inputs is not g.nodes["bn"].inputs
+
+
+def test_deepcopy_of_an_op_output_is_a_leaf():
+    a = Tensor(np.arange(3.0), requires_grad=True)
+    out = copy.deepcopy(T.mul(a, a))
+    assert out._op == "leaf" and out._parents == () and out.requires_grad
+    np.testing.assert_array_equal(out.data, [0.0, 1.0, 4.0])
 
 
 def test_mode_validated():

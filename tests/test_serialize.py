@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from nncompress import serialize as S
 from nncompress import tensor as T
-from nncompress.graph import Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
+from nncompress.graph import GraphError, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.models import build_model
 from nncompress.serialize import SerializationError
 from nncompress.tensor import Tensor
@@ -69,6 +70,28 @@ def _without_offset(manifest):
     return manifest
 
 
+def _setting(*path, value):
+    """An edit that sets the manifest entry at ``path`` to ``value``."""
+
+    def edit(manifest):
+        target = manifest
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return manifest
+
+    return edit
+
+
+def _bad_param(key, value, expect, id):
+    edit = _setting("nodes", 0, "params", 0, key, value=value)
+    return pytest.param(edit, f"field '{key}' of parameter '.+' of node '.+' must be {expect}", id=id)
+
+
+def _bad_node(key, value, expect, id):
+    return pytest.param(_setting("nodes", 0, key, value=value), f"field '{key}' of node '.+' must be {expect}", id=id)
+
+
 MALFORMED_MANIFESTS = [
     pytest.param(
         lambda m: {k: v for k, v in m.items() if k != "blob_size"},
@@ -77,6 +100,16 @@ MALFORMED_MANIFESTS = [
     ),
     pytest.param(_without_offset, "parameter '.+' of node '.+' has no field 'offset'", id="no-offset"),
     pytest.param(lambda m: [m], "expected a JSON object, got list", id="list"),
+    _bad_param("offset", "0", "a non-negative integer, got '0'", "string-offset"),
+    _bad_param("offset", -8, "a non-negative integer, got -8", "negative-offset"),
+    _bad_param("offset", False, "a non-negative integer, got False", "bool-offset"),
+    _bad_param("shape", "4", "a list of non-negative integers, got '4'", "string-shape"),
+    _bad_param("shape", [2, -1], "a list of non-negative integers", "negative-dim"),
+    _bad_param("shape", [2.0], "a list of non-negative integers", "float-dim"),
+    _bad_param("trainable", "yes", "true or false", "string-trainable"),
+    _bad_node("inputs", "input", "a list of strings", "string-inputs"),
+    _bad_node("inputs", [0], "a list of strings", "int-input"),
+    _bad_node("attrs", [], "an object", "list-attrs"),
 ]
 
 
@@ -90,6 +123,56 @@ def test_version_mismatch_rejected():
 def test_malformed_manifest_is_a_serialization_error(edit, message):
     with pytest.raises(SerializationError, match=message):
         S.deserialize_model(with_manifest(S.serialize_model(small_model()), edit))
+
+
+def test_load_runs_one_shape_pass(monkeypatch):
+    """Nodes are linked one by one and shapes inferred once, not once per node."""
+    data = S.serialize_model(build_model("cnn-residual"))
+    calls = []
+    infer_node = ModelGraph._infer_node
+
+    def counted(self, node, ins):
+        calls.append(node.id)
+        return infer_node(self, node, ins)
+
+    monkeypatch.setattr(ModelGraph, "_infer_node", counted)
+    g, _ = S.deserialize_model(data)
+    assert calls == list(g.nodes)
+
+
+def _conv2_in_channels(manifest):
+    next(n for n in manifest["nodes"] if n["id"] == "conv2")["attrs"]["in_channels"] = 5
+    return manifest
+
+
+def test_shape_error_names_the_node():
+    """A shape mismatch in a middle node raises add_node's message for that node."""
+    with pytest.raises(GraphError, match=r"^Conv2D 'conv2': input channels 4 != in_channels 5$"):
+        S.deserialize_model(with_manifest(S.serialize_model(build_model("cnn-small")), _conv2_in_channels))
+
+
+def _after_conv2_mismatch(edit):
+    def both(manifest):
+        return edit(_conv2_in_channels(manifest))
+
+    return both
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_setting("nodes", 8, "inputs", value=["later"]), "node 'fc' references undefined input 'later'"),
+        (_setting("nodes", 8, "inputs", value=["flat", "flat"]), "FullyConnected node 'fc' needs exactly 1 input"),
+        (_setting("nodes", 8, "id", value="conv1"), "duplicate or reserved node id 'conv1'"),
+    ],
+    ids=["undefined-input", "arity", "duplicate-id"],
+)
+def test_structural_errors_precede_shape_inference(edit, message):
+    """Each node's id, kind, inputs and arity are checked as it is linked, so
+    a structural fault in the last node wins over a shape fault before it."""
+    data = with_manifest(S.serialize_model(build_model("cnn-small")), _after_conv2_mismatch(edit))
+    with pytest.raises(GraphError, match=re.escape(message)):
+        S.deserialize_model(data)
 
 
 def test_checksum_detects_corruption():
