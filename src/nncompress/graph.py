@@ -82,7 +82,19 @@ class ModelGraph:
     def __init__(self, input_shape: Tuple[int, ...]):
         self.input_shape = tuple(int(s) for s in input_shape)
         self.nodes: Dict[str, NodeSpec] = {}
-        self.hooks: List[Hook] = []
+        self.hooks = []
+
+    @property
+    def hooks(self) -> Tuple[Hook, ...]:
+        """Hooks in registration order; add one with ``insert_hook`` or
+        assign a new sequence."""
+        return self._hooks
+
+    @hooks.setter
+    def hooks(self, hooks):
+        self._hooks = tuple(hooks)
+        # (point, family) of every hook, so that insert_hook finds a duplicate in O(1)
+        self._hook_keys = {(h.point(), h.family) for h in self._hooks}
 
     # -- construction -----------------------------------------------------
 
@@ -165,12 +177,11 @@ class ModelGraph:
             node = self.nodes[hook.node_id]
             if not 0 <= hook.input_index < len(node.inputs):
                 raise GraphError(f"node {hook.node_id!r} has no input index {hook.input_index}")
-        for existing in self.hooks:
-            if existing.point() == hook.point() and existing.family == hook.family:
-                raise GraphError(
-                    f"duplicate {hook.family!r} hook at {hook.node_id}/{hook.position.value}"
-                )
-        self.hooks.append(hook)
+        key = (hook.point(), hook.family)
+        if key in self._hook_keys:
+            raise GraphError(f"duplicate {hook.family!r} hook at {hook.node_id}/{hook.position.value}")
+        self._hook_keys.add(key)
+        self._hooks += (hook,)
 
     def hooks_at(self, node_id, position, param_name=None, input_index=0) -> List[Hook]:
         return [
@@ -322,27 +333,15 @@ class ModelGraph:
     def _batchnorm(self, node: NodeSpec, x: Tensor, params: Dict[str, Tensor], ctx: ExecContext) -> Tensor:
         a = node.attrs
         eps = a.get("eps", 1e-5)
+        rm, rv = node.params["running_mean"], node.params["running_var"]
+        if ctx.mode != "train":
+            return T.batch_norm(x, params["gamma"], params["beta"], eps, rm.data, rv.data)[0]
+        out, mean, var = T.batch_norm(x, params["gamma"], params["beta"], eps)
+        # running buffers track batch statistics outside the tape
         momentum = a.get("momentum", 0.1)
-        c = a["num_features"]
-        pshape = (1, c) + (1,) * (x.ndim - 2)
-        axes = (0,) if x.ndim == 2 else (0, 2, 3)
-        gamma, beta = params["gamma"], params["beta"]
-        if ctx.mode == "train":
-            mu = T.tmean(x, axis=axes, keepdims=True)
-            xc = T.sub(x, mu)
-            var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
-            # running buffers track batch statistics outside the tape
-            rm = node.params["running_mean"]
-            rv = node.params["running_var"]
-            rm.data = (1 - momentum) * rm.data + momentum * mu.data.reshape(c)
-            rv.data = (1 - momentum) * rv.data + momentum * var.data.reshape(c)
-        else:
-            mu = T.reshape(node.params["running_mean"].detach(), pshape)
-            var = T.reshape(node.params["running_var"].detach(), pshape)
-            xc = T.sub(x, mu)
-        inv = T.div(1.0, T.tsqrt(T.add(var, eps)))
-        xhat = T.mul(xc, inv)
-        return T.add(T.mul(xhat, T.reshape(gamma, pshape)), T.reshape(beta, pshape))
+        rm.data = (1 - momentum) * rm.data + momentum * mean.reshape(rm.shape)
+        rv.data = (1 - momentum) * rv.data + momentum * var.reshape(rv.shape)
+        return out
 
     # -- derived metrics ---------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Quantization-aware training via fake-quantize hooks.
 
 Weights and activations pass through simulated integer grids during
-training.  The rounding is non-differentiable, so the forward is built
-from engine primitives (the fused ``fake_quant`` op for symmetric grids)
-whose straight-through backward yields the standard gradient contracts:
+training.  The rounding is non-differentiable, so each quantizer mode is
+one engine op (``fake_quant``, ``fake_quant_asymmetric``) whose
+straight-through backward yields the standard gradient contracts:
 range parameters learn from the rounding residual (symmetric) or from
 boundary clipping (asymmetric), and the input gradient is passed inside
 the representable range and cut outside it.
@@ -26,28 +26,28 @@ from .tensor import Tensor
 FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
 MODES = ("symmetric", "asymmetric")
+MIN_BITS = 2
+# each grid's (lowest, highest) integer level, from half = 2 ** (bits - 1):
+# weights drop the lowest level so zero sits exactly in the middle; signed
+# activations keep the full two's-complement range; unsigned ones start at 0
+_GRID_LEVELS = {
+    "weight": lambda half: (-(half - 1), half - 1),
+    "signed_act": lambda half: (-half, half - 1),
+    "unsigned_act": lambda half: (0, 2 * half - 1),
+}
+GRIDS = tuple(_GRID_LEVELS)
 INIT_SCHEMES = ("minmax", "percentile")
 
 VALUE_PRODUCING_KINDS = ("Conv2D", "FullyConnected", "BatchNorm", "ReLU", "Add")
 
 
 def quant_grid(bits: int, kind: str) -> Tuple[int, int]:
-    """Integer level range for a bit width.
-
-    Weights use a symmetric grid with the lowest level dropped so zero sits
-    exactly in the middle; signed activations keep the full two's-complement
-    range; unsigned activations start at zero.
-    """
-    if bits < 2:
-        raise ValueError(f"bit width must be at least 2, got {bits}")
-    half = 2 ** (bits - 1)
-    if kind == "weight":
-        return -(half - 1), half - 1
-    if kind == "signed_act":
-        return -half, half - 1
-    if kind == "unsigned_act":
-        return 0, 2**bits - 1
-    raise ValueError(f"unknown grid kind {kind!r}")
+    """Integer level range of grid ``kind`` (one of ``GRIDS``) at a bit width."""
+    if bits < MIN_BITS:
+        raise ValueError(f"bit width must be at least {MIN_BITS}, got {bits}")
+    if kind not in _GRID_LEVELS:
+        raise ValueError(f"unknown grid kind {kind!r}")
+    return _GRID_LEVELS[kind](2 ** (bits - 1))
 
 
 def tune_asymmetric_range(rmin, rmax, bits: int):
@@ -163,32 +163,19 @@ class FakeQuantizer:
             return self._quantize_symmetric(t)
         return self._quantize_asymmetric(t)
 
-    def _channel_view(self, p: Tensor, ndim: int) -> Tensor:
-        if not self.per_channel:
-            return p
-        return T.reshape(p, (p.shape[0],) + (1,) * (ndim - 1))
-
     def _quantize_symmetric(self, t: Tensor) -> Tensor:
         q_min, q_max = quant_grid(self.bits, self.grid)
-        s = T.maximum(self.scale, RANGE_FLOOR)
-        step = T.div(self._channel_view(s, t.ndim), float(q_max))
-        return T.fake_quant(t, step, float(q_min), float(q_max))
+        return T.fake_quant(t, self.scale, float(q_min), float(q_max), RANGE_FLOOR)
 
     def _quantize_asymmetric(self, t: Tensor) -> Tensor:
         levels = float(2**self.bits - 1)
-        lo_t, hi_t, z = tune_asymmetric_range(self.rmin.data, self.rmax.data, self.bits)
-        # tuned bounds ride on the raw trainables so boundary gradients land on them
-        lo_eff = T.add(self.rmin, Tensor(lo_t - self.rmin.data))
-        hi_eff = T.add(self.rmax, Tensor(hi_t - self.rmax.data))
-        lo = self._channel_view(lo_eff, t.ndim)
-        hi = self._channel_view(hi_eff, t.ndim)
-        step = self._channel_view(Tensor((hi_t - lo_t) / levels), t.ndim)
-        # anchoring at the integer zero point (not at lo) keeps 0 -> 0 exact
-        # even when range tuning leaves the raw bounds untouched
-        zp = self._channel_view(Tensor(z), t.ndim)
-        clipped = T.clamp(t, lo, hi)
-        q = T.round_ste(T.add(T.div(clipped, step), zp))
-        return T.mul(T.sub(q, zp), step)
+        lo, hi, z = tune_asymmetric_range(self.rmin.data, self.rmax.data, self.bits)
+        # tuned bounds ride on the raw trainables so boundary gradients land on
+        # them; anchoring at the integer zero point (not at lo) keeps 0 -> 0
+        # exact even when range tuning leaves the raw bounds untouched
+        return T.fake_quant_asymmetric(
+            t, self.rmin, self.rmax, lo - self.rmin.data, hi - self.rmax.data, (hi - lo) / levels, z
+        )
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -220,20 +207,39 @@ class FakeQuantizer:
         return attrs, dict(self.trainable_range_params())
 
 
+# what the decoder accepts in a quantizer's attrs
+_BITS = (
+    lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= MIN_BITS,
+    f"an integer of at least {MIN_BITS}",
+)
+_MODE, _GRID = serialize.one_of(MODES), serialize.one_of(GRIDS)
+
+
 def _decode_fake_quant(attrs: dict, params: Dict[str, Tensor]):
-    channels = None
-    if attrs["per_channel"]:
-        channels = next(iter(params.values())).shape[0]
+    where = f"the {FakeQuantizer.codec_kind} attrs"
+    bits = serialize.field(attrs, "bits", where, _BITS)
+    mode = serialize.field(attrs, "mode", where, _MODE)
+    grid = serialize.field(attrs, "grid", where, _GRID)
+    per_channel = serialize.field(attrs, "per_channel", where, serialize.BOOL)
+    names = ["scale"] if mode == "symmetric" else ["rmin", "rmax"]
+    shapes = {p.shape for p in params.values()}
+    if set(params) != set(names) or len(shapes) != 1 or len(next(iter(shapes))) != int(per_channel):
+        got = {name: list(p.shape) for name, p in params.items()}
+        raise serialize.SerializationError(
+            f"malformed manifest: a {mode} quantizer with per_channel {per_channel} needs range "
+            f"parameters {names} of one {int(per_channel)}-d shape, got {got}"
+        )
+    channels = next(iter(shapes))[0] if per_channel else None
     fq = FakeQuantizer(
-        bits=attrs["bits"],
-        mode=attrs["mode"],
-        grid=attrs["grid"],
-        per_channel=attrs["per_channel"],
+        bits=bits,
+        mode=mode,
+        grid=grid,
+        per_channel=per_channel,
         channels=channels,
         init_scheme=attrs.get("init_scheme", "minmax"),
         percentiles=tuple(attrs.get("percentiles", (0.1, 99.9))),
     )
-    if attrs["mode"] == "symmetric":
+    if mode == "symmetric":
         fq.scale = params["scale"]
     else:
         fq.rmin, fq.rmax = params["rmin"], params["rmax"]

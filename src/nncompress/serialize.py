@@ -59,44 +59,47 @@ def _pack_params(table: list, blob: bytearray, params: Dict[str, Tensor]):
         blob.extend(arr.tobytes(order="C"))
 
 
-def _field(entry, key: str, where: str):
-    """``entry[key]``; a missing field or an entry that is not an object is
-    a malformed manifest."""
-    if not isinstance(entry, dict) or key not in entry:
-        raise SerializationError(f"malformed manifest: {where} has no field {key!r}")
-    return entry[key]
-
-
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def one_of(values) -> tuple:
+    """A field kind: a string among ``values``."""
+    return (lambda v: isinstance(v, str) and v in values, f"one of {list(values)}")
 
 
 # what a typed manifest field must hold: (test, description)
 _LIST = (lambda v: isinstance(v, list), "a list")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_COUNT = (_is_count, "a non-negative integer")
+BOOL = (lambda v: isinstance(v, bool), "true or false")
+COUNT = (_is_count, "a non-negative integer")
+_NAME = (lambda v: isinstance(v, str), "a string")
+_OPTIONAL_NAME = (lambda v: v is None or isinstance(v, str), "a string or null")
 _SHAPE = (lambda v: isinstance(v, list) and all(_is_count(s) for s in v), "a list of non-negative integers")
 _NAMES = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings")
+_POSITION = one_of([p.value for p in HookPosition])
 
 
-def _typed(entry, key: str, where: str, kind):
-    """``_field(entry, key, where)``, which must pass ``kind``'s test."""
-    value = _field(entry, key, where)
-    test, description = kind
-    if not test(value):
-        raise SerializationError(f"malformed manifest: field {key!r} of {where} must be {description}, got {value!r}")
+def field(entry, key: str, where: str, kind=None):
+    """``entry[key]``, which must pass ``kind``'s test when one is given; a
+    missing field or an entry that is not an object is a malformed manifest
+    too.  Hook decoders check their attrs with it."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise SerializationError(f"malformed manifest: {where} has no field {key!r}")
+    value = entry[key]
+    if kind is not None and not kind[0](value):
+        raise SerializationError(f"malformed manifest: field {key!r} of {where} must be {kind[1]}, got {value!r}")
     return value
 
 
 def _unpack_params(table: list, blob: bytes, owner: str) -> Dict[str, Tensor]:
     out = {}
     for entry in table:
-        name = _field(entry, "name", f"a parameter entry of {owner}")
+        name = field(entry, "name", f"a parameter entry of {owner}", _NAME)
         where = f"parameter {name!r} of {owner}"
-        shape = _typed(entry, "shape", where, _SHAPE)
+        shape = field(entry, "shape", where, _SHAPE)
         count = math.prod(shape)
-        start = _typed(entry, "offset", where, _COUNT)
+        start = field(entry, "offset", where, COUNT)
         end = start + 8 * count
         if end > len(blob):
             raise SerializationError(
@@ -104,7 +107,7 @@ def _unpack_params(table: list, blob: bytes, owner: str) -> Dict[str, Tensor]:
                 f"but blob has {len(blob)}"
             )
         arr = np.frombuffer(blob, dtype=_F8, count=count, offset=start).reshape(shape).copy()
-        out[name] = Tensor(arr, requires_grad=_typed(entry, "trainable", where, _BOOL))
+        out[name] = Tensor(arr, requires_grad=field(entry, "trainable", where, BOOL))
     return out
 
 
@@ -171,46 +174,49 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
         raise SerializationError(
             f"unsupported format version {manifest.get('version')!r}, expected {FORMAT_VERSION}"
         )
-    blob_size = _field(manifest, "blob_size", "the manifest")
+    blob_size = field(manifest, "blob_size", "the manifest")
     blob = data[8 + mlen :]
     if len(blob) < blob_size:
         raise SerializationError(
             f"truncated blob: manifest declares {blob_size} bytes, found {len(blob)}"
         )
     blob = blob[:blob_size]
-    if hashlib.sha256(blob).hexdigest() != _field(manifest, "checksum", "the manifest"):
+    if hashlib.sha256(blob).hexdigest() != field(manifest, "checksum", "the manifest"):
         raise SerializationError("checksum mismatch: parameter data is corrupt")
 
-    graph = ModelGraph(input_shape=_typed(manifest, "input_shape", "the manifest", _SHAPE))
-    for entry in _typed(manifest, "nodes", "the manifest", _LIST):
-        nid = _field(entry, "id", "a node entry")
+    graph = ModelGraph(input_shape=field(manifest, "input_shape", "the manifest", _SHAPE))
+    for entry in field(manifest, "nodes", "the manifest", _LIST):
+        nid = field(entry, "id", "a node entry", _NAME)
         where = f"node {nid!r}"
         graph._link(
             NodeSpec(
                 id=nid,
-                kind=_field(entry, "kind", where),
-                inputs=_typed(entry, "inputs", where, _NAMES),
-                attrs=_typed(entry, "attrs", where, _OBJECT),
-                params=_unpack_params(_typed(entry, "params", where, _LIST), blob, where),
+                kind=field(entry, "kind", where, _NAME),
+                inputs=field(entry, "inputs", where, _NAMES),
+                attrs=field(entry, "attrs", where, _OBJECT),
+                params=_unpack_params(field(entry, "params", where, _LIST), blob, where),
             )
         )
     graph.infer_shapes()  # one pass once every node is in, not one per node
-    for entry in _typed(manifest, "hooks", "the manifest", _LIST):
-        node_id = _field(entry, "node_id", "a hook entry")
+    for entry in field(manifest, "hooks", "the manifest", _LIST):
+        node_id = field(entry, "node_id", "a hook entry", _NAME)
         where = f"the hook at {node_id!r}"
-        kind = _field(entry, "kind", where)
+        kind = field(entry, "kind", where, _NAME)
         if kind not in _DECODERS:
             raise SerializationError(f"no decoder registered for hook kind {kind!r}")
-        params = _unpack_params(_typed(entry, "params", where, _LIST), blob, where)
-        transform = _DECODERS[kind](_typed(entry, "attrs", where, _OBJECT), params)
+        params = _unpack_params(field(entry, "params", where, _LIST), blob, where)
+        try:
+            transform = _DECODERS[kind](field(entry, "attrs", where, _OBJECT), params)
+        except SerializationError as e:
+            raise SerializationError(f"{where}: {e}") from e
         graph.insert_hook(
             Hook(
                 node_id=node_id,
-                position=HookPosition(_field(entry, "position", where)),
-                family=_field(entry, "family", where),
+                position=HookPosition(field(entry, "position", where, _POSITION)),
+                family=field(entry, "family", where, _NAME),
                 transform=transform,
-                param_name=_field(entry, "param_name", where),
-                input_index=_field(entry, "input_index", where),
+                param_name=field(entry, "param_name", where, _OPTIONAL_NAME),
+                input_index=field(entry, "input_index", where, COUNT),
             )
         )
     return graph, manifest.get("extra", {})

@@ -183,15 +183,27 @@ def _operands(a, b, op: str):
     return a, b
 
 
+def _sum_axes(gshape: tuple, shape: tuple) -> tuple:
+    """The axes over which a gradient of ``gshape`` sums back to ``shape``."""
+    lead = len(gshape) - len(shape)
+    return tuple(range(lead)) + tuple(i + lead for i, s in enumerate(shape) if s == 1 and gshape[i + lead] != 1)
+
+
 def _sum_to(g: Tensor, shape: tuple) -> Tensor:
     """Sum a broadcast gradient back to an operand's shape."""
     if g.shape == shape:
         return g
-    lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        i + lead for i, s in enumerate(shape) if s == 1 and g.shape[i + lead] != 1
-    )
-    return reshape(tsum(g, axis=axes), shape)
+    return reshape(tsum(g, axis=_sum_axes(g.shape, shape)), shape)
+
+
+def _channel_view(a: np.ndarray, shape: tuple, op: str) -> np.ndarray:
+    """A per-channel array (one entry per index of axis 0) shaped to broadcast
+    against a tensor of ``shape``; a scalar stays as it is."""
+    if not a.ndim:
+        return a
+    if a.ndim != 1 or not shape or a.shape[0] != shape[0]:
+        raise ShapeError(f"{op}: per-channel operand {a.shape} does not fit input {shape}")
+    return a.reshape((a.shape[0],) + (1,) * (len(shape) - 1))
 
 
 # -- elementwise ops ------------------------------------------------------
@@ -338,31 +350,80 @@ def round_ste(x) -> Tensor:
     return ste_apply(x, np.round, name="round_ste")
 
 
-def fake_quant(x, step, q_min: float, q_max: float) -> Tensor:
-    """Fused symmetric fake quantization ``round(clamp(x / step, q_min, q_max)) * step``.
+def fake_quant(x, scale, q_min: float, q_max: float, floor: float) -> Tensor:
+    """Fused symmetric fake quantization ``round(clamp(x / step, q_min, q_max)) * step``
+    with ``step = max(scale, floor) / q_max``.
 
-    ``step`` broadcasts against ``x`` (one step, or one per channel).  The
-    value equals the ``div`` -> ``clamp`` -> ``round_ste`` -> ``mul`` chain bit
-    for bit, and the vjps are that chain's in closed form, with ``v = x / step``
-    and ``inside`` the mask of ``q_min <= v <= q_max``: ``g * inside`` for
-    ``x``, and ``g * (q - inside * v)`` summed to ``step``'s shape.  Both are
-    engine ops, so they can be differentiated again.
+    ``scale`` is the trainable range, one value or one per index of ``x``'s
+    first axis.  The value equals the ``maximum`` -> ``reshape`` -> ``div`` ->
+    ``clamp`` -> ``round_ste`` -> ``mul`` chain bit for bit, and the vjps are
+    that chain's in closed form, with ``v = x / step`` and ``inside`` the mask
+    of ``q_min <= v <= q_max``: ``g * inside`` for ``x``, and
+    ``((sum of g * (q - inside * v)) / q_max) * [scale >= floor]`` for
+    ``scale``.  Both are engine ops, so they can be differentiated again.
     """
-    x, step = _operands(x, step, "fake_quant")
-    v = x.data / step.data
+    x, scale = as_tensor(x), as_tensor(scale)
+    step = _channel_view(np.maximum(scale.data, floor), x.shape, "fake_quant") / q_max
+    v = x.data / step
     q = np.round(np.minimum(np.maximum(v, q_min), q_max))
-    out = _node(q * step.data, [], "fake_quant")
-    if not (_GradMode.enabled and (x.requires_grad or step.requires_grad)):
+    out = _node(q * step, [], "fake_quant")
+    if not (_GradMode.enabled and (x.requires_grad or scale.requires_grad)):
         return out
     inside = ((v >= q_min) & (v <= q_max)).astype(np.float64)
+    kept = (scale.data >= floor).astype(np.float64)
 
     def vjp_x(g):
         return _sum_to(mul(g, Tensor(inside)), x.shape)
 
-    def vjp_step(g):
-        return _sum_to(mul(g, Tensor(q - inside * v)), step.shape)
+    def vjp_scale(g):
+        g_step = _sum_to(mul(g, Tensor(q - inside * v)), step.shape)
+        return mul(reshape(div(g_step, q_max), scale.shape), Tensor(kept))
 
-    return _attach(out, [(x, vjp_x), (step, vjp_step)])
+    return _attach(out, [(x, vjp_x), (scale, vjp_scale)])
+
+
+def fake_quant_asymmetric(x, lo, hi, lo_shift, hi_shift, step, zero) -> Tensor:
+    """The asymmetric quantizer as one op:
+    ``(round(clamp(x, lo + lo_shift, hi + hi_shift) / step + zero) - zero) * step``.
+
+    ``lo`` and ``hi`` are the trainable range bounds, one value or one per
+    index of ``x``'s first axis; the constant shifts move them to the tuned
+    bounds, so boundary gradients still land on ``lo`` and ``hi``.  ``step``
+    and ``zero`` are constants of the same shape.  Forward bits and
+    gradients are those of the ``add`` -> ``clamp`` -> ``div`` -> ``add`` ->
+    ``round_ste`` -> ``sub`` -> ``mul`` chain, including its ``(g * step) /
+    step`` into the clamp, and the vjps are engine ops.
+    """
+    x, lo, hi = as_tensor(x), as_tensor(lo), as_tensor(hi)
+    low, high, step, zero = (
+        _channel_view(np.asarray(a, dtype=np.float64), x.shape, "fake_quant_asymmetric")
+        for a in (lo.data + lo_shift, hi.data + hi_shift, step, zero)
+    )
+    above = np.maximum(x.data, low)
+    q = np.round(np.minimum(above, high) / step + zero)
+    out = _node((q - zero) * step, [], "fake_quant_asym")
+    if not (_GradMode.enabled and (x.requires_grad or lo.requires_grad or hi.requires_grad)):
+        return out
+    over_low = (x.data >= low).astype(np.float64)
+    under_high = (above <= high).astype(np.float64)
+    step_t = Tensor(step)
+
+    def into_clamp(g):
+        return div(mul(g, step_t), step_t)
+
+    def into_max(g):  # past the clamp's upper bound, into its lower one
+        return mul(into_clamp(g), Tensor(under_high))
+
+    def vjp_x(g):
+        return mul(into_max(g), Tensor(over_low))
+
+    def vjp_lo(g):
+        return reshape(_sum_to(mul(into_max(g), Tensor(1.0 - over_low)), low.shape), lo.shape)
+
+    def vjp_hi(g):
+        return reshape(_sum_to(mul(into_clamp(g), Tensor(1.0 - under_high)), high.shape), hi.shape)
+
+    return _attach(out, [(x, vjp_x), (lo, vjp_lo), (hi, vjp_hi)])
 
 
 # -- structural / reduction ops ------------------------------------------
@@ -582,6 +643,96 @@ def linear(x, w, b=None) -> Tensor:
     return out
 
 
+def batch_norm(x, gamma, beta, eps: float, mean=None, var=None):
+    """BatchNorm over every axis but 1 of [N,C] or [N,C,H,W] ``x``, as one op.
+
+    With ``mean``/``var`` (the running buffers, shape [C]) it normalizes by
+    them (eval mode); without, by the batch's statistics (train mode).
+    Returns the output and the mean and variance used, each shaped to
+    broadcast against ``x``.  Forward bits and first-order gradients are
+    those of the unfused chain (``tmean``, ``sub``, ``mul``, ``tsqrt``,
+    ``div``, ...), in its order of operations.  Eval mode is affine in
+    ``x``, and its vjps are engine ops.  A train-mode vjp that is itself
+    recorded (``create_graph``) rebuilds the chain from ``x`` in engine ops.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.ndim not in (2, 4) or gamma.shape != (x.shape[1],) or beta.shape != gamma.shape:
+        raise ShapeError(f"batch_norm: input {x.shape} with gamma {gamma.shape} and beta {beta.shape}")
+    c = x.shape[1]
+    pshape = (1, c) + (1,) * (x.ndim - 2)
+    axes = (0,) + tuple(range(2, x.ndim))
+    n = int(np.prod([x.shape[ax] for ax in axes]))
+    train = mean is None
+    if train:
+        mean, xc, var, sd, inv = _bn_stats(x.data, n, eps, lambda a: np.sum(a, axis=axes, keepdims=True), np.sqrt)
+    else:
+        mean, var = np.reshape(mean, pshape), np.reshape(var, pshape)
+        xc = x.data - mean
+        sd = np.sqrt(var + eps)
+        inv = 1.0 / sd
+    xhat = xc * inv
+    gamma_v = gamma.data.reshape(pshape)
+    out = _node(xhat * gamma_v + beta.data.reshape(pshape), [], "batchnorm")
+    if not (_GradMode.enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)):
+        return out, mean, var
+
+    def sum_to(a):
+        return _sum_to(a, pshape)
+
+    def recorded_stats():
+        # the statistics as functions of x on the tape, for a recorded vjp
+        return _bn_stats(x, n, eps, lambda a: tsum(a, axis=axes, keepdims=True), tsqrt)
+
+    def vjp_x(g):
+        if not train:
+            return mul(mul(g, reshape(gamma, pshape)), Tensor(inv))
+        if _GradMode.enabled:
+            _, xc_t, _, sd_t, inv_t = recorded_stats()
+            return _bn_x_grad(g, reshape(gamma, pshape), xc_t, sd_t, inv_t, n, sum_to)
+
+        def sum_arrays(a):
+            return np.sum(a, axis=_sum_axes(a.shape, pshape)).reshape(pshape)
+
+        return Tensor(_bn_x_grad(g.data, gamma_v, xc, sd, inv, n, sum_arrays))
+
+    def vjp_gamma(g):
+        if not _GradMode.enabled:
+            xhat_t = Tensor(xhat)
+        elif train:
+            _, xc_t, _, _, inv_t = recorded_stats()
+            xhat_t = mul(xc_t, inv_t)
+        else:
+            xhat_t = mul(sub(x, Tensor(mean)), Tensor(inv))
+        return reshape(sum_to(mul(g, xhat_t)), gamma.shape)
+
+    def vjp_beta(g):
+        return reshape(sum_to(g), beta.shape)
+
+    return _attach(out, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)]), mean, var
+
+
+def _bn_stats(x, n: int, eps: float, total, sqrt):
+    """Batch mean, centred input, variance, standard deviation and its
+    reciprocal, in the unfused chain's order; ``total`` sums over the
+    normalized axes keeping them.  Arrays and tensors both work."""
+    mean = total(x) * (1.0 / n)
+    xc = x - mean
+    var = total(xc * xc) * (1.0 / n)
+    sd = sqrt(var + eps)
+    return mean, xc, var, sd, 1.0 / sd
+
+
+def _bn_x_grad(g, gamma_v, xc, sd, inv, n: int, sum_to):
+    """Train-mode BatchNorm's input gradient, accumulated as the unfused
+    chain's reverse sweep accumulates it; ``sum_to`` sums to [1,C,1,1].
+    Arrays and tensors both work."""
+    gxhat = g * gamma_v
+    g_sd = -((sum_to(gxhat * xc) * inv) / sd)
+    t = (((g_sd * 0.5) / sd) * (1.0 / n)) * xc
+    gxc = gxhat * inv + t + t
+    return gxc + sum_to(-gxc) * (1.0 / n)
+
+
 # -- backward engine ------------------------------------------------------
 
 
@@ -598,8 +749,8 @@ def _toposort(root: Tensor) -> list:
             continue
         if node._released:
             raise RuntimeError(
-                f"the tape through this {node._op!r} tensor was released by backward(); "
-                "run the forward pass again to differentiate it"
+                f"the tape through this {node._op!r} tensor was released by backward() or "
+                "release(); run the forward pass again to differentiate it"
             )
         visited.add(id(node))
         stack.append((node, True))
@@ -677,6 +828,18 @@ def backward(loss: Tensor):
             leaf._grad = np.array(g, dtype=np.float64)
         else:
             leaf._grad += g
+    _release(topo)
+
+
+def release(loss: Tensor):
+    """Release the tape behind ``loss`` as ``backward`` does, for a caller
+    that is done differentiating it with ``grad``."""
+    _release(_toposort(loss))
+
+
+def _release(topo: list):
+    # every op output drops the links to its inputs, so the tape is freed by
+    # reference counting even where a vjp holds its own output
     for node in topo:
         if node._parents:
             node._parents = ()

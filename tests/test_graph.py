@@ -109,6 +109,19 @@ def test_duplicate_family_hook_rejected():
     g.insert_hook(Hook("flat", HookPosition.POST_OUTPUT, "other", lambda t, ctx: t))
 
 
+def test_assigning_hooks_resets_the_duplicate_check():
+    g = ModelGraph(input_shape=(2,))
+    g.add_node(NodeSpec(id="flat", kind="Flatten", inputs=[INPUT_ID]))
+    g.insert_hook(Hook("flat", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+    with pytest.raises(AttributeError):
+        g.hooks.append(Hook("flat", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+    g.hooks = [h for h in g.hooks if h.family != "fam"]
+    g.insert_hook(Hook("flat", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+    g.hooks = list(g.hooks)
+    with pytest.raises(GraphError, match="duplicate"):
+        g.insert_hook(Hook("flat", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+
+
 def test_hook_on_unknown_node_rejected():
     g = ModelGraph(input_shape=(2,))
     g.add_node(NodeSpec(id="flat", kind="Flatten", inputs=[INPUT_ID]))

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from nncompress import tensor as T
 from nncompress.api import create_compressed_model
 from nncompress.data import make_dataset
-from nncompress.graph import INPUT_ID
+from nncompress.graph import INPUT_ID, Hook, HookPosition
 from nncompress.mixed_precision import (
     LayerProfile,
     estimate_hessian_trace,
@@ -17,6 +19,7 @@ from nncompress.mixed_precision import (
 from nncompress.models import build_model
 from nncompress.quantization import QuantizationBuilder, initialize_quantizer_ranges
 from nncompress.tensor import Tensor
+from nncompress.util import cross_entropy
 
 from test_api import REPO
 from test_quantization import small_cnn
@@ -181,3 +184,31 @@ def test_plan_matches_recorded_bits():
         ("stem", "0x1.9a1da2abdb959p-5"),
         ("fc", "0x1.16b925c50e009p-2"),
     ]
+
+
+def test_plan_releases_its_loss_tape():
+    """Once the plan returns, its loss tape is freed without the cyclic
+    collector, although the loss's exp holds its own output."""
+    g = small_cnn()
+    ctrl = QuantizationBuilder({}).apply_to(g)
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(8, 1, 8, 8)), rng.integers(0, 2, 8)
+    initialize_quantizer_ranges(g, [x])
+    seen = []
+
+    def probe(t, ctx):
+        seen.append(weakref.ref(t))
+        return t
+
+    g.insert_hook(Hook("relu1", HookPosition.POST_OUTPUT, "probe", probe))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        plan_mixed_precision(
+            g, ctrl.handles["weight"], lambda: cross_entropy(g.run(Tensor(x)), y),
+            num_trace_samples=2, target_ratio=2.0,
+        )
+        assert len(seen) == 1 and seen[0]() is None, "relu1's output outlived the plan"
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -344,3 +344,20 @@ def test_col2im_is_the_adjoint_of_im2col(stride, pad, k, n):
     lhs = np.vdot(cols.data, y)
     rhs = np.vdot(x, T._col2im(y, x.shape, k, k, stride, stride, pad).data)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize(
+    "config, quantizer_op",
+    [("int8_sparse50", "fake_quant"), ("quant_asym_percentile", "fake_quant_asym")],
+)
+def test_train_step_tape_has_one_node_per_batchnorm_and_quantizer(config, quantizer_op):
+    config = json.loads((REPO / "configs" / f"{config}.json").read_text())
+    x, y = make_dataset("stripes", 64, seed=0)
+    batches = [(x[i : i + 32], y[i : i + 32]) for i in range(0, 64, 32)]
+    controllers, g = create_compressed_model(build_model("cnn-residual", 0), config, batches)
+    out = g.run(Tensor(x[:32]), mode="train", rng=np.random.default_rng(0))
+    loss = T.add(cross_entropy(out, y[:32]), total_compression_loss(controllers))
+    ops = Counter(node._op for node in T._toposort(loss))
+    assert ops["batchnorm"] == 3
+    assert ops[quantizer_op] == 12
+    assert not {"sqrt", "div", "maximum", "minimum", "round_ste"} & set(ops)

@@ -9,6 +9,7 @@ from nncompress import serialize as S
 from nncompress import tensor as T
 from nncompress.graph import GraphError, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.models import build_model
+from nncompress.quantization import initialize_quantizer_ranges, insert_quantizers
 from nncompress.serialize import SerializationError
 from nncompress.tensor import Tensor
 
@@ -110,7 +111,83 @@ MALFORMED_MANIFESTS = [
     _bad_node("inputs", "input", "a list of strings", "string-inputs"),
     _bad_node("inputs", [0], "a list of strings", "int-input"),
     _bad_node("attrs", [], "an object", "list-attrs"),
+    pytest.param(_setting("nodes", 0, "id", value=["conv1"]), "field 'id' of a node entry must be a string", id="list-id"),
+    pytest.param(
+        _setting("nodes", 0, "params", 0, "name", value=["weight"]),
+        "field 'name' of a parameter entry of node '.+' must be a string",
+        id="list-param-name",
+    ),
 ]
+
+
+def quantized_model():
+    g = small_model()
+    insert_quantizers(g)
+    initialize_quantizer_ranges(g)
+    return g
+
+
+def _bad_hook(index, key, value, expect, id):
+    """A hook field (or, with a dotted key, one of its attrs) set to ``value``."""
+    path = ("hooks", index) + tuple(key.split("."))
+    return pytest.param(_setting(*path, value=value), expect, id=id)
+
+
+# hook 0 quantizes the input per tensor; hook 1 is conv c1's per-channel weight quantizer
+MALFORMED_HOOKS = [
+    _bad_hook(0, "node_id", ["input"], "field 'node_id' of a hook entry must be a string", "list-node-id"),
+    _bad_hook(0, "position", "sideways", "field 'position' of the hook at 'input' must be one of", "bad-position"),
+    _bad_hook(0, "kind", ["fake_quant"], "field 'kind' of the hook at 'input' must be a string", "list-kind"),
+    _bad_hook(0, "family", 3, "field 'family' of the hook at 'input' must be a string", "int-family"),
+    _bad_hook(1, "param_name", ["weight"], "field 'param_name' of the hook at 'c1' must be a string or null",
+              "list-param-name"),
+    _bad_hook(0, "input_index", "0", "field 'input_index' of the hook at 'input' must be a non-negative integer",
+              "string-input-index"),
+    _bad_hook(0, "attrs.bits", "eight", "the hook at 'input': .*field 'bits' .* an integer of at least 2",
+              "string-bits"),
+    _bad_hook(0, "attrs.bits", 8.0, "field 'bits' .* an integer of at least 2", "float-bits"),
+    _bad_hook(0, "attrs.bits", 1, "field 'bits' .* an integer of at least 2", "one-bit"),
+    _bad_hook(0, "attrs.bits", True, "field 'bits' .* an integer of at least 2", "bool-bits"),
+    _bad_hook(0, "attrs.mode", "bogus", "field 'mode' .* must be one of", "bad-mode"),
+    _bad_hook(1, "attrs.grid", "bogus", "field 'grid' .* must be one of", "bad-grid"),
+    _bad_hook(1, "attrs.per_channel", "yes", "field 'per_channel' .* must be true or false", "string-per-channel"),
+    _bad_hook(0, "attrs.per_channel", True, r"per_channel True needs range parameters \['scale'\] of one 1-d shape",
+              "per-channel-scalar-scale"),
+    _bad_hook(1, "attrs.mode", "asymmetric", r"asymmetric quantizer .* needs range parameters \['rmin', 'rmax'\]",
+              "mode-without-its-params"),
+]
+
+
+@pytest.mark.parametrize("edit,message", MALFORMED_HOOKS)
+def test_malformed_hook_is_a_serialization_error(edit, message):
+    with pytest.raises(SerializationError, match=message):
+        S.deserialize_model(with_manifest(S.serialize_model(quantized_model()), edit))
+
+
+def test_load_checks_each_hook_point_once(monkeypatch):
+    """Inserting a hook looks up its (point, family) key; it does not rebuild
+    the points of the hooks already in."""
+    data = S.serialize_model(quantized_model())
+    calls = []
+    point = Hook.point
+
+    def counted(self):
+        calls.append(self.node_id)
+        return point(self)
+
+    monkeypatch.setattr(Hook, "point", counted)
+    g, _ = S.deserialize_model(data)
+    assert len(calls) == len(g.hooks) == 5
+
+
+def test_duplicate_hook_in_file_is_rejected():
+    def repeat_first_hook(manifest):
+        manifest["hooks"].append(manifest["hooks"][0])
+        return manifest
+
+    data = with_manifest(S.serialize_model(quantized_model()), repeat_first_hook)
+    with pytest.raises(GraphError, match="duplicate 'quantization' hook at input/post_output"):
+        S.deserialize_model(data)
 
 
 def test_version_mismatch_rejected():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import weakref
@@ -410,9 +411,12 @@ def test_broadcast_elementwise_grads_match_fd(op, shape_a, shape_b):
     check_grad(lambda b: T.tsum(T.mul(op(Tensor(a0), b), u)), b0)
 
 
-def _chain_fake_quant(x, step, q_min, q_max):
+def _chain_fake_quant(x, scale, q_min, q_max):
     # the op-by-op composition that T.fake_quant fuses
-    step_b = T.broadcast_to(step, x.shape)
+    step = T.maximum(scale, RANGE_FLOOR)
+    if scale.ndim:
+        step = T.reshape(step, (-1,) + (1,) * (x.ndim - 1))
+    step_b = T.broadcast_to(T.div(step, q_max), x.shape)
     q = T.round_ste(T.clamp(T.div(x, step_b), q_min, q_max))
     return T.mul(q, step_b)
 
@@ -425,28 +429,30 @@ def _fake_quant_case(grid, per_channel, seed=15):
     levels = rng.uniform(q_min - 3, q_max + 3, (3, 2, 4, 4))
     levels[:, 0, 0, :] = [q_min, q_max, q_min - 0.5, q_max + 0.5]
     levels[:, 0, 1, :] = [0.5, 1.5, -0.5, 2.5]
-    return levels * step, step, float(q_min), float(q_max)
+    scale = (step * q_max).reshape(-1) if per_channel else step * q_max
+    return levels * step, scale, float(q_min), float(q_max)
 
 
 @pytest.mark.parametrize("grid", ["weight", "signed_act", "unsigned_act"])
 @pytest.mark.parametrize("per_channel", [False, True])
 def test_fake_quant_forward_is_byte_equal_to_composition(grid, per_channel):
-    x, step, q_min, q_max = _fake_quant_case(grid, per_channel)
-    fused = T.fake_quant(Tensor(x), Tensor(step), q_min, q_max).data
-    chain = _chain_fake_quant(Tensor(x), Tensor(step), q_min, q_max).data
+    x, scale, q_min, q_max = _fake_quant_case(grid, per_channel)
+    fused = T.fake_quant(Tensor(x), Tensor(scale), q_min, q_max, RANGE_FLOOR).data
+    chain = _chain_fake_quant(Tensor(x), Tensor(scale), q_min, q_max).data
     assert fused.tobytes() == chain.tobytes()
-    assert np.any(fused == q_max * np.broadcast_to(step, x.shape))
+    # q_max * step is the scale itself
+    assert np.any(fused == np.broadcast_to(np.reshape(scale, (-1, 1, 1, 1)), x.shape))
 
 
 @pytest.mark.parametrize("grid", ["weight", "signed_act", "unsigned_act"])
 @pytest.mark.parametrize("per_channel", [False, True])
 def test_fake_quant_vjps_match_composition(grid, per_channel):
-    x0, step0, q_min, q_max = _fake_quant_case(grid, per_channel)
+    x0, scale0, q_min, q_max = _fake_quant_case(grid, per_channel)
     u = Tensor(np.random.default_rng(16).uniform(-1, 1, x0.shape))
     grads = []
-    for fq in (T.fake_quant, _chain_fake_quant):
-        x, step = Tensor(x0, requires_grad=True), Tensor(step0, requires_grad=True)
-        grads.append(T.grad(T.tsum(T.mul(fq(x, step, q_min, q_max), u)), [x, step]))
+    for fq in (functools.partial(T.fake_quant, floor=RANGE_FLOOR), _chain_fake_quant):
+        x, scale = Tensor(x0, requires_grad=True), Tensor(scale0, requires_grad=True)
+        grads.append(T.grad(T.tsum(T.mul(fq(x, scale, q_min, q_max), u)), [x, scale]))
     for fused, chain in zip(*grads):
         assert fused.shape == chain.shape
         np.testing.assert_allclose(fused.data, chain.data, rtol=1e-12, atol=1e-12)
@@ -462,8 +468,7 @@ def test_fake_quant_hessian_vector_product_matches_composition():
     q_min, q_max = quant_grid(4, "weight")
 
     def chain(w):
-        step = T.div(T.reshape(T.maximum(fq.scale, RANGE_FLOOR), (4, 1, 1, 1)), float(q_max))
-        return _chain_fake_quant(w, step, float(q_min), float(q_max))
+        return _chain_fake_quant(w, fq.scale, float(q_min), float(q_max))
 
     results = []
     for quantize in (fq, chain):
@@ -476,3 +481,66 @@ def test_fake_quant_hessian_vector_product_matches_composition():
     assert np.abs(results[0][2].data).max() > 1.0
     for fused, composed in zip(*results):
         np.testing.assert_allclose(fused.data, composed.data, rtol=1e-12, atol=1e-12)
+
+
+def _chain_batch_norm(x, gamma, beta, eps, mean=None, var=None):
+    # the op-by-op composition that T.batch_norm fuses
+    pshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    axes = (0,) + tuple(range(2, x.ndim))
+    if mean is None:
+        xc = T.sub(x, T.tmean(x, axis=axes, keepdims=True))
+        var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
+    else:
+        xc = T.sub(x, Tensor(np.reshape(mean, pshape)))
+        var = Tensor(np.reshape(var, pshape))
+    inv = T.div(1.0, T.tsqrt(T.add(var, eps)))
+    return T.add(T.mul(T.mul(xc, inv), T.reshape(gamma, pshape)), T.reshape(beta, pshape))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(4, 3, 5, 5), (6, 3)], ids=["conv", "fc"])
+def test_batch_norm_hessian_vector_product_matches_composition(mode, shape):
+    rng = np.random.default_rng(18)
+    x0 = rng.normal(size=shape)
+    gamma0, beta0 = rng.uniform(0.5, 1.5, 3), rng.uniform(-1, 1, 3)
+    stats = () if mode == "train" else (rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 2.0, 3))
+    u = Tensor(rng.uniform(-1, 1, shape))
+    v = [Tensor(rng.uniform(-1, 1, s)) for s in (shape, (3,), (3,))]
+
+    def fused(x, gamma, beta):
+        return T.batch_norm(x, gamma, beta, 1e-5, *stats)[0]
+
+    def chain(x, gamma, beta):
+        return _chain_batch_norm(x, gamma, beta, 1e-5, *stats)
+
+    results = []
+    for bn in (fused, chain):
+        leaves = [Tensor(a, requires_grad=True) for a in (x0, gamma0, beta0)]
+        out = bn(*leaves)
+        loss = T.tsum(T.mul(T.mul(out, out), u))
+        grads = T.grad(loss, leaves, create_graph=True)
+        gv = T.tsum(T.mul(grads[0], v[0]))
+        for g, vi in zip(grads[1:], v[1:]):
+            gv = T.add(gv, T.tsum(T.mul(g, vi)))
+        results.append(grads + T.grad(gv, leaves))
+    assert np.abs(results[0][3].data).max() > 1.0
+    for fused_value, composed in zip(*results):
+        np.testing.assert_allclose(fused_value.data, composed.data, rtol=1e-12, atol=1e-12)
+
+
+def test_batch_norm_rejects_mismatched_parameters():
+    with pytest.raises(ShapeError, match="batch_norm"):
+        T.batch_norm(Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+    with pytest.raises(ShapeError, match="batch_norm"):
+        T.batch_norm(Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
+
+
+def test_release_frees_a_kept_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = T.texp(x)
+    loss = T.tsum(y)
+    (g,) = T.grad(loss, [x])
+    T.release(loss)
+    assert y._parents == () and loss._parents == ()
+    with pytest.raises(RuntimeError, match=r"released by backward\(\) or release\(\)"):
+        T.grad(loss, [x])
