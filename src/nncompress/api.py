@@ -127,13 +127,7 @@ def create_compressed_model(
             x, y = labeled[0]
             xt = Tensor(x)
             plan = plan_mixed_precision(
-                g,
-                ctrl.handles["weight"],
-                loss_builder=lambda: cross_entropy(g.run(xt), y),
-                bit_choices=mp.candidate_bits,
-                num_trace_samples=mp.trace_samples,
-                target_ratio=mp.ratio_threshold,
-                direction=mp.direction,
+                g, ctrl.handles["weight"], lambda: cross_entropy(g.run(xt), y), mp,
                 seed=spec.seed if mp.seed is None else mp.seed,
             )
             ctrl.apply_bit_config(plan.assignment)

@@ -161,16 +161,24 @@ class ActivationBinarizer:
 
 
 def _decode_weight_binarizer(attrs, params):
-    wb = WeightBinarizer(attrs["scheme"])
-    wb.enabled = bool(attrs["enabled"])
+    where = f"the {WeightBinarizer.codec_kind} attrs"
+    serialize.check_param_names(params, [], "a weight binarizer")
+    wb = WeightBinarizer(serialize.field(attrs, "scheme", where, serialize.one_of(WEIGHT_SCHEMES)))
+    wb.enabled = serialize.field(attrs, "enabled", where, serialize.BOOL)
     return wb
 
 
 def _decode_activation_binarizer(attrs, params):
+    serialize.check_param_names(params, ["scale", "thresholds"], "an activation binarizer")
+    if params["scale"].ndim != 0 or params["thresholds"].ndim != 1:
+        got = {name: list(p.shape) for name, p in params.items()}
+        raise serialize.SerializationError(
+            f"malformed manifest: an activation binarizer needs a 0-d scale and 1-d thresholds, got {got}"
+        )
     ab = ActivationBinarizer(params["thresholds"].shape[0])
     ab.scale = params["scale"]
     ab.thresholds = params["thresholds"]
-    ab.enabled = bool(attrs["enabled"])
+    ab.enabled = serialize.field(attrs, "enabled", f"the {ActivationBinarizer.codec_kind} attrs", serialize.BOOL)
     return ab
 
 
@@ -242,17 +250,14 @@ def select_binarized_layers(
 
 
 def apply_binarization(
-    graph: ModelGraph,
-    weight_scheme: str = "xnor",
-    allowlist: Optional[Sequence[str]] = None,
-    denylist: Optional[Sequence[str]] = None,
+    graph: ModelGraph, spec: BinarizationSpec
 ) -> Dict[str, Tuple[WeightBinarizer, ActivationBinarizer]]:
     """Hook selected convolutions with weight and input binarizers."""
     handles = {}
     shapes = graph.infer_shapes()
-    for nid in select_binarized_layers(graph, allowlist, denylist):
+    for nid in select_binarized_layers(graph, spec.allowlist, spec.denylist):
         node = graph.nodes[nid]
-        wb = WeightBinarizer(weight_scheme)
+        wb = WeightBinarizer(spec.weight_scheme)
         ab = ActivationBinarizer(channels=shapes[node.inputs[0]][0])
         graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, wb, param_name="weight"))
         graph.insert_hook(Hook(nid, HookPosition.PRE_INPUT, FAMILY, ab, input_index=0))
@@ -336,6 +341,4 @@ class BinarizationBuilder(CompressionBuilder):
     spec_class = BinarizationSpec
 
     def apply_to(self, graph: ModelGraph) -> BinarizationController:
-        spec = self.spec
-        handles = apply_binarization(graph, spec.weight_scheme, spec.allowlist, spec.denylist)
-        return BinarizationController(graph, handles, spec.stage_epochs)
+        return BinarizationController(graph, apply_binarization(graph, self.spec), self.spec.stage_epochs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .tensor import Tensor
 from .util import derive_rng
 
 if TYPE_CHECKING:  # quantization imports DIRECTIONS from here
-    from .quantization import FakeQuantizer
+    from .quantization import FakeQuantizer, MixedPrecisionSpec
 
 BASELINE_BITS = 8
 DIRECTIONS = ("at_least", "at_most")  # the ratio bound is a floor or a ceiling
@@ -130,11 +130,8 @@ def plan_mixed_precision(
     graph: ModelGraph,
     weight_quantizers: Dict[str, FakeQuantizer],
     loss_builder: Callable[[], Tensor],
-    bit_choices: Iterable[int] = (2, 4, 8),
-    num_trace_samples: int = 32,
-    target_ratio: float = 4.0,
-    direction: str = "at_least",
-    seed: int = 0,
+    spec: MixedPrecisionSpec,
+    seed: int,
 ) -> MixedPrecisionPlan:
     """Profile every weight-quantized layer and choose its bit width.
 
@@ -149,13 +146,11 @@ def plan_mixed_precision(
     try:
         for index, (nid, fq) in enumerate(weight_quantizers.items()):
             w = graph.nodes[nid].params["weight"]
-            trace = estimate_hessian_trace(
-                loss, w, num_samples=num_trace_samples, rng=derive_rng(seed, index)
-            )
-            errors = {int(b): quantization_error(w.data, fq, b) for b in bit_choices}
+            trace = estimate_hessian_trace(loss, w, num_samples=spec.trace_samples, rng=derive_rng(seed, index))
+            errors = {int(b): quantization_error(w.data, fq, b) for b in spec.candidate_bits}
             profiles.append(
                 LayerProfile(node_id=nid, avg_trace=trace / w.size, flops=flops[nid], errors=errors)
             )
     finally:
         T.release(loss)
-    return select_bitwidth_config(profiles, target_ratio, bit_choices, direction)
+    return select_bitwidth_config(profiles, spec.ratio_threshold, spec.candidate_bits, spec.direction)

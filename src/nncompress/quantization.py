@@ -27,6 +27,7 @@ FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
 MODES = ("symmetric", "asymmetric")
 MIN_BITS = 2
+MAX_BITS = 32  # the widest integer grid; it bounds the 2 ** bits that a model file can ask for
 # each grid's (lowest, highest) integer level, from half = 2 ** (bits - 1):
 # weights drop the lowest level so zero sits exactly in the middle; signed
 # activations keep the full two's-complement range; unsigned ones start at 0
@@ -45,6 +46,8 @@ def quant_grid(bits: int, kind: str) -> Tuple[int, int]:
     """Integer level range of grid ``kind`` (one of ``GRIDS``) at a bit width."""
     if bits < MIN_BITS:
         raise ValueError(f"bit width must be at least {MIN_BITS}, got {bits}")
+    if bits > MAX_BITS:
+        raise ValueError(f"bit width must be at most {MAX_BITS}, got {bits}")
     if kind not in _GRID_LEVELS:
         raise ValueError(f"unknown grid kind {kind!r}")
     return _GRID_LEVELS[kind](2 ** (bits - 1))
@@ -209,41 +212,44 @@ class FakeQuantizer:
 
 # what the decoder accepts in a quantizer's attrs
 _BITS = (
-    lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= MIN_BITS,
-    f"an integer of at least {MIN_BITS}",
+    lambda v: isinstance(v, int) and not isinstance(v, bool) and MIN_BITS <= v <= MAX_BITS,
+    f"an integer of at least {MIN_BITS} and at most {MAX_BITS}",
 )
-_MODE, _GRID = serialize.one_of(MODES), serialize.one_of(GRIDS)
+_MODE, _GRID, _INIT_SCHEME = serialize.one_of(MODES), serialize.one_of(GRIDS), serialize.one_of(INIT_SCHEMES)
+_PERCENTILES = (
+    lambda v: isinstance(v, list) and len(v) == 2 and all(serialize.NUMBER[0](p) for p in v)
+    and 0.0 <= v[0] <= v[1] <= 100.0,
+    "two numbers in [0, 100], the first not above the second",
+)
 
 
 def _decode_fake_quant(attrs: dict, params: Dict[str, Tensor]):
     where = f"the {FakeQuantizer.codec_kind} attrs"
-    bits = serialize.field(attrs, "bits", where, _BITS)
     mode = serialize.field(attrs, "mode", where, _MODE)
-    grid = serialize.field(attrs, "grid", where, _GRID)
     per_channel = serialize.field(attrs, "per_channel", where, serialize.BOOL)
     names = ["scale"] if mode == "symmetric" else ["rmin", "rmax"]
+    serialize.check_param_names(params, names, f"a {mode} quantizer")
     shapes = {p.shape for p in params.values()}
-    if set(params) != set(names) or len(shapes) != 1 or len(next(iter(shapes))) != int(per_channel):
+    if len(shapes) != 1 or len(next(iter(shapes))) != int(per_channel):
         got = {name: list(p.shape) for name, p in params.items()}
         raise serialize.SerializationError(
             f"malformed manifest: a {mode} quantizer with per_channel {per_channel} needs range "
             f"parameters {names} of one {int(per_channel)}-d shape, got {got}"
         )
-    channels = next(iter(shapes))[0] if per_channel else None
     fq = FakeQuantizer(
-        bits=bits,
+        bits=serialize.field(attrs, "bits", where, _BITS),
         mode=mode,
-        grid=grid,
+        grid=serialize.field(attrs, "grid", where, _GRID),
         per_channel=per_channel,
-        channels=channels,
-        init_scheme=attrs.get("init_scheme", "minmax"),
-        percentiles=tuple(attrs.get("percentiles", (0.1, 99.9))),
+        channels=next(iter(shapes))[0] if per_channel else None,
+        init_scheme=serialize.field(attrs, "init_scheme", where, _INIT_SCHEME),
+        percentiles=serialize.field(attrs, "percentiles", where, _PERCENTILES),
     )
     if mode == "symmetric":
         fq.scale = params["scale"]
     else:
         fq.rmin, fq.rmax = params["rmin"], params["rmax"]
-    fq.initialized = bool(attrs["initialized"])
+    fq.initialized = serialize.field(attrs, "initialized", where, serialize.BOOL)
     return fq
 
 
@@ -278,14 +284,7 @@ def fusion_skips(graph: ModelGraph) -> set:
     return skip
 
 
-def insert_quantizers(
-    graph: ModelGraph,
-    bits: int = 8,
-    mode: str = "symmetric",
-    per_channel_weights: bool = True,
-    init_scheme: str = "minmax",
-    percentiles: Tuple[float, float] = (0.1, 99.9),
-) -> dict:
+def insert_quantizers(graph: ModelGraph, spec: QuantizationSpec) -> dict:
     """Attach fake quantizers per the standard placement policy.
 
     Every convolution and fully connected layer gets a weight quantizer.
@@ -299,11 +298,11 @@ def insert_quantizers(
 
     def act_quantizer(grid: str) -> FakeQuantizer:
         return FakeQuantizer(
-            bits=bits,
-            mode=mode,
+            bits=spec.bits,
+            mode=spec.mode,
             grid=grid,
-            init_scheme=init_scheme,
-            percentiles=percentiles,
+            init_scheme=spec.init.type,
+            percentiles=(spec.init.min_percentile, spec.init.max_percentile),
         )
 
     fq_in = act_quantizer("signed_act")
@@ -312,10 +311,10 @@ def insert_quantizers(
 
     for node in graph.nodes.values():
         if node.kind in WEIGHTED_KINDS:
-            per_ch = per_channel_weights and node.kind == "Conv2D"
+            per_ch = spec.per_channel and node.kind == "Conv2D"
             fq = FakeQuantizer(
-                bits=bits,
-                mode=mode,
+                bits=spec.bits,
+                mode=spec.mode,
                 grid="weight",
                 per_channel=per_ch,
                 channels=node.attrs["out_channels"] if per_ch else None,
@@ -471,13 +470,4 @@ class QuantizationBuilder(CompressionBuilder):
     spec_class = QuantizationSpec
 
     def apply_to(self, graph: ModelGraph) -> QuantizationController:
-        spec = self.spec
-        handles = insert_quantizers(
-            graph,
-            bits=spec.bits,
-            mode=spec.mode,
-            per_channel_weights=spec.per_channel,
-            init_scheme=spec.init.type,
-            percentiles=(spec.init.min_percentile, spec.init.max_percentile),
-        )
-        return QuantizationController(graph, handles)
+        return QuantizationController(graph, insert_quantizers(graph, self.spec))

@@ -72,6 +72,7 @@ def one_of(values) -> tuple:
 _LIST = (lambda v: isinstance(v, list), "a list")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
+NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
 COUNT = (_is_count, "a non-negative integer")
 _NAME = (lambda v: isinstance(v, str), "a string")
 _OPTIONAL_NAME = (lambda v: v is None or isinstance(v, str), "a string or null")
@@ -90,6 +91,12 @@ def field(entry, key: str, where: str, kind=None):
     if kind is not None and not kind[0](value):
         raise SerializationError(f"malformed manifest: field {key!r} of {where} must be {kind[1]}, got {value!r}")
     return value
+
+
+def check_param_names(params: Dict[str, Tensor], names, owner: str):
+    """Hook decoders check that a hook has exactly the parameters they read."""
+    if set(params) != set(names):
+        raise SerializationError(f"malformed manifest: {owner} needs parameters {list(names)}, got {sorted(params)}")
 
 
 def _unpack_params(table: list, blob: bytes, owner: str) -> Dict[str, Tensor]:

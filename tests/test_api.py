@@ -141,8 +141,8 @@ def test_mixed_precision_defaults():
         return controllers[0].mixed_precision_plan
 
     implicit = plan(3, trace_samples=2)
-    # the config's ratio default is 1.5, not plan_mixed_precision's 4.0, and
-    # the probe seed falls back to the top-level seed
+    # the ratio default is the spec's 1.5, and the probe seed falls back to
+    # the top-level seed
     explicit = plan(0, trace_samples=2, ratio_threshold=1.5, seed=3, candidate_bits=[2, 4, 8],
                     direction="at_least")
     assert (implicit.assignment, implicit.metric) == (explicit.assignment, explicit.metric)

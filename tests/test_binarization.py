@@ -6,6 +6,7 @@ from nncompress import tensor as T
 from nncompress.binarization import (
     ActivationBinarizer,
     BinarizationBuilder,
+    BinarizationSpec,
     WeightBinarizer,
     apply_binarization,
     binarization_stage_at,
@@ -241,7 +242,7 @@ def test_unmatched_patterns_warn():
 
 def test_apply_binarization_places_both_hooks():
     g = three_conv_net()
-    handles = apply_binarization(g)
+    handles = apply_binarization(g, BinarizationSpec())
     assert set(handles) == {"conv2"}
     kinds = {(h.node_id, h.position) for h in g.hooks}
     assert kinds == {("conv2", HookPosition.PRE_PARAM), ("conv2", HookPosition.PRE_INPUT)}

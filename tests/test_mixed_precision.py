@@ -17,7 +17,7 @@ from nncompress.mixed_precision import (
     select_bitwidth_config,
 )
 from nncompress.models import build_model
-from nncompress.quantization import QuantizationBuilder, initialize_quantizer_ranges
+from nncompress.quantization import MixedPrecisionSpec, QuantizationBuilder, initialize_quantizer_ranges
 from nncompress.tensor import Tensor
 from nncompress.util import cross_entropy
 
@@ -146,22 +146,12 @@ def test_plan_on_quantized_model():
         out = g.run(Tensor(x), mode="train")
         return T.tmean(T.mul(out, out))
 
-    plan = plan_mixed_precision(
-        g,
-        ctrl.handles["weight"],
-        loss_builder,
-        bit_choices=(2, 4, 8),
-        num_trace_samples=2,
-        target_ratio=2.0,
-        seed=11,
-    )
+    spec = MixedPrecisionSpec(candidate_bits=(2, 4, 8), trace_samples=2, ratio_threshold=2.0)
+    plan = plan_mixed_precision(g, ctrl.handles["weight"], loss_builder, spec, seed=11)
     assert set(plan.assignment) == {"conv1", "conv2", "fc"}
     assert plan.achieved_ratio >= 2.0
     # deterministic under the same seed
-    plan2 = plan_mixed_precision(
-        g, ctrl.handles["weight"], loss_builder,
-        bit_choices=(2, 4, 8), num_trace_samples=2, target_ratio=2.0, seed=11,
-    )
+    plan2 = plan_mixed_precision(g, ctrl.handles["weight"], loss_builder, spec, seed=11)
     assert plan.assignment == plan2.assignment
 
     ctrl.apply_bit_config(plan.assignment)
@@ -206,7 +196,7 @@ def test_plan_releases_its_loss_tape():
     try:
         plan_mixed_precision(
             g, ctrl.handles["weight"], lambda: cross_entropy(g.run(Tensor(x)), y),
-            num_trace_samples=2, target_ratio=2.0,
+            MixedPrecisionSpec(trace_samples=2, ratio_threshold=2.0), seed=0,
         )
         assert len(seen) == 1 and seen[0]() is None, "relu1's output outlived the plan"
     finally:

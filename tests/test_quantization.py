@@ -8,6 +8,7 @@ from nncompress.graph import Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.quantization import (
     FakeQuantizer,
     QuantizationBuilder,
+    QuantizationSpec,
     fusion_skips,
     initialize_quantizer_ranges,
     insert_quantizers,
@@ -380,7 +381,7 @@ def test_fusion_patterns_detected():
 
 def test_insertion_policy_on_fused_cnn():
     g = small_cnn()
-    h = insert_quantizers(g)
+    h = insert_quantizers(g, QuantizationSpec())
     assert set(h["weight"]) == {"conv1", "conv2", "fc"}
     assert set(h["activation"]) == {INPUT_ID, "relu1", "relu2", "fc"}
     assert h["activation"]["relu1"].grid == "unsigned_act"
@@ -395,7 +396,7 @@ def test_insertion_policy_on_fused_cnn():
 
 def test_insertion_policy_on_residual_tail():
     g = residual_tail()
-    h = insert_quantizers(g)
+    h = insert_quantizers(g, QuantizationSpec())
     assert set(h["weight"]) == {"conv1", "conv2"}
     assert set(h["activation"]) == {INPUT_ID, "relu1", "conv2", "bn2", "add", "relu2"}
     assert h["mirror"] == {"conv1": "relu1", "conv2": "conv2"}
@@ -403,7 +404,7 @@ def test_insertion_policy_on_residual_tail():
 
 def test_initialize_ranges_from_data():
     g = small_cnn()
-    h = insert_quantizers(g)
+    h = insert_quantizers(g, QuantizationSpec())
     rng = np.random.default_rng(2)
     batches = [rng.normal(size=(4, 1, 8, 8)) for _ in range(3)]
     initialize_quantizer_ranges(g, batches)
@@ -420,7 +421,7 @@ def test_initialize_ranges_from_data():
 
 def test_num_init_samples_caps_observation():
     g = small_cnn()
-    h = insert_quantizers(g)
+    h = insert_quantizers(g, QuantizationSpec())
     big = np.full((4, 1, 8, 8), 50.0)
     batches = [np.ones((4, 1, 8, 8)), big]
     initialize_quantizer_ranges(g, batches, num_batches=1)
@@ -429,7 +430,7 @@ def test_num_init_samples_caps_observation():
 
 def test_quantized_graph_round_trips_through_file(tmp_path):
     g = small_cnn()
-    insert_quantizers(g)
+    insert_quantizers(g, QuantizationSpec())
     rng = np.random.default_rng(4)
     initialize_quantizer_ranges(g, [rng.normal(size=(8, 1, 8, 8))])
     x = rng.normal(size=(3, 1, 8, 8))
@@ -474,7 +475,7 @@ def test_export_rejects_uninitialized_quantizers(tmp_path):
 def test_quantization_trains_end_to_end():
     # gradients reach the underlying weights through the fake quantizer
     g = small_cnn()
-    insert_quantizers(g)
+    insert_quantizers(g, QuantizationSpec())
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 1, 8, 8))
     initialize_quantizer_ranges(g, [x])

@@ -1,18 +1,24 @@
+import functools
 import json
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nncompress import serialize as S
+from nncompress.api import create_compressed_model
+from nncompress.binarization import ActivationBinarizer, WeightBinarizer
 from nncompress import tensor as T
 from nncompress.graph import GraphError, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.models import build_model
-from nncompress.quantization import initialize_quantizer_ranges, insert_quantizers
+from nncompress.quantization import QuantizationSpec, initialize_quantizer_ranges, insert_quantizers
 from nncompress.serialize import SerializationError
+from nncompress.sparsity import ParamMask
 from nncompress.tensor import Tensor
 
+from test_api import REPO
 from test_graph import bn_node, conv_node, fc_node
 
 
@@ -71,6 +77,9 @@ def _without_offset(manifest):
     return manifest
 
 
+DELETE = object()  # a ``_setting`` value that removes the entry instead
+
+
 def _setting(*path, value):
     """An edit that sets the manifest entry at ``path`` to ``value``."""
 
@@ -78,7 +87,10 @@ def _setting(*path, value):
         target = manifest
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        if value is DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
         return manifest
 
     return edit
@@ -122,15 +134,32 @@ MALFORMED_MANIFESTS = [
 
 def quantized_model():
     g = small_model()
-    insert_quantizers(g)
+    insert_quantizers(g, QuantizationSpec())
     initialize_quantizer_ranges(g)
     return g
 
 
-def _bad_hook(index, key, value, expect, id):
-    """A hook field (or, with a dotted key, one of its attrs) set to ``value``."""
-    path = ("hooks", index) + tuple(key.split("."))
-    return pytest.param(_setting(*path, value=value), expect, id=id)
+def binarized_model():
+    """Hook 0 binarizes c1's weight, hook 1 its input."""
+    g = small_model()
+    g.insert_hook(Hook("c1", HookPosition.PRE_PARAM, "binarization", WeightBinarizer("xnor"), param_name="weight"))
+    g.insert_hook(Hook("c1", HookPosition.PRE_INPUT, "binarization", ActivationBinarizer(1), input_index=0))
+    return g
+
+
+def masked_model():
+    """Hook 0 masks c1's weight."""
+    g = small_model()
+    mask = ParamMask(np.ones(g.nodes["c1"].params["weight"].shape))
+    g.insert_hook(Hook("c1", HookPosition.PRE_PARAM, "magnitude_sparsity", mask, param_name="weight"))
+    return g
+
+
+def _bad_hook(index, key, value, expect, id, model=None):
+    """A hook field (or, with a dotted key, one of its attrs or parameter
+    entries) set to ``value``, in ``model`` or by default in ``quantized_model``."""
+    path = ("hooks", index) + tuple(int(k) if k.isdigit() else k for k in key.split("."))
+    return pytest.param(model or quantized_model, _setting(*path, value=value), expect, id=id)
 
 
 # hook 0 quantizes the input per tensor; hook 1 is conv c1's per-channel weight quantizer
@@ -153,15 +182,66 @@ MALFORMED_HOOKS = [
     _bad_hook(1, "attrs.per_channel", "yes", "field 'per_channel' .* must be true or false", "string-per-channel"),
     _bad_hook(0, "attrs.per_channel", True, r"per_channel True needs range parameters \['scale'\] of one 1-d shape",
               "per-channel-scalar-scale"),
-    _bad_hook(1, "attrs.mode", "asymmetric", r"asymmetric quantizer .* needs range parameters \['rmin', 'rmax'\]",
+    _bad_hook(1, "attrs.mode", "asymmetric", r"asymmetric quantizer needs parameters \['rmin', 'rmax'\]",
               "mode-without-its-params"),
+    _bad_hook(0, "attrs.bits", 33, "field 'bits' .* an integer of at least 2 and at most 32", "33-bits"),
+    _bad_hook(0, "attrs.initialized", DELETE, "the fake_quant attrs has no field 'initialized'", "no-initialized"),
+    _bad_hook(0, "attrs.initialized", "no", "field 'initialized' .* must be true or false", "string-initialized"),
+    _bad_hook(0, "attrs.init_scheme", "bogus", "field 'init_scheme' .* must be one of", "bad-init-scheme"),
+    _bad_hook(0, "attrs.percentiles", [1, 2, 3], "field 'percentiles' .* must be two numbers", "three-percentiles"),
+    _bad_hook(0, "attrs.enabled", "no", "field 'enabled' of the binarize_weights attrs must be true or false",
+              "string-weights-enabled", binarized_model),
+    _bad_hook(0, "attrs.scheme", "bogus", "field 'scheme' of the binarize_weights attrs must be one of",
+              "bad-weight-scheme", binarized_model),
+    _bad_hook(1, "attrs.enabled", DELETE, "the binarize_activations attrs has no field 'enabled'",
+              "no-activations-enabled", binarized_model),
+    _bad_hook(1, "params.1", DELETE, r"activation binarizer needs parameters \['scale', 'thresholds'\], got \['scale'\]",
+              "no-thresholds", binarized_model),
+    _bad_hook(0, "params.0.name", "bogus", r"parameter mask needs parameters \['mask'\], got \['bogus'\]",
+              "renamed-mask", masked_model),
 ]
 
 
-@pytest.mark.parametrize("edit,message", MALFORMED_HOOKS)
-def test_malformed_hook_is_a_serialization_error(edit, message):
+@pytest.mark.parametrize("model,edit,message", MALFORMED_HOOKS)
+def test_malformed_hook_is_a_serialization_error(model, edit, message):
     with pytest.raises(SerializationError, match=message):
-        S.deserialize_model(with_manifest(S.serialize_model(quantized_model()), edit))
+        S.deserialize_model(with_manifest(S.serialize_model(model()), edit))
+
+
+# the live graphs keep their mask and gate hooks, which exports bake away
+FUZZED_CONFIGS = ("binarize", "int8_sparse50", "rb_sparsity50", "quant_asym_percentile")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def live_manifest(config_name):
+    config = json.loads((REPO / "configs" / f"{config_name}.json").read_text())
+    _, g = create_compressed_model(build_model("cnn-small", 0), config)
+    data = S.serialize_model(g)
+    (mlen,) = struct.unpack("<I", data[4:8])
+    return data, json.loads(data[8 : 8 + mlen])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(config_name=st.sampled_from(FUZZED_CONFIGS), draw=st.data())
+def test_fuzzed_hook_field_loads_or_is_a_serialization_error(config_name, draw):
+    """Deleting or replacing one hook attr or parameter name with any JSON
+    value either loads or raises SerializationError, never anything else."""
+    data, manifest = live_manifest(config_name)
+    hook_index = draw.draw(st.integers(0, len(manifest["hooks"]) - 1), label="hook")
+    hook = manifest["hooks"][hook_index]
+    targets = [("attrs", key) for key in hook["attrs"]] + [("params", i, "name") for i in range(len(hook["params"]))]
+    path = ("hooks", hook_index) + draw.draw(st.sampled_from(targets), label="field")
+    value = draw.draw(st.just(DELETE) | JSON_VALUES, label="value")
+    edited = with_manifest(data, lambda m: _setting(*path, value=value)(json.loads(json.dumps(m))))
+    try:
+        S.deserialize_model(edited)
+    except SerializationError:
+        pass
 
 
 def test_load_checks_each_hook_point_once(monkeypatch):

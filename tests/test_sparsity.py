@@ -235,11 +235,12 @@ def test_magnitude_scheduler_ramps_and_recomputes():
     assert ctrl.hooks["fc"].mask.data.ravel()[alive[0]] == 0.0
 
 
-def test_magnitude_adaptive_uses_reported_metric():
-    g = tiny_net()
-    ctrl = MagnitudeSparsityBuilder(
-        {"schedule": {"mode": "adaptive", "init": 0.1, "target": 0.3, "step": 0.1}}
-    ).apply_to(g)
+@pytest.mark.parametrize("builder", [MagnitudeSparsityBuilder, RBSparsityBuilder], ids=["magnitude", "rb"])
+def test_magnitude_adaptive_uses_reported_metric(builder):
+    def build():
+        return builder({"schedule": {"mode": "adaptive", "init": 0.1, "target": 0.3, "step": 0.1}}).apply_to(tiny_net())
+
+    ctrl = build()
     ctrl.scheduler.epoch_step()
     assert ctrl.level == pytest.approx(0.1)
     ctrl.scheduler.epoch_step(metric=1.0)
@@ -248,6 +249,13 @@ def test_magnitude_adaptive_uses_reported_metric():
     assert ctrl.level == pytest.approx(0.2)
     ctrl.scheduler.epoch_step(metric=0.5)  # improved
     assert ctrl.level == pytest.approx(0.2)
+    # the loss history is part of the scheduler state: a fresh controller
+    # restored from it takes the same level at the next epoch
+    restored = build()
+    restored.scheduler.load_state_dict(ctrl.scheduler.state_dict())
+    for c in (ctrl, restored):
+        c.scheduler.epoch_step(metric=0.49999)  # stalled again
+    assert restored.level == ctrl.level == pytest.approx(0.3)
 
 
 def test_magnitude_export_bakes_masks(tmp_path):
