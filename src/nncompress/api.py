@@ -18,15 +18,13 @@ from . import tensor as T
 from .base import CompressionBuilder, CompressionController, ConfigError, load_spec
 from .binarization import BinarizationBuilder
 from .graph import ModelGraph
-from .mixed_precision import plan_mixed_precision
 from .pruning import (
     FAMILY as PRUNING, PruningBuilder, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters,
 )
-from .quantization import FakeQuantizer, QuantizationBuilder, initialize_quantizer_ranges
+from .quantization import FakeQuantizer, QuantizationBuilder
 from .serialize import save_model
 from .sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
 from .tensor import Tensor
-from .util import cross_entropy
 
 BUILDERS: Dict[str, type] = {
     b.name: b for b in (QuantizationBuilder, BinarizationBuilder, MagnitudeSparsityBuilder,
@@ -96,9 +94,10 @@ def create_compressed_model(
     """Wrap a copy of the graph with every configured algorithm.
 
     ``init_data`` is a stream of input batches (optionally (x, labels)
-    tuples) used for data-driven quantizer range initialization and, when
-    configured, the second-order mixed-precision bit search, which needs
-    labels.
+    tuples).  Once every algorithm's hooks are in, each controller gets
+    them for its own data-driven set-up (``initialize``): quantization
+    sets its ranges and, when configured, runs the second-order
+    mixed-precision bit search, which needs labels.
     """
     spec, builders = _parse_config(config)
     g = graph.copy()
@@ -114,24 +113,8 @@ def create_compressed_model(
             )
 
     controllers: List[CompressionController] = [b.apply_to(g) for b in builders]
-
-    for builder, ctrl in zip(builders, controllers):
-        if builder.name != QuantizationBuilder.name:
-            continue
-        initialize_quantizer_ranges(g, [x for x, _ in batches] or None, builder.spec.init.num_batches)
-        mp = builder.spec.mixed_precision
-        if mp is not None:
-            labeled = [(x, y) for x, y in batches if y is not None]
-            if not labeled:
-                raise ConfigError("mixed precision search needs labeled init data")
-            x, y = labeled[0]
-            xt = Tensor(x)
-            plan = plan_mixed_precision(
-                g, ctrl.handles["weight"], lambda: cross_entropy(g.run(xt), y), mp,
-                seed=spec.seed if mp.seed is None else mp.seed,
-            )
-            ctrl.apply_bit_config(plan.assignment)
-            ctrl.mixed_precision_plan = plan
+    for ctrl in controllers:
+        ctrl.initialize(batches, spec.seed)
     return controllers, g
 
 

@@ -2,9 +2,10 @@
 
 Each algorithm ships a builder that rewires a model graph (inserting hooks,
 never editing layer math) and hands back a controller owning the algorithm's
-training-time state: an additive loss term, a schedule, and statistics.
-Each config section is described by a dataclass spec in the algorithm's
-module; ``load_spec`` fills it from a mapping.
+training-time state: an additive loss term, what each epoch of its
+schedule means, any data-driven set-up, and statistics.  Each config
+section is described by a dataclass spec in the algorithm's module;
+``load_spec`` fills it from a mapping.
 """
 
 from __future__ import annotations
@@ -108,30 +109,36 @@ def load_spec(cls, section, path: str = ""):
 
 
 class CompressionScheduler:
-    """Tracks training progress; subclasses translate it into algorithm state.
+    """Tracks training progress for one controller, which says what an epoch means.
 
     ``epoch_step`` runs at the start of every epoch (so the first call lands
     on epoch 0), ``step`` after every optimizer step.  ``metric`` carries the
-    monitored validation loss from the finished epoch, for schedules that
-    react to it.
+    monitored validation loss from the finished epoch; the history of those
+    losses goes to the controller's ``on_epoch`` along with the epoch.
     """
 
-    def __init__(self):
+    def __init__(self, controller: CompressionController):
+        self.controller = controller
         self.epoch = -1
         self.steps = 0
+        self.metric_history: List[float] = []
 
     def epoch_step(self, metric=None):
+        if metric is not None:
+            self.metric_history.append(float(metric))
         self.epoch += 1
+        self.controller.on_epoch(self.epoch, self.metric_history)
 
     def step(self):
         self.steps += 1
 
     def state_dict(self) -> dict:
-        return {"epoch": self.epoch, "steps": self.steps}
+        return {"epoch": self.epoch, "steps": self.steps, "metric_history": list(self.metric_history)}
 
     def load_state_dict(self, state: dict):
         self.epoch = state["epoch"]
         self.steps = state["steps"]
+        self.metric_history = list(state.get("metric_history", []))
 
 
 class CompressionController:
@@ -141,7 +148,13 @@ class CompressionController:
 
     def __init__(self, graph: ModelGraph):
         self.graph = graph
-        self.scheduler = CompressionScheduler()
+        self.scheduler = CompressionScheduler(self)
+
+    def initialize(self, batches: List[tuple], seed: int):
+        """Data-driven set-up from (x, labels or None) batches, once every hook is in."""
+
+    def on_epoch(self, epoch: int, metrics: List[float]):
+        """Move to ``epoch``; ``metrics`` holds the monitored losses seen so far."""
 
     def loss(self) -> Tensor:
         """Additive penalty evaluated once per training step.  Defaults to zero."""

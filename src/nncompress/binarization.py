@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, CompressionScheduler, SpecError, check_rule
+from .base import CompressionBuilder, CompressionController, SpecError, check_rule
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import ShapeError, Tensor
 
@@ -132,6 +132,9 @@ class WeightBinarizer:
     def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
         """Nothing to drop: the scales are recomputed from the weights on every call."""
 
+    def fits(self, shape) -> bool:
+        return len(shape) == 4  # a convolution weight
+
     def codec_state(self):
         return {"scheme": self.scheme, "enabled": self.enabled}, {}
 
@@ -155,6 +158,9 @@ class ActivationBinarizer:
     def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
         """Drop the thresholds of removed input channels."""
         self.thresholds.data = self.thresholds.data[keep_in]
+
+    def fits(self, shape) -> bool:
+        return False  # it wraps an activation, never a parameter
 
     def codec_state(self):
         return {"enabled": self.enabled}, {"scale": self.scale, "thresholds": self.thresholds}
@@ -268,17 +274,6 @@ def apply_binarization(
 # -- algorithm wiring ------------------------------------------------------
 
 
-class BinarizationScheduler(CompressionScheduler):
-    def __init__(self, controller: "BinarizationController", stage_epochs: Sequence[int]):
-        super().__init__()
-        self.controller = controller
-        self.stage_epochs = [int(d) for d in stage_epochs]
-
-    def epoch_step(self, metric=None):
-        super().epoch_step()
-        self.controller.apply_stage(binarization_stage_at(self.epoch, self.stage_epochs))
-
-
 class BinarizationController(CompressionController):
     name = FAMILY
 
@@ -286,10 +281,10 @@ class BinarizationController(CompressionController):
         super().__init__(graph)
         self.handles = handles
         self.stage = binarization_stage_at(0, [1, 0, 0, 0])  # pre-training: everything off
-        self.scheduler = BinarizationScheduler(self, stage_epochs)
+        self.stage_epochs = stage_epochs
 
-    def apply_stage(self, stage: BinarizationStage):
-        self.stage = stage
+    def on_epoch(self, epoch, metrics):
+        self.stage = stage = binarization_stage_at(epoch, self.stage_epochs)
         for wb, ab in self.handles.values():
             wb.enabled = stage.weights_on
             ab.enabled = stage.activations_on

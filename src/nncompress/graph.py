@@ -92,9 +92,20 @@ class ModelGraph:
 
     @hooks.setter
     def hooks(self, hooks):
-        self._hooks = tuple(hooks)
-        # (point, family) of every hook, so that insert_hook finds a duplicate in O(1)
-        self._hook_keys = {(h.point(), h.family) for h in self._hooks}
+        hooks, at = tuple(hooks), {}
+        for h in hooks:
+            self._file(at, h)
+        self._hooks, self._at = hooks, at
+
+    @staticmethod
+    def _file(at: Dict[tuple, List[Hook]], hook: Hook):
+        """File a hook in a point index (point -> hooks in registration order),
+        which insert_hook, hooks_at and run read; one family per point."""
+        same = at.setdefault(hook.point(), [])
+        for h in same:  # a plain loop: any() costs more, and this runs for every hook of every load
+            if h.family == hook.family:
+                raise GraphError(f"duplicate {hook.family!r} hook at {hook.node_id}/{hook.position.value}")
+        same.append(hook)
 
     # -- construction -----------------------------------------------------
 
@@ -177,18 +188,11 @@ class ModelGraph:
             node = self.nodes[hook.node_id]
             if not 0 <= hook.input_index < len(node.inputs):
                 raise GraphError(f"node {hook.node_id!r} has no input index {hook.input_index}")
-        key = (hook.point(), hook.family)
-        if key in self._hook_keys:
-            raise GraphError(f"duplicate {hook.family!r} hook at {hook.node_id}/{hook.position.value}")
-        self._hook_keys.add(key)
+        self._file(self._at, hook)
         self._hooks += (hook,)
 
     def hooks_at(self, node_id, position, param_name=None, input_index=0) -> List[Hook]:
-        return [
-            h
-            for h in self.hooks
-            if h.point() == (node_id, position, param_name, input_index)
-        ]
+        return list(self._at.get((node_id, position, param_name, input_index), ()))
 
     # -- shape inference ---------------------------------------------------
 
@@ -278,15 +282,14 @@ class ModelGraph:
             raise ShapeError(
                 f"graph input: expected [N, {', '.join(map(str, self.input_shape))}], got {x.shape}"
             )
-        by_point: Dict[tuple, List[Hook]] = {}  # each point's hooks, in registration order
-        for h in self.hooks:
-            if h.node_id != INPUT_ID and h.node_id not in self.nodes:
-                raise GraphError(f"dangling hook on removed node {h.node_id!r}")
-            by_point.setdefault(h.point(), []).append(h)
+        at = self._at
+        for node_id, *_ in at:
+            if node_id != INPUT_ID and node_id not in self.nodes:
+                raise GraphError(f"dangling hook on removed node {node_id!r}")
         ctx = ExecContext(mode=mode, rng=rng)
 
         def hooked(value: Tensor, node_id, position, param_name=None, input_index=0) -> Tensor:
-            for h in by_point.get((node_id, position, param_name, input_index), ()):
+            for h in at.get((node_id, position, param_name, input_index), ()):
                 value = h.transform(value, ctx)
             return value
 

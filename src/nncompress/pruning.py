@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .base import CompressionBuilder, CompressionController, CompressionScheduler, SpecError, check_rule
+from .base import CompressionBuilder, CompressionController, SpecError, check_rule
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .sparsity import ParamMask
 
@@ -285,22 +285,6 @@ class FilterPruningSpec:
             raise SpecError("criterion", f"must be one of {list(CRITERIA)}, got {self.criterion!r}")
 
 
-class PruningScheduler(CompressionScheduler):
-    def __init__(self, controller: "PruningController", spec: PruningSchedulerSpec, target: float):
-        super().__init__()
-        self.controller = controller
-        self.spec = spec
-        self.target = target
-
-    def epoch_step(self, metric=None):
-        super().epoch_step()
-        s = self.spec
-        rate, frozen = pruning_rate_at_epoch(s.mode, self.epoch, self.target, s.warmup_epochs, s.epochs)
-        if not self.controller.frozen and rate != self.controller.rate:
-            self.controller.set_rate(rate)
-        self.controller.frozen = frozen
-
-
 class PruningController(CompressionController):
     name = FAMILY
 
@@ -308,32 +292,34 @@ class PruningController(CompressionController):
         super().__init__(graph)
         self.prunable = list(mask_map.verdicts)
         self.hooks = hooks
-        self.criterion = spec.criterion
         self.rate = 0.0
         self.frozen = False
         self.conv_masks = {nid: mask_map.output_masks[nid] for nid in self.prunable}
         self.mask_map = mask_map
-        self.scheduler = PruningScheduler(self, spec.scheduler, spec.pruning_rate)
+        self.spec = spec
+
+    def on_epoch(self, epoch, metrics):
+        s = self.spec.scheduler
+        rate, frozen = pruning_rate_at_epoch(s.mode, epoch, self.spec.pruning_rate, s.warmup_epochs, s.epochs)
+        if not self.frozen and rate != self.rate:  # re-select the pruned subset from the current weights
+            self.conv_masks = self.plan_masks(rate)
+            self.mask_map = propagate_pruning_masks(self.graph, self.conv_masks)
+            write_filter_masks(self.graph, self.hooks, self.mask_map)
+            self.rate = rate
+        self.frozen = frozen
 
     def plan_masks(self, rate: float) -> Dict[str, np.ndarray]:
         masks = {}
         for nid in self.prunable:
             w = self.graph.nodes[nid].params["weight"].data
             try:
-                scores = filter_importance(w, self.criterion)
+                scores = filter_importance(w, self.spec.criterion)
             except ValueError as err:
                 warnings.warn(f"skipping {nid!r}: {err}")
                 masks[nid] = np.ones(w.shape[0], dtype=bool)
                 continue
             masks[nid] = filter_mask(scores, rate)
         return masks
-
-    def set_rate(self, rate: float):
-        """Re-select the pruned subset from current weights at a new rate."""
-        self.conv_masks = self.plan_masks(rate)
-        self.mask_map = propagate_pruning_masks(self.graph, self.conv_masks)
-        write_filter_masks(self.graph, self.hooks, self.mask_map)
-        self.rate = rate
 
     def statistics(self) -> dict:
         per_layer = {}
@@ -343,7 +329,7 @@ class PruningController(CompressionController):
         return {
             "rate": self.rate,
             "frozen": self.frozen,
-            "criterion": self.criterion,
+            "criterion": self.spec.criterion,
             "per_layer": per_layer,
             "prunable": {nid: self.mask_map.verdicts.get(nid, False) for nid in self.prunable},
         }

@@ -18,10 +18,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, SpecError, check_rule
+from .base import CompressionBuilder, CompressionController, ConfigError, SpecError, check_rule
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
-from .mixed_precision import DIRECTIONS
+from .mixed_precision import DIRECTIONS, plan_mixed_precision
 from .tensor import Tensor
+from .util import cross_entropy
 
 FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
@@ -196,6 +197,9 @@ class FakeQuantizer:
         if self.per_channel:
             for _, p in self.trainable_range_params():
                 p.data = p.data[keep_out].copy()
+
+    def fits(self, shape) -> bool:  # per-channel ranges: one entry per output channel
+        return not self.per_channel or self.trainable_range_params()[0][1].shape == tuple(shape[:1])
 
     def codec_state(self):
         attrs = {
@@ -420,11 +424,31 @@ class QuantizationSpec:
 class QuantizationController(CompressionController):
     name = FAMILY
 
-    def __init__(self, graph: ModelGraph, handles: dict):
+    def __init__(self, graph: ModelGraph, handles: dict, spec: QuantizationSpec):
         super().__init__(graph)
         self.handles = handles
+        self.spec = spec
         self.bit_config: Optional[Dict[str, int]] = None
         self.mixed_precision_plan = None
+
+    def initialize(self, batches, seed):
+        """Set ranges from the init batches, then, with a ``mixed_precision``
+        section, plan bit widths on the first labeled batch."""
+        initialize_quantizer_ranges(self.graph, [x for x, _ in batches] or None, self.spec.init.num_batches)
+        mp = self.spec.mixed_precision
+        if mp is None:
+            return
+        labeled = [(x, y) for x, y in batches if y is not None]
+        if not labeled:
+            raise ConfigError("mixed precision search needs labeled init data")
+        x, y = labeled[0]
+        xt = Tensor(x)
+        plan = plan_mixed_precision(
+            self.graph, self.handles["weight"], lambda: cross_entropy(self.graph.run(xt), y), mp,
+            seed=seed if mp.seed is None else mp.seed,
+        )
+        self.apply_bit_config(plan.assignment)
+        self.mixed_precision_plan = plan
 
     def extra_params(self):
         out = []
@@ -470,4 +494,4 @@ class QuantizationBuilder(CompressionBuilder):
     spec_class = QuantizationSpec
 
     def apply_to(self, graph: ModelGraph) -> QuantizationController:
-        return QuantizationController(graph, insert_quantizers(graph, self.spec))
+        return QuantizationController(graph, insert_quantizers(graph, self.spec), self.spec)

@@ -10,7 +10,9 @@ Layout, in order:
 
 Hook transforms survive a round trip when they carry a codec: an object
 with a ``codec_kind`` string and a ``codec_state()`` method returning
-``(attrs, params)``, plus a decoder registered under that kind.
+``(attrs, params)``, plus a decoder registered under that kind.  A decoded
+transform also answers ``fits(shape)``, which the loader asks of every
+hook on a parameter, so a hook that does not fit its parameter fails here.
 """
 
 from __future__ import annotations
@@ -216,16 +218,22 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
             transform = _DECODERS[kind](field(entry, "attrs", where, _OBJECT), params)
         except SerializationError as e:
             raise SerializationError(f"{where}: {e}") from e
-        graph.insert_hook(
-            Hook(
-                node_id=node_id,
-                position=HookPosition(field(entry, "position", where, _POSITION)),
-                family=field(entry, "family", where, _NAME),
-                transform=transform,
-                param_name=field(entry, "param_name", where, _OPTIONAL_NAME),
-                input_index=field(entry, "input_index", where, COUNT),
-            )
+        hook = Hook(
+            node_id=node_id,
+            position=HookPosition(field(entry, "position", where, _POSITION)),
+            family=field(entry, "family", where, _NAME),
+            transform=transform,
+            param_name=field(entry, "param_name", where, _OPTIONAL_NAME),
+            input_index=field(entry, "input_index", where, COUNT),
         )
+        graph.insert_hook(hook)
+        shape = graph.nodes[node_id].params[hook.param_name].shape if hook.position is HookPosition.PRE_PARAM else None
+        if shape is not None and not transform.fits(shape):
+            got = {name: list(p.shape) for name, p in params.items()}
+            raise SerializationError(
+                f"malformed manifest: {where} ({kind}, parameters {got}) does not fit "
+                f"parameter {hook.param_name!r} of shape {list(shape)}"
+            )
     return graph, manifest.get("extra", {})
 
 

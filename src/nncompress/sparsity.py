@@ -1,6 +1,6 @@
 """Unstructured weight sparsity.
 
-Two methods share the hook mechanics and one level scheduler (polynomial,
+Two methods share the hook mechanics and one level schedule (polynomial,
 exponential, multistep, or adaptive-to-validation-loss) but differ in how
 zeros are chosen:
 
@@ -97,37 +97,9 @@ def sparsity_level_at_epoch(
     return level
 
 
-class SparsityScheduler(CompressionScheduler):
-    """Moves a controller's level along its schedule at every epoch.
-
-    Both sparsity methods use it.  It keeps the monitored losses it is
-    given, which the adaptive mode reads and ``state_dict`` captures.
-    """
-
-    def __init__(self, controller, spec: SparsityScheduleSpec):
-        super().__init__()
-        self.controller = controller
-        self.spec = spec
-        self.metric_history: List[float] = []
-
-    def epoch_step(self, metric: Optional[float] = None):
-        if metric is not None:
-            self.metric_history.append(float(metric))
-        super().epoch_step()
-        self.controller.set_level(sparsity_level_at_epoch(self.spec, self.epoch, self.metric_history))
-
-    def state_dict(self):
-        d = super().state_dict()
-        d["metric_history"] = list(self.metric_history)
-        return d
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        self.metric_history = list(state.get("metric_history", []))
-
-
-# the benchmark's span tracer wraps epoch_step on the class under this name
-MagnitudeSparsityScheduler = SparsityScheduler
+# the benchmark's span tracer wraps epoch_step on the class under this name;
+# every controller's epoch now runs through it
+MagnitudeSparsityScheduler = CompressionScheduler
 
 
 # -- magnitude method ------------------------------------------------------
@@ -195,6 +167,9 @@ class ParamMask:
     def eval_mask(self) -> np.ndarray:
         return self.mask.data
 
+    def fits(self, shape) -> bool:  # the parameter's own shape, or one entry per filter
+        return self.mask.shape in (tuple(shape), (*shape[:1], *(1,) * (len(shape) - 1)))
+
     def codec_state(self):
         return {}, {"mask": self.mask}
 
@@ -215,7 +190,10 @@ class MagnitudeSparsityController(CompressionController):
         self.hooks = hooks
         self.level = 0.0
         self.threshold = 0.0
-        self.scheduler = SparsityScheduler(self, schedule)
+        self.schedule = schedule
+
+    def on_epoch(self, epoch, metrics):
+        self.set_level(sparsity_level_at_epoch(self.schedule, epoch, metrics))
 
     def set_level(self, level: float):
         weights = {nid: self.graph.nodes[nid].params["weight"].data for nid in self.hooks}
@@ -317,6 +295,9 @@ class RBGate:
     def eval_mask(self) -> np.ndarray:
         return rb_eval_mask(self.scores)
 
+    def fits(self, shape) -> bool:
+        return self.scores.shape == tuple(shape)
+
     def codec_state(self):
         return {}, {"scores": self.scores}
 
@@ -337,18 +318,17 @@ class RBSparsityController(CompressionController):
     def __init__(self, graph: ModelGraph, gates: Dict[str, RBGate], spec: RBSparsitySpec):
         super().__init__(graph)
         self.gates = gates
-        self.score_lr_multiplier = spec.score_lr_multiplier
         self.level = spec.schedule.target
-        self.scheduler = SparsityScheduler(self, spec.schedule)
+        self.spec = spec
 
-    def set_level(self, level: float):
-        self.level = level
+    def on_epoch(self, epoch, metrics):
+        self.level = sparsity_level_at_epoch(self.spec.schedule, epoch, metrics)
 
     def loss(self) -> Tensor:
         return rb_regularizer_loss([g.scores for g in self.gates.values()], self.level)
 
     def extra_params(self):
-        mult = self.score_lr_multiplier
+        mult = self.spec.score_lr_multiplier
         return [(f"rb_sparsity:{nid}:scores", g.scores, mult) for nid, g in self.gates.items()]
 
     def statistics(self) -> dict:

@@ -329,6 +329,28 @@ def test_epoch_steps_drive_schedules_and_metric():
     assert stats["achieved_sparsity"] == pytest.approx(round(0.5 * n) / n)
 
 
+@pytest.mark.parametrize("config_path", sorted(REPO.glob("configs/*.json")), ids=lambda p: p.name)
+def test_scheduler_state_restores_every_algorithm(config_path):
+    """A controller given another's scheduler state, through JSON as a
+    checkpoint stores it, steps on to the same state and statistics."""
+    config = json.loads(config_path.read_text())
+    graph = build_model("cnn-small", 3)
+    first, _ = create_compressed_model(graph, config, [stripes_like(16)])
+    second, _ = create_compressed_model(graph, config, [stripes_like(16)])
+    for metric in (None, 1.0, 0.99995):  # the last epoch stalls, for adaptive schedules
+        scheduler_epoch_step(first, metric=metric)
+        scheduler_step(first)
+    for a, b in zip(first, second):
+        b.scheduler.load_state_dict(json.loads(json.dumps(a.scheduler.state_dict())))
+    for controllers in (first, second):
+        scheduler_epoch_step(controllers, metric=0.5)
+    for a, b in zip(first, second):
+        state = a.scheduler.state_dict()
+        assert {"epoch", "steps", "metric_history"} <= set(state)
+        assert state == b.scheduler.state_dict()
+        assert a.statistics() == b.statistics()
+
+
 def test_batch_step_is_noop_for_quantization():
     g = build_model("cnn-small", 1)
     controllers, wrapped = create_compressed_model(

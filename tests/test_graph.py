@@ -122,6 +122,19 @@ def test_assigning_hooks_resets_the_duplicate_check():
         g.insert_hook(Hook("flat", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
 
 
+def test_assigning_duplicate_hooks_is_rejected():
+    """Assigning a sequence checks duplicates as insert_hook does, and a
+    rejected sequence leaves the graph's hooks as they were."""
+    g = ModelGraph(input_shape=(2,))
+    g.add_node(NodeSpec(id="flat", kind="Flatten", inputs=[INPUT_ID]))
+    g.insert_hook(Hook("flat", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+    twin = Hook("flat", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t)
+    with pytest.raises(GraphError, match="duplicate 'fam' hook at flat/post_output"):
+        g.hooks = [*g.hooks, twin]
+    assert len(g.hooks) == 1
+    assert g.hooks_at("flat", HookPosition.POST_OUTPUT) == list(g.hooks)
+
+
 def test_hook_on_unknown_node_rejected():
     g = ModelGraph(input_shape=(2,))
     g.add_node(NodeSpec(id="flat", kind="Flatten", inputs=[INPUT_ID]))

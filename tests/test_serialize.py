@@ -15,7 +15,7 @@ from nncompress.graph import GraphError, Hook, HookPosition, INPUT_ID, ModelGrap
 from nncompress.models import build_model
 from nncompress.quantization import QuantizationSpec, initialize_quantizer_ranges, insert_quantizers
 from nncompress.serialize import SerializationError
-from nncompress.sparsity import ParamMask
+from nncompress.sparsity import ParamMask, RBGate
 from nncompress.tensor import Tensor
 
 from test_api import REPO
@@ -155,6 +155,14 @@ def masked_model():
     return g
 
 
+def gated_model():
+    """Hook 0 gates c1's weight."""
+    g = small_model()
+    gate = RBGate(np.full(g.nodes["c1"].params["weight"].shape, 3.0))
+    g.insert_hook(Hook("c1", HookPosition.PRE_PARAM, "rb_sparsity", gate, param_name="weight"))
+    return g
+
+
 def _bad_hook(index, key, value, expect, id, model=None):
     """A hook field (or, with a dotted key, one of its attrs or parameter
     entries) set to ``value``, in ``model`` or by default in ``quantized_model``."""
@@ -199,6 +207,22 @@ MALFORMED_HOOKS = [
               "no-thresholds", binarized_model),
     _bad_hook(0, "params.0.name", "bogus", r"parameter mask needs parameters \['mask'\], got \['bogus'\]",
               "renamed-mask", masked_model),
+    # c1's weight is [2, 1, 3, 3]; each hook parameter shrinks so that its blob read stays in bounds
+    _bad_hook(0, "params.0.shape", [1, 1, 3, 3],
+              r"the hook at 'c1' \(param_mask, parameters \{'mask': \[1, 1, 3, 3\]\}\) does not fit "
+              r"parameter 'weight' of shape \[2, 1, 3, 3\]", "one-filter-mask", masked_model),
+    _bad_hook(0, "params.0.shape", [1, 1, 3, 3],
+              r"the hook at 'c1' \(rb_gate, parameters \{'scores': \[1, 1, 3, 3\]\}\) does not fit "
+              r"parameter 'weight' of shape \[2, 1, 3, 3\]", "one-filter-gate", gated_model),
+    _bad_hook(1, "params.0.shape", [1],
+              r"the hook at 'c1' \(fake_quant, parameters \{'scale': \[1\]\}\) does not fit "
+              r"parameter 'weight' of shape \[2, 1, 3, 3\]", "one-scale-for-two-filters"),
+    pytest.param(
+        binarized_model,
+        lambda m: _setting("hooks", 1, "param_name", value="bias")(_setting("hooks", 1, "position", value="pre_param")(m)),
+        r"the hook at 'c1' \(binarize_activations, .*\) does not fit parameter 'bias' of shape \[2\]",
+        id="activation-binarizer-on-a-parameter",
+    ),
 ]
 
 
@@ -242,6 +266,16 @@ def test_fuzzed_hook_field_loads_or_is_a_serialization_error(config_name, draw):
         S.deserialize_model(edited)
     except SerializationError:
         pass
+
+
+def test_filter_masks_fit_their_parameters():
+    """A mask with one entry per filter of a weight, or per channel, loads."""
+    g = small_model()
+    for name, shape in (("weight", (2, 1, 1, 1)), ("bias", (2,))):
+        mask = ParamMask(np.ones(shape))
+        g.insert_hook(Hook("c1", HookPosition.PRE_PARAM, "filter_pruning", mask, param_name=name))
+    loaded, _ = S.deserialize_model(S.serialize_model(g))
+    assert [h.transform.mask.shape for h in loaded.hooks] == [(2, 1, 1, 1), (2,)]
 
 
 def test_load_checks_each_hook_point_once(monkeypatch):
