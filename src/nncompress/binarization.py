@@ -159,8 +159,8 @@ class ActivationBinarizer:
         """Drop the thresholds of removed input channels."""
         self.thresholds.data = self.thresholds.data[keep_in]
 
-    def fits(self, shape) -> bool:
-        return False  # it wraps an activation, never a parameter
+    def fits(self, shape) -> bool:  # a (C, H, W) activation with one threshold per channel
+        return len(shape) == 3 and shape[0] == self.thresholds.shape[0]
 
     def codec_state(self):
         return {"enabled": self.enabled}, {"scale": self.scale, "thresholds": self.thresholds}

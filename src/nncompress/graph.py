@@ -14,9 +14,10 @@ Hooks of different families stack and compose in registration order.
 from __future__ import annotations
 
 import copy as _copy
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .tensor import ShapeError, Tensor
 
 INPUT_ID = "input"
 
-NODE_KINDS = ("Conv2D", "FullyConnected", "BatchNorm", "ReLU", "Add", "MaxPool2D", "Flatten")
 WEIGHTED_KINDS = ("Conv2D", "FullyConnected")
 
 
@@ -76,6 +76,131 @@ def _prod(shape) -> int:
     return out
 
 
+# -- node kinds: what each kind owns and does, in one table ------------------
+
+
+def _attr(node: NodeSpec, name: str, default: Optional[int] = None) -> int:
+    """An integer attr; ``default`` stands in for an optional one that is absent."""
+    value = node.attrs.get(name, default)
+    if type(value) is int:  # the common case first: every add_node infers every node's shape
+        return value
+    if name not in node.attrs and default is None:
+        raise GraphError(f"{node.kind} {node.id!r}: missing attr {name!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphError(f"{node.kind} {node.id!r}: attr {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _rank(node: NodeSpec, shape: Tuple[int, ...], rank: int) -> Tuple[int, ...]:
+    if len(shape) != rank:
+        raise GraphError(f"{node.kind} {node.id!r}: expected rank-{rank} input, got {shape}")
+    return shape
+
+
+def _channels(node: NodeSpec, shape: Tuple[int, ...], attr: str, what: str = "input channels") -> Tuple[int, ...]:
+    """``shape``, once its leading dimension matches the attr ``attr``."""
+    want = _attr(node, attr)
+    if shape[0] != want:
+        raise GraphError(f"{node.kind} {node.id!r}: {what} {shape[0]} != {attr} {want}")
+    return shape
+
+
+def _check_window(node: NodeSpec, kernel: int, stride: int, padding: int = 0):
+    for name, value, low in (("kernel", kernel, 1), ("stride", stride, 1), ("padding", padding, 0)):
+        if value < low:
+            raise GraphError(f"{node.kind} {node.id!r}: {name} must be >= {low}, got {value}")
+
+
+def _conv_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
+    c, h, w = _channels(node, _rank(node, ins[0], 3), "in_channels")
+    k, s, p = _attr(node, "kernel"), _attr(node, "stride", 1), _attr(node, "padding", 0)
+    _check_window(node, k, s, p)
+    oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    if oh < 1 or ow < 1:
+        raise GraphError(f"Conv2D {node.id!r}: kernel {k} does not fit input {h}x{w}")
+    return (_attr(node, "out_channels"), oh, ow)
+
+
+def _fc_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
+    _channels(node, _rank(node, ins[0], 1), "in_features", "input features")
+    return (_attr(node, "out_features"),)
+
+
+def _add_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
+    if ins[0] != ins[1]:
+        raise GraphError(f"Add {node.id!r}: input shapes {ins[0]} and {ins[1]} differ")
+    return ins[0]
+
+
+def _pool_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
+    c, h, w = _rank(node, ins[0], 3)
+    k = _attr(node, "kernel")
+    s = _attr(node, "stride", k)
+    _check_window(node, k, s)
+    if h < k or w < k:
+        raise GraphError(f"MaxPool2D {node.id!r}: window {k} does not fit input {h}x{w}")
+    return (c, (h - k) // s + 1, (w - k) // s + 1)
+
+
+def _run_conv(node: NodeSpec, ins, p: Dict[str, Tensor], ctx) -> Tensor:
+    a = node.attrs
+    return T.conv2d(ins[0], p["weight"], p["bias"], stride=a.get("stride", 1), padding=a.get("padding", 0))
+
+
+def _run_batchnorm(node: NodeSpec, ins, p: Dict[str, Tensor], ctx) -> Tensor:
+    eps = node.attrs.get("eps", 1e-5)
+    rm, rv = node.params["running_mean"], node.params["running_var"]
+    if ctx.mode != "train":
+        return T.batch_norm(ins[0], p["gamma"], p["beta"], eps, rm.data, rv.data)[0]
+    out, mean, var = T.batch_norm(ins[0], p["gamma"], p["beta"], eps)
+    # running buffers track batch statistics outside the tape
+    momentum = node.attrs.get("momentum", 0.1)
+    rm.data = (1 - momentum) * rm.data + momentum * mean.reshape(rm.shape)
+    rv.data = (1 - momentum) * rv.data + momentum * var.reshape(rv.shape)
+    return out
+
+
+def _run_pool(node: NodeSpec, ins, p: Dict[str, Tensor], ctx) -> Tensor:
+    k = node.attrs["kernel"]
+    return T.maxpool2d(ins[0], k, node.attrs.get("stride", k))
+
+
+def _weight_bias(*dims: str) -> Callable:
+    """A weighted kind's parameter table: ``weight`` shaped by the attrs
+    ``dims`` name, and one ``bias`` entry per output channel or feature."""
+    weight = operator.itemgetter(*dims)
+    return lambda a: {"weight": weight(a), "bias": (a[dims[0]],)}
+
+
+class _Kind(NamedTuple):
+    arity: int
+    shape: Callable  # (node, input shapes) -> output shape, batch dimension excluded
+    params: Callable  # attrs -> {parameter name: shape}; reads only attrs that the shape rule checks
+    run: Callable  # (node, input tensors, hooked parameters, ExecContext) -> output tensor
+
+
+_KINDS: Dict[str, _Kind] = {
+    "Conv2D": _Kind(1, _conv_shape, _weight_bias("out_channels", "in_channels", "kernel", "kernel"), _run_conv),
+    "FullyConnected": _Kind(
+        1, _fc_shape, _weight_bias("out_features", "in_features"),
+        lambda node, ins, p, ctx: T.linear(ins[0], p["weight"], p["bias"]),
+    ),
+    "BatchNorm": _Kind(
+        1, lambda node, ins: _channels(node, ins[0], "num_features"),
+        lambda a: dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (a["num_features"],)),
+        _run_batchnorm,
+    ),
+    "ReLU": _Kind(1, lambda node, ins: ins[0], lambda a: {}, lambda node, ins, p, ctx: T.relu(ins[0])),
+    "Add": _Kind(2, _add_shape, lambda a: {}, lambda node, ins, p, ctx: T.add(ins[0], ins[1])),
+    "MaxPool2D": _Kind(1, _pool_shape, lambda a: {}, _run_pool),
+    "Flatten": _Kind(
+        1, lambda node, ins: (_prod(ins[0]),), lambda a: {},
+        lambda node, ins, p, ctx: T.reshape(ins[0], (ins[0].shape[0], _prod(ins[0].shape[1:]))),
+    ),
+}
+NODE_KINDS = tuple(_KINDS)
+
+
 class ModelGraph:
     """Directed acyclic graph of layer nodes with named parameter tensors."""
 
@@ -111,12 +236,12 @@ class ModelGraph:
 
     def add_node(self, spec: NodeSpec) -> NodeSpec:
         self._link(spec)
-        self.infer_shapes()  # validates shape compatibility eagerly
+        self._validate([spec])  # checks shapes eagerly, and this node's parameters
         return spec
 
     def _link(self, spec: NodeSpec):
         """Append a node after the structural checks (id, kind, inputs, arity);
-        shapes are left to ``infer_shapes``."""
+        shapes and parameters are left to ``_validate``."""
         if spec.id == INPUT_ID or spec.id in self.nodes:
             raise GraphError(f"duplicate or reserved node id {spec.id!r}")
         if spec.kind not in NODE_KINDS:
@@ -124,16 +249,10 @@ class ModelGraph:
         for ref in spec.inputs:
             if ref != INPUT_ID and ref not in self.nodes:
                 raise GraphError(f"node {spec.id!r} references undefined input {ref!r}")
-        self._check_arity(spec)
+        arity, n = _KINDS[spec.kind].arity, len(spec.inputs)
+        if n != arity:
+            raise GraphError(f"{spec.kind} node {spec.id!r} needs exactly {arity} input{'s' * (arity > 1)}, got {n}")
         self.nodes[spec.id] = spec
-
-    def _check_arity(self, spec: NodeSpec):
-        n = len(spec.inputs)
-        if spec.kind == "Add":
-            if n != 2:
-                raise GraphError(f"Add node {spec.id!r} needs exactly 2 inputs, got {n}")
-        elif n != 1:
-            raise GraphError(f"{spec.kind} node {spec.id!r} needs exactly 1 input, got {n}")
 
     def consumers(self, node_id: str) -> List[NodeSpec]:
         return [n for n in self.nodes.values() if node_id in n.inputs]
@@ -178,16 +297,15 @@ class ModelGraph:
     # -- hooks ------------------------------------------------------------
 
     def insert_hook(self, hook: Hook):
-        if hook.node_id != INPUT_ID and hook.node_id not in self.nodes:
+        node = self.nodes.get(hook.node_id)
+        if node is None and hook.node_id != INPUT_ID:
             raise GraphError(f"hook references unknown node {hook.node_id!r}")
-        if hook.position is HookPosition.PRE_PARAM:
-            node = self.nodes[hook.node_id]
-            if hook.param_name not in node.params:
-                raise GraphError(f"node {hook.node_id!r} has no parameter {hook.param_name!r}")
-        if hook.position is HookPosition.PRE_INPUT:
-            node = self.nodes[hook.node_id]
-            if not 0 <= hook.input_index < len(node.inputs):
-                raise GraphError(f"node {hook.node_id!r} has no input index {hook.input_index}")
+        if node is None and hook.position is not HookPosition.POST_OUTPUT:
+            raise GraphError(f"{hook.family!r} hook at {INPUT_ID}/{hook.position.value}: the input has only an output")
+        if hook.position is HookPosition.PRE_PARAM and hook.param_name not in node.params:
+            raise GraphError(f"node {hook.node_id!r} has no parameter {hook.param_name!r}")
+        if hook.position is HookPosition.PRE_INPUT and not 0 <= hook.input_index < len(node.inputs):
+            raise GraphError(f"node {hook.node_id!r} has no input index {hook.input_index}")
         self._file(self._at, hook)
         self._hooks += (hook,)
 
@@ -205,71 +323,18 @@ class ModelGraph:
         return shapes
 
     def _infer_node(self, node: NodeSpec, ins: List[Tuple[int, ...]]) -> Tuple[int, ...]:
-        kind = node.kind
+        return _KINDS[node.kind].shape(node, ins)
 
-        def attr(name: str, default: Optional[int] = None) -> int:
-            """An integer attr; ``default`` stands in for an optional one that is absent."""
-            if name not in node.attrs and default is None:
-                raise GraphError(f"{kind} {node.id!r}: missing attr {name!r}")
-            value = node.attrs.get(name, default)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise GraphError(f"{kind} {node.id!r}: attr {name!r} must be an integer, got {value!r}")
-            return value
-
-        if kind == "Conv2D":
-            c, h, w = self._expect_rank(node, ins[0], 3)
-            cin = attr("in_channels")
-            if c != cin:
-                raise GraphError(f"Conv2D {node.id!r}: input channels {c} != in_channels {cin}")
-            k, s, p = attr("kernel"), attr("stride", 1), attr("padding", 0)
-            self._check_window(node, kernel=k, stride=s, padding=p)
-            oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-            if oh < 1 or ow < 1:
-                raise GraphError(f"Conv2D {node.id!r}: kernel {k} does not fit input {h}x{w}")
-            return (attr("out_channels"), oh, ow)
-        if kind == "FullyConnected":
-            (f,) = self._expect_rank(node, ins[0], 1)
-            fin = attr("in_features")
-            if f != fin:
-                raise GraphError(f"FullyConnected {node.id!r}: input features {f} != in_features {fin}")
-            return (attr("out_features"),)
-        if kind == "BatchNorm":
-            shape = ins[0]
-            c = shape[0]
-            features = attr("num_features")
-            if c != features:
-                raise GraphError(f"BatchNorm {node.id!r}: input channels {c} != num_features {features}")
-            return shape
-        if kind == "ReLU":
-            return ins[0]
-        if kind == "Add":
-            if ins[0] != ins[1]:
-                raise GraphError(f"Add {node.id!r}: input shapes {ins[0]} and {ins[1]} differ")
-            return ins[0]
-        if kind == "MaxPool2D":
-            c, h, w = self._expect_rank(node, ins[0], 3)
-            k = attr("kernel")
-            s = attr("stride", k)
-            self._check_window(node, kernel=k, stride=s)
-            if h < k or w < k:
-                raise GraphError(f"MaxPool2D {node.id!r}: window {k} does not fit input {h}x{w}")
-            return (c, (h - k) // s + 1, (w - k) // s + 1)
-        if kind == "Flatten":
-            return (_prod(ins[0]),)
-        raise GraphError(f"unknown node kind {kind!r}")
-
-    @staticmethod
-    def _check_window(node: NodeSpec, **attrs: int):
-        for name, value in attrs.items():
-            low = 0 if name == "padding" else 1
-            if value < low:
-                raise GraphError(f"{node.kind} {node.id!r}: {name} must be >= {low}, got {value}")
-
-    @staticmethod
-    def _expect_rank(node: NodeSpec, shape: Tuple[int, ...], rank: int) -> Tuple[int, ...]:
-        if len(shape) != rank:
-            raise GraphError(f"{node.kind} {node.id!r}: expected rank-{rank} input, got {shape}")
-        return shape
+    def _validate(self, nodes=None) -> Dict[str, Tuple[int, ...]]:
+        """One shape pass, then the parameter check of ``nodes`` (by default
+        every node): names and shapes against the kind's table."""
+        shapes = self.infer_shapes()
+        for node in self.nodes.values() if nodes is None else nodes:
+            want = _KINDS[node.kind].params(node.attrs)
+            got = {name: p.shape for name, p in node.params.items()}
+            if got != want:
+                raise GraphError(f"{node.kind} {node.id!r}: parameters must be {want}, got {got}")
+        return shapes
 
     # -- execution ---------------------------------------------------------
 
@@ -307,56 +372,17 @@ class ModelGraph:
             params = {
                 name: hooked(p, nid, HookPosition.PRE_PARAM, param_name=name) for name, p in node.params.items()
             }
-            out = self._exec_node(node, ins, params, ctx)
+            out = _KINDS[node.kind].run(node, ins, params, ctx)
             values[nid] = hooked(out, nid, HookPosition.POST_OUTPUT)
         return values[self.output_id()]
-
-    def _exec_node(self, node: NodeSpec, ins: List[Tensor], params: Dict[str, Tensor], ctx: ExecContext) -> Tensor:
-        kind, a = node.kind, node.attrs
-        if kind == "Conv2D":
-            return T.conv2d(
-                ins[0], params["weight"], params.get("bias"),
-                stride=a.get("stride", 1), padding=a.get("padding", 0),
-            )
-        if kind == "FullyConnected":
-            return T.linear(ins[0], params["weight"], params.get("bias"))
-        if kind == "BatchNorm":
-            return self._batchnorm(node, ins[0], params, ctx)
-        if kind == "ReLU":
-            return T.relu(ins[0])
-        if kind == "Add":
-            return T.add(ins[0], ins[1])
-        if kind == "MaxPool2D":
-            return T.maxpool2d(ins[0], a["kernel"], a.get("stride", a["kernel"]))
-        if kind == "Flatten":
-            n = ins[0].shape[0]
-            return T.reshape(ins[0], (n, _prod(ins[0].shape[1:])))
-        raise GraphError(f"unknown node kind {kind!r}")
-
-    def _batchnorm(self, node: NodeSpec, x: Tensor, params: Dict[str, Tensor], ctx: ExecContext) -> Tensor:
-        a = node.attrs
-        eps = a.get("eps", 1e-5)
-        rm, rv = node.params["running_mean"], node.params["running_var"]
-        if ctx.mode != "train":
-            return T.batch_norm(x, params["gamma"], params["beta"], eps, rm.data, rv.data)[0]
-        out, mean, var = T.batch_norm(x, params["gamma"], params["beta"], eps)
-        # running buffers track batch statistics outside the tape
-        momentum = a.get("momentum", 0.1)
-        rm.data = (1 - momentum) * rm.data + momentum * mean.reshape(rm.shape)
-        rv.data = (1 - momentum) * rv.data + momentum * var.reshape(rv.shape)
-        return out
 
     # -- derived metrics ---------------------------------------------------
 
     def flops_per_node(self) -> Dict[str, int]:
-        """Multiply-accumulate counts for the parameterized layers."""
+        """Multiply-accumulate counts of the weighted layers: every weight
+        entry is used once per output position."""
         shapes = self.infer_shapes()
-        out = {}
-        for nid, node in self.nodes.items():
-            if node.kind == "Conv2D":
-                a = node.attrs
-                _, oh, ow = shapes[nid]
-                out[nid] = a["kernel"] * a["kernel"] * a["in_channels"] * a["out_channels"] * oh * ow
-            elif node.kind == "FullyConnected":
-                out[nid] = node.attrs["in_features"] * node.attrs["out_features"]
-        return out
+        return {
+            nid: node.params["weight"].size * _prod(shapes[nid][1:])
+            for nid, node in self.nodes.items() if "weight" in node.params
+        }

@@ -4,109 +4,75 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import INPUT_ID, ModelGraph, NodeSpec
+from .graph import _KINDS, INPUT_ID, ModelGraph, NodeSpec
 from .tensor import Tensor
 from .util import make_rng
 
 PRESETS = ("mlp-small", "cnn-small", "cnn-residual")
 
-
-def _conv(nid, src, cin, cout, k, rng, stride=1, padding=0):
-    fan_in = cin * k * k
-    w = rng.normal(size=(cout, cin, k, k)) * np.sqrt(2.0 / fan_in)
-    return NodeSpec(
-        id=nid,
-        kind="Conv2D",
-        inputs=[src],
-        attrs={"in_channels": cin, "out_channels": cout, "kernel": k, "stride": stride, "padding": padding},
-        params={
-            "weight": Tensor(w, requires_grad=True),
-            "bias": Tensor(np.zeros(cout), requires_grad=True),
-        },
-    )
+_SAME_3X3 = {"kernel": 3, "stride": 1, "padding": 1}  # a convolution that keeps height and width
 
 
-def _fc(nid, src, fin, fout, rng):
-    w = rng.normal(size=(fout, fin)) * np.sqrt(2.0 / fin)
-    return NodeSpec(
-        id=nid,
-        kind="FullyConnected",
-        inputs=[src],
-        attrs={"in_features": fin, "out_features": fout},
-        params={
-            "weight": Tensor(w, requires_grad=True),
-            "bias": Tensor(np.zeros(fout), requires_grad=True),
-        },
-    )
-
-
-def _bn(nid, src, c):
-    return NodeSpec(
-        id=nid,
-        kind="BatchNorm",
-        inputs=[src],
-        attrs={"num_features": c},
-        params={
-            "gamma": Tensor(np.ones(c), requires_grad=True),
-            "beta": Tensor(np.zeros(c), requires_grad=True),
-            "running_mean": Tensor(np.zeros(c)),
-            "running_var": Tensor(np.ones(c)),
-        },
-    )
-
-
-def _op(nid, kind, src, **attrs):
-    return NodeSpec(id=nid, kind=kind, inputs=[src], attrs=attrs)
+def _build(input_shape, seed: int, layers) -> ModelGraph:
+    """A graph of ``(id, kind, inputs, attrs)`` layers, each parameter in the
+    shape its kind's table gives: weights He-normal, drawn in node order from
+    one generator seeded with ``seed``; ``gamma`` and ``running_var`` ones;
+    biases, ``beta`` and ``running_mean`` zeros."""
+    rng, g = make_rng(seed), ModelGraph(input_shape)
+    for nid, kind, inputs, attrs in layers:
+        params = {}
+        for name, shape in _KINDS[kind].params(attrs).items():
+            if name == "weight":
+                data = rng.normal(size=shape)
+                data *= np.sqrt(2.0 * shape[0] / data.size)  # He-normal: the same float as 2.0 / fan-in
+            else:
+                data = np.ones(shape) if name in ("gamma", "running_var") else np.zeros(shape)
+            params[name] = Tensor(data, requires_grad=not name.startswith("running_"))
+        g.add_node(NodeSpec(nid, kind, inputs, attrs, params))
+    return g
 
 
 def mlp_small(seed: int = 0) -> ModelGraph:
-    rng = make_rng(seed)
-    g = ModelGraph(input_shape=(8,))
-    g.add_node(_fc("fc1", INPUT_ID, 8, 16, rng))
-    g.add_node(_op("relu1", "ReLU", "fc1"))
-    g.add_node(_fc("fc2", "relu1", 16, 2, rng))
-    return g
+    return _build((8,), seed, [
+        ("fc1", "FullyConnected", [INPUT_ID], {"in_features": 8, "out_features": 16}),
+        ("relu1", "ReLU", ["fc1"], {}),
+        ("fc2", "FullyConnected", ["relu1"], {"in_features": 16, "out_features": 2}),
+    ])
 
 
 def cnn_small(seed: int = 0) -> ModelGraph:
-    rng = make_rng(seed)
-    g = ModelGraph(input_shape=(1, 8, 8))
-    g.add_node(_conv("conv1", INPUT_ID, 1, 4, 3, rng, padding=1))
-    g.add_node(_bn("bn1", "conv1", 4))
-    g.add_node(_op("relu1", "ReLU", "bn1"))
-    g.add_node(_op("pool1", "MaxPool2D", "relu1", kernel=2, stride=2))
-    g.add_node(_conv("conv2", "pool1", 4, 8, 3, rng, padding=1))
-    g.add_node(_op("relu2", "ReLU", "conv2"))
-    g.add_node(_op("pool2", "MaxPool2D", "relu2", kernel=2, stride=2))
-    g.add_node(_op("flat", "Flatten", "pool2"))
-    g.add_node(_fc("fc", "flat", 8 * 2 * 2, 2, rng))
-    return g
+    return _build((1, 8, 8), seed, [
+        ("conv1", "Conv2D", [INPUT_ID], {"in_channels": 1, "out_channels": 4, **_SAME_3X3}),
+        ("bn1", "BatchNorm", ["conv1"], {"num_features": 4}),
+        ("relu1", "ReLU", ["bn1"], {}),
+        ("pool1", "MaxPool2D", ["relu1"], {"kernel": 2, "stride": 2}),
+        ("conv2", "Conv2D", ["pool1"], {"in_channels": 4, "out_channels": 8, **_SAME_3X3}),
+        ("relu2", "ReLU", ["conv2"], {}),
+        ("pool2", "MaxPool2D", ["relu2"], {"kernel": 2, "stride": 2}),
+        ("flat", "Flatten", ["pool2"], {}),
+        ("fc", "FullyConnected", ["flat"], {"in_features": 8 * 2 * 2, "out_features": 2}),
+    ])
 
 
 def cnn_residual(seed: int = 0) -> ModelGraph:
-    rng = make_rng(seed)
-    g = ModelGraph(input_shape=(1, 8, 8))
-    g.add_node(_conv("stem", INPUT_ID, 1, 8, 3, rng, padding=1))
-    g.add_node(_bn("bn_stem", "stem", 8))
-    g.add_node(_op("relu_stem", "ReLU", "bn_stem"))
-    g.add_node(_conv("conv_a", "relu_stem", 8, 8, 3, rng, padding=1))
-    g.add_node(_bn("bn_a", "conv_a", 8))
-    g.add_node(_op("relu_a", "ReLU", "bn_a"))
-    g.add_node(_conv("conv_b", "relu_a", 8, 8, 3, rng, padding=1))
-    g.add_node(_bn("bn_b", "conv_b", 8))
-    g.add_node(NodeSpec(id="add", kind="Add", inputs=["relu_stem", "bn_b"]))
-    g.add_node(_op("relu_out", "ReLU", "add"))
-    g.add_node(_op("pool", "MaxPool2D", "relu_out", kernel=2, stride=2))
-    g.add_node(_op("flat", "Flatten", "pool"))
-    g.add_node(_fc("fc", "flat", 8 * 4 * 4, 2, rng))
-    return g
+    return _build((1, 8, 8), seed, [
+        ("stem", "Conv2D", [INPUT_ID], {"in_channels": 1, "out_channels": 8, **_SAME_3X3}),
+        ("bn_stem", "BatchNorm", ["stem"], {"num_features": 8}),
+        ("relu_stem", "ReLU", ["bn_stem"], {}),
+        ("conv_a", "Conv2D", ["relu_stem"], {"in_channels": 8, "out_channels": 8, **_SAME_3X3}),
+        ("bn_a", "BatchNorm", ["conv_a"], {"num_features": 8}),
+        ("relu_a", "ReLU", ["bn_a"], {}),
+        ("conv_b", "Conv2D", ["relu_a"], {"in_channels": 8, "out_channels": 8, **_SAME_3X3}),
+        ("bn_b", "BatchNorm", ["conv_b"], {"num_features": 8}),
+        ("add", "Add", ["relu_stem", "bn_b"], {}),
+        ("relu_out", "ReLU", ["add"], {}),
+        ("pool", "MaxPool2D", ["relu_out"], {"kernel": 2, "stride": 2}),
+        ("flat", "Flatten", ["pool"], {}),
+        ("fc", "FullyConnected", ["flat"], {"in_features": 8 * 4 * 4, "out_features": 2}),
+    ])
 
 
 def build_model(name: str, seed: int = 0) -> ModelGraph:
-    if name == "mlp-small":
-        return mlp_small(seed)
-    if name == "cnn-small":
-        return cnn_small(seed)
-    if name == "cnn-residual":
-        return cnn_residual(seed)
-    raise ValueError(f"unknown model preset {name!r}; choose from {PRESETS}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown model preset {name!r}; choose from {PRESETS}")
+    return {"mlp-small": mlp_small, "cnn-small": cnn_small, "cnn-residual": cnn_residual}[name](seed)

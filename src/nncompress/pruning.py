@@ -231,8 +231,8 @@ def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGr
     for nid, node in graph.nodes.items():
         if node.kind == "BatchNorm":
             keep = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
-            for pname in ("gamma", "beta", "running_mean", "running_var"):
-                node.params[pname].data = node.params[pname].data[keep]
+            for p in node.params.values():
+                p.data = p.data[keep]
             node.attrs["num_features"] = int(keep.sum())
         if node.kind not in WEIGHTED_KINDS:
             continue
@@ -255,7 +255,7 @@ def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGr
             if h.node_id == nid:
                 h.transform.select_channels(keep_out, keep_in)
 
-    graph.infer_shapes()  # validates the sliced graph end to end
+    graph._validate()  # checks the sliced graph's shapes and parameters end to end
     return graph
 
 

@@ -11,8 +11,9 @@ Layout, in order:
 Hook transforms survive a round trip when they carry a codec: an object
 with a ``codec_kind`` string and a ``codec_state()`` method returning
 ``(attrs, params)``, plus a decoder registered under that kind.  A decoded
-transform also answers ``fits(shape)``, which the loader asks of every
-hook on a parameter, so a hook that does not fit its parameter fails here.
+transform on a parameter or a node input also answers ``fits(shape)``,
+which the loader asks with the shape of what the hook wraps (an input's
+without its batch dimension), so a hook that does not fit fails here.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
                 params=_unpack_params(field(entry, "params", where, _LIST), blob, where),
             )
         )
-    graph.infer_shapes()  # one pass once every node is in, not one per node
+    shapes = graph._validate()  # one pass once every node is in, not one per node
     for entry in field(manifest, "hooks", "the manifest", _LIST):
         node_id = field(entry, "node_id", "a hook entry", _NAME)
         where = f"the hook at {node_id!r}"
@@ -227,12 +228,18 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
             input_index=field(entry, "input_index", where, COUNT),
         )
         graph.insert_hook(hook)
-        shape = graph.nodes[node_id].params[hook.param_name].shape if hook.position is HookPosition.PRE_PARAM else None
-        if shape is not None and not transform.fits(shape):
+        if hook.position is HookPosition.POST_OUTPUT:
+            continue
+        node = graph.nodes[node_id]
+        if hook.position is HookPosition.PRE_PARAM:
+            what, shape = f"parameter {hook.param_name!r}", node.params[hook.param_name].shape
+        else:
+            ref = node.inputs[hook.input_index]
+            what, shape = f"input {ref!r}", shapes[ref]
+        if not transform.fits(shape):
             got = {name: list(p.shape) for name, p in params.items()}
             raise SerializationError(
-                f"malformed manifest: {where} ({kind}, parameters {got}) does not fit "
-                f"parameter {hook.param_name!r} of shape {list(shape)}"
+                f"malformed manifest: {where} ({kind}, parameters {got}) does not fit {what} of shape {list(shape)}"
             )
     return graph, manifest.get("extra", {})
 

@@ -144,6 +144,20 @@ def test_hook_on_unknown_node_rejected():
         g.insert_hook(Hook("flat", HookPosition.PRE_PARAM, "fam", lambda t, ctx: t, param_name="weight"))
 
 
+@pytest.mark.parametrize(
+    "position, param_name", [(HookPosition.PRE_PARAM, "weight"), (HookPosition.PRE_INPUT, None)], ids=["param", "input"]
+)
+def test_input_takes_only_output_hooks(position, param_name):
+    """The graph input has neither parameters nor inputs, so a hook before
+    it is a GraphError naming the hook, and the graph keeps no trace of it."""
+    g = ModelGraph(input_shape=(2,))
+    g.add_node(NodeSpec(id="flat", kind="Flatten", inputs=[INPUT_ID]))
+    with pytest.raises(GraphError, match=f"^'fam' hook at input/{position.value}: the input has only an output$"):
+        g.insert_hook(Hook(INPUT_ID, position, "fam", lambda t, ctx: t, param_name=param_name))
+    assert g.hooks == ()
+    g.insert_hook(Hook(INPUT_ID, HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+
+
 def test_identity_hooks_are_transparent():
     rng = np.random.default_rng(0)
     w = rng.normal(size=(2, 3))

@@ -11,7 +11,7 @@ from nncompress import serialize as S
 from nncompress.api import create_compressed_model
 from nncompress.binarization import ActivationBinarizer, WeightBinarizer
 from nncompress import tensor as T
-from nncompress.graph import GraphError, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
+from nncompress.graph import _KINDS, GraphError, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.models import build_model
 from nncompress.quantization import QuantizationSpec, initialize_quantizer_ranges, insert_quantizers
 from nncompress.serialize import SerializationError
@@ -223,6 +223,10 @@ MALFORMED_HOOKS = [
         r"the hook at 'c1' \(binarize_activations, .*\) does not fit parameter 'bias' of shape \[2\]",
         id="activation-binarizer-on-a-parameter",
     ),
+    # c1 reads the one-channel input; an empty threshold list keeps the blob read in bounds
+    _bad_hook(1, "params.1.shape", [0],
+              r"the hook at 'c1' \(binarize_activations, parameters \{'scale': \[\], 'thresholds': \[0\]\}\) "
+              r"does not fit input 'input' of shape \[1, 4, 4\]$", "thresholds-for-no-channels", binarized_model),
 ]
 
 
@@ -230,6 +234,18 @@ MALFORMED_HOOKS = [
 def test_malformed_hook_is_a_serialization_error(model, edit, message):
     with pytest.raises(SerializationError, match=message):
         S.deserialize_model(with_manifest(S.serialize_model(model()), edit))
+
+
+@pytest.mark.parametrize(
+    "model, family, position",
+    [(quantized_model, "quantization", "pre_param"), (binarized_model, "binarization", "pre_input")],
+    ids=["weight-quantizer-on-the-input", "input-binarizer-before-the-input"],
+)
+def test_hook_before_the_input_is_a_graph_error(model, family, position):
+    """Hook 1 of either model moved to the graph input, which has only an output."""
+    data = with_manifest(S.serialize_model(model()), _setting("hooks", 1, "node_id", value=INPUT_ID))
+    with pytest.raises(GraphError, match=f"^'{family}' hook at input/{position}: the input has only an output$"):
+        S.deserialize_model(data)
 
 
 # the live graphs keep their mask and gate hooks, which exports bake away
@@ -334,6 +350,104 @@ def test_load_runs_one_shape_pass(monkeypatch):
 def _conv2_in_channels(manifest):
     next(n for n in manifest["nodes"] if n["id"] == "conv2")["attrs"]["in_channels"] = 5
     return manifest
+
+
+def _add_nodes(data: bytes) -> ModelGraph:
+    """The graph of a model file, rebuilt with add_node one node at a time."""
+    (mlen,) = struct.unpack("<I", data[4:8])
+    manifest, blob = json.loads(data[8 : 8 + mlen]), data[8 + mlen :]
+    g = ModelGraph(manifest["input_shape"])
+    for n in manifest["nodes"]:
+        g.add_node(NodeSpec(n["id"], n["kind"], n["inputs"], n["attrs"], S._unpack_params(n["params"], blob, n["id"])))
+    return g
+
+
+# cnn-small: node 0 is conv1 (weight [4, 1, 3, 3], then bias), node 1 is bn1 (gamma, beta, running_mean, running_var)
+BN1_TABLE = "{'gamma': (4,), 'beta': (4,), 'running_mean': (4,), 'running_var': (4,)}"
+MISMATCHED_PARAMETERS = [
+    pytest.param(
+        _setting("nodes", 1, "params", 3, "name", value="var"),
+        f"BatchNorm 'bn1': parameters must be {BN1_TABLE}, got "
+        "{'gamma': (4,), 'beta': (4,), 'running_mean': (4,), 'var': (4,)}",
+        id="renamed-running-var",
+    ),
+    pytest.param(
+        _setting("nodes", 0, "params", 1, value=DELETE),
+        "Conv2D 'conv1': parameters must be {'weight': (4, 1, 3, 3), 'bias': (4,)}, got {'weight': (4, 1, 3, 3)}",
+        id="conv-without-bias",
+    ),
+    pytest.param(
+        _setting("nodes", 0, "params", 0, "shape", value=[4, 1, 3, 2]),
+        "Conv2D 'conv1': parameters must be {'weight': (4, 1, 3, 3), 'bias': (4,)}, "
+        "got {'weight': (4, 1, 3, 2), 'bias': (4,)}",
+        id="misshaped-conv-weight",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", MISMATCHED_PARAMETERS)
+def test_parameter_table_mismatch_fails_load_and_add_node(edit, message):
+    """A node whose parameters differ from its kind's table, by name or by
+    shape, fails the load with the GraphError add_node raises for it."""
+    data = S.serialize_model(build_model("cnn-small"))
+    assert list(_add_nodes(data).nodes) == list(S.deserialize_model(data)[0].nodes)
+    edited = with_manifest(data, edit)
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        S.deserialize_model(edited)
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        _add_nodes(edited)
+
+
+@st.composite
+def valid_graphs(draw):
+    """A random valid graph over every node kind: a chain of convolutions,
+    BatchNorms, ReLUs, pools and residual Adds, then Flatten and a fully
+    connected head, each parameter drawn in the shape its kind's table gives."""
+    c, size = draw(st.integers(1, 3), label="channels"), draw(st.integers(1, 6), label="size")
+    g = ModelGraph((c, size, size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def add(kind, inputs, **attrs):
+        params = {}
+        for name, shape in _KINDS[kind].params(attrs).items():
+            data = rng.normal(size=shape)
+            params[name] = Tensor(np.abs(data) + 0.5 if name == "running_var" else data, requires_grad=True)
+        g.add_node(NodeSpec(f"n{len(g.nodes)}", kind, inputs, attrs, params))
+        return f"n{len(g.nodes) - 1}"
+
+    cur = INPUT_ID
+    for _ in range(draw(st.integers(0, 6), label="depth")):
+        shapes = g.infer_shapes()
+        c, h, _ = shapes[cur]
+        kind = draw(st.sampled_from(["Conv2D", "BatchNorm", "ReLU", "Add", "MaxPool2D"]), label="kind")
+        if kind == "Conv2D":
+            p = draw(st.integers(0, 1), label="padding")
+            k, s = draw(st.integers(1, min(3, h + 2 * p)), label="kernel"), draw(st.integers(1, 2), label="stride")
+            cout = draw(st.integers(1, 4), label="out_channels")
+            cur = add(kind, [cur], in_channels=c, out_channels=cout, kernel=k, stride=s, padding=p)
+        elif kind == "BatchNorm":
+            cur = add(kind, [cur], num_features=c)
+        elif kind == "Add":  # a residual from any earlier value of the same shape, cur itself included
+            cur = add(kind, [draw(st.sampled_from([n for n in shapes if shapes[n] == shapes[cur]])), cur])
+        elif kind == "MaxPool2D":
+            cur = add(kind, [cur], kernel=draw(st.integers(1, min(2, h)), label="window"), stride=2)
+        else:
+            cur = add(kind, [cur])
+    features = int(np.prod(g.infer_shapes()[cur]))
+    add("FullyConnected", [add("Flatten", [cur])], in_features=features, out_features=draw(st.integers(1, 3)))
+    return g
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(g=valid_graphs())
+def test_random_graph_round_trips_bit_identical(g):
+    """serialize -> deserialize -> eval gives the logits of the graph saved."""
+    loaded, _ = S.deserialize_model(S.serialize_model(g))
+    assert [(n.id, n.kind, n.inputs, n.attrs) for n in loaded.nodes.values()] == [
+        (n.id, n.kind, n.inputs, n.attrs) for n in g.nodes.values()
+    ]
+    x = Tensor(np.random.default_rng(0).normal(size=(3, *g.input_shape)))
+    assert np.array_equal(loaded.run(x).data, g.run(x).data)
 
 
 def test_shape_error_names_the_node():
