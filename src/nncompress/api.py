@@ -22,7 +22,7 @@ from .pruning import (
     FAMILY as PRUNING, PruningBuilder, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters,
 )
 from .quantization import FakeQuantizer, QuantizationBuilder
-from .serialize import save_model
+from .serialize import SerializationError, save_model
 from .sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
 from .tensor import Tensor
 
@@ -154,7 +154,7 @@ def export_graph(graph: ModelGraph, path) -> ModelGraph:
     g = graph.copy()
     for h in g.hooks:
         if isinstance(h.transform, FakeQuantizer) and not h.transform.initialized:
-            raise RuntimeError(f"quantizer on {h.node_id!r} is uninitialized; cannot export")
+            raise SerializationError(f"quantizer on {h.node_id!r} is uninitialized; cannot export")
 
     for h in g.hooks:
         if h.family in SPARSITY:

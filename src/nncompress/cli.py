@@ -1,6 +1,7 @@
 """Command-line trainer: build, compress, fine-tune, export, inspect.
 
-Exit codes: 0 success, 2 configuration or data problems, 3 numeric failure
+Exit codes, mapped from error types in ``main`` alone: 0 success, 2
+configuration, data, model-file or file-system problems, 3 numeric failure
 during training.  NNCOMPRESS_SEED and NNCOMPRESS_LOG_LEVEL override the
 seed argument and log verbosity.
 """
@@ -14,14 +15,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .api import ConfigError, create_compressed_model, export_graph
 from .data import make_dataset, train_val_split
-from .graph import GraphError
 from .models import PRESETS, build_model
-from .serialize import SerializationError, load_checkpoint, load_model, save_checkpoint
-from .tensor import ShapeError, Tensor
+from .serialize import load_checkpoint, load_model, save_checkpoint
 from .train import NumericError, evaluate, train_model
 
 log = logging.getLogger("nncompress")
@@ -29,18 +26,6 @@ log = logging.getLogger("nncompress")
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
 
 
 def _seed(args) -> int:
@@ -56,55 +41,43 @@ def cmd_train(args) -> int:
             with open(args.config) as fh:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
-            print(f"error: cannot read config {args.config}: {err}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        graph = build_model(args.model, seed)
-        x, y = make_dataset(args.dataset, args.samples, seed)
-        (x_train, y_train), (x_val, y_val) = train_val_split(x, y, seed=seed)
-        init_batches = [
-            (x_train[i : i + 64], y_train[i : i + 64]) for i in range(0, min(len(x_train), 256), 64)
-        ]
-        controllers, compressed = create_compressed_model(graph, config, init_batches)
-    except (ConfigError, GraphError, ShapeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+            raise ConfigError(f"cannot read config {args.config}: {err}") from None
+    graph = build_model(args.model, seed)
+    x, y = make_dataset(args.dataset, args.samples, seed)
+    (x_train, y_train), (x_val, y_val) = train_val_split(x, y, seed=seed)
+    init_batches = [
+        (x_train[i : i + 64], y_train[i : i + 64]) for i in range(0, min(len(x_train), 256), 64)
+    ]
+    controllers, compressed = create_compressed_model(graph, config, init_batches)
 
     os.makedirs(args.out, exist_ok=True)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     records = []
 
     def on_epoch(record):
-        line = json.dumps(_plain(record))
+        line = json.dumps(record)
         print(line)
         records.append(line)
 
-    try:
-        history = train_model(
-            compressed,
-            controllers,
-            (x_train, y_train),
-            (x_val, y_val),
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            lr=args.lr,
-            momentum=args.momentum,
-            seed=seed,
-            on_epoch=on_epoch,
-        )
-    except NumericError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ShapeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    history = train_model(
+        compressed,
+        controllers,
+        (x_train, y_train),
+        (x_val, y_val),
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        lr=args.lr,
+        momentum=args.momentum,
+        seed=seed,
+        on_epoch=on_epoch,
+    )
 
     with open(metrics_path, "w") as fh:
         fh.write("\n".join(records) + "\n")
     ckpt_path = os.path.join(args.out, "checkpoint.nncm")
     state = {
-        "schedulers": {c.name: _plain(c.scheduler.state_dict()) for c in controllers},
-        "final": {k: _plain(v) for k, v in history[-1].items() if k != "stats"} if history else {},
+        "schedulers": {c.name: c.scheduler.state_dict() for c in controllers},
+        "final": {k: v for k, v in history[-1].items() if k != "stats"} if history else {},
         "seed": seed,
         "model": args.model,
         "dataset": args.dataset,
@@ -117,41 +90,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        graph, _ = load_checkpoint(args.checkpoint)
-        exported = export_graph(graph, args.out)
-    except (SerializationError, OSError, RuntimeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    graph, _ = load_checkpoint(args.checkpoint)
+    exported = export_graph(graph, args.out)
     before, after = graph.num_params(), exported.num_params()
     print(f"exported {args.out}: parameters {before} -> {after}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    try:
-        graph, _ = load_model(args.model)
-        x, y = make_dataset(args.dataset, args.samples, _seed(args))
-    except (SerializationError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        start = time.perf_counter()
-        acc, loss = evaluate(graph, x, y)
-        elapsed = time.perf_counter() - start
-    except (ShapeError, GraphError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    graph, _ = load_model(args.model)
+    x, y = make_dataset(args.dataset, args.samples, _seed(args))
+    start = time.perf_counter()
+    acc, loss = evaluate(graph, x, y)
+    elapsed = time.perf_counter() - start
     print(f"accuracy {acc:.4f}  loss {loss:.4f}  throughput {len(x) / elapsed:.0f} samples/s")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    try:
-        graph, meta = load_checkpoint(args.checkpoint)
-    except (SerializationError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    graph, meta = load_checkpoint(args.checkpoint)
     rows = [("node", "point", "family", "detail")]
     for h in graph.hooks:
         point = h.position.value + ("" if h.param_name is None else f":{h.param_name}")
@@ -211,7 +168,11 @@ def main(argv=None) -> int:
         format="%(levelname)s %(message)s",
     )
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (NumericError, ValueError, OSError) as err:  # every other typed error of the package is a ValueError
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERIC if isinstance(err, NumericError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ Hooks of different families stack and compose in registration order.
 from __future__ import annotations
 
 import copy as _copy
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -126,6 +127,16 @@ def _fc_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
     return (_attr(node, "out_features"),)
 
 
+def _bn_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
+    """BatchNorm's shape, once the optional attrs its executor reads are in range."""
+    for name, ok, want in (("eps", lambda v: 0 < v < math.inf, "a finite number > 0"),
+                           ("momentum", lambda v: 0 <= v <= 1, "a number in [0, 1]")):
+        value = node.attrs.get(name)
+        if name in node.attrs and (isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value)):
+            raise GraphError(f"BatchNorm {node.id!r}: attr {name!r} must be {want}, got {value!r}")
+    return _channels(node, ins[0], "num_features")
+
+
 def _add_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
     if ins[0] != ins[1]:
         raise GraphError(f"Add {node.id!r}: input shapes {ins[0]} and {ins[1]} differ")
@@ -186,7 +197,7 @@ _KINDS: Dict[str, _Kind] = {
         lambda node, ins, p, ctx: T.linear(ins[0], p["weight"], p["bias"]),
     ),
     "BatchNorm": _Kind(
-        1, lambda node, ins: _channels(node, ins[0], "num_features"),
+        1, _bn_shape,
         lambda a: dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (a["num_features"],)),
         _run_batchnorm,
     ),
@@ -236,7 +247,11 @@ class ModelGraph:
 
     def add_node(self, spec: NodeSpec) -> NodeSpec:
         self._link(spec)
-        self._validate([spec])  # checks shapes eagerly, and this node's parameters
+        try:
+            self._validate([spec])  # checks shapes eagerly, and this node's parameters
+        except GraphError:
+            del self.nodes[spec.id]  # a rejected node leaves the graph as it was
+            raise
         return spec
 
     def _link(self, spec: NodeSpec):

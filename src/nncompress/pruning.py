@@ -292,21 +292,28 @@ class PruningController(CompressionController):
         super().__init__(graph)
         self.prunable = list(mask_map.verdicts)
         self.hooks = hooks
-        self.rate = 0.0
-        self.frozen = False
         self.conv_masks = {nid: mask_map.output_masks[nid] for nid in self.prunable}
         self.mask_map = mask_map
         self.spec = spec
 
-    def on_epoch(self, epoch, metrics):
+    def _schedule(self, epoch: int) -> Tuple[float, bool]:
+        """(rate, frozen) at ``epoch``; (0.0, False) before the first epoch."""
+        if epoch < 0:
+            return 0.0, False
         s = self.spec.scheduler
-        rate, frozen = pruning_rate_at_epoch(s.mode, epoch, self.spec.pruning_rate, s.warmup_epochs, s.epochs)
-        if not self.frozen and rate != self.rate:  # re-select the pruned subset from the current weights
+        return pruning_rate_at_epoch(s.mode, epoch, self.spec.pruning_rate, s.warmup_epochs, s.epochs)
+
+    # derived from the scheduler's epoch, so a restored scheduler state restores both
+    rate = property(lambda self: self._schedule(self.scheduler.epoch)[0])
+    frozen = property(lambda self: self._schedule(self.scheduler.epoch)[1])
+
+    def on_epoch(self, epoch, metrics):
+        before, frozen = self._schedule(epoch - 1)
+        rate = self._schedule(epoch)[0]
+        if not frozen and rate != before:  # re-select the pruned subset from the current weights
             self.conv_masks = self.plan_masks(rate)
             self.mask_map = propagate_pruning_masks(self.graph, self.conv_masks)
             write_filter_masks(self.graph, self.hooks, self.mask_map)
-            self.rate = rate
-        self.frozen = frozen
 
     def plan_masks(self, rate: float) -> Dict[str, np.ndarray]:
         masks = {}

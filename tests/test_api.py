@@ -22,7 +22,7 @@ from nncompress.api import (
 )
 from nncompress.models import build_model
 from nncompress.quantization import FakeQuantizer
-from nncompress.serialize import load_checkpoint, load_model, save_checkpoint, serialize_model
+from nncompress.serialize import SerializationError, load_checkpoint, load_model, save_checkpoint, serialize_model
 from nncompress.sparsity import RBGate
 from nncompress.tensor import Tensor
 
@@ -462,7 +462,7 @@ def test_export_rejects_uninitialized_quantizers(tmp_path):
     controllers, wrapped = create_compressed_model(
         g, {"compression": [{"algorithm": "quantization"}]}
     )
-    with pytest.raises(RuntimeError, match="uninitialized"):
+    with pytest.raises(SerializationError, match="uninitialized"):
         export_model(controllers, wrapped, tmp_path / "x.nncm")
-    with pytest.raises(RuntimeError, match="uninitialized"):
+    with pytest.raises(SerializationError, match="uninitialized"):
         export_graph(wrapped, tmp_path / "y.nncm")

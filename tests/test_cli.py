@@ -5,14 +5,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nncompress import tensor as T
+from nncompress.api import create_compressed_model
 from nncompress.cli import main
+from nncompress.data import make_dataset
 from nncompress.graph import GraphError
 from nncompress.models import build_model
-from nncompress.serialize import load_checkpoint, load_model, serialize_model
+from nncompress.serialize import SerializationError, deserialize_model, load_checkpoint, load_model, serialize_model
+from nncompress.tensor import Tensor
+from nncompress.train import train_model
 
 from test_api import BAD_VALUE_IDS, BAD_VALUES, REPO
-from test_serialize import MALFORMED_MANIFESTS, with_manifest
+from test_serialize import (
+    BAD_BATCHNORM_ATTRS, DELETE, JSON_VALUES, MALFORMED_MANIFESTS, _setting, live_manifest, with_manifest,
+)
 
 
 def run_cli(argv, capsys):
@@ -304,3 +312,76 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "checkpoint.nncm").exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "model.nncm"
+    taken.write_bytes(b"")
+    code, _, err = run_cli(train_args(taken, epochs=1), capsys)
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("attr, value, expect", BAD_BATCHNORM_ATTRS)
+def test_bad_batchnorm_attr_exits_2(tmp_path, capsys, attr, value, expect):
+    path = tmp_path / "m.nncm"
+    edit = _setting("nodes", 1, "attrs", attr, value=value)
+    path.write_bytes(with_manifest(serialize_model(build_model("cnn-small")), edit))
+    code, _, err = run_cli(["eval", "--model", str(path), "--dataset", "stripes", "--samples", "16"], capsys)
+    assert code == 2 and f"BatchNorm 'bn1': attr {attr!r} must be {expect}" in err
+
+
+@pytest.mark.parametrize("config", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_epoch_records_and_scheduler_states_are_json_native(config):
+    """The CLI writes both with a bare json.dumps, with no conversion pass."""
+    x, y = make_dataset("stripes", 64, 0)
+    controllers, g = create_compressed_model(build_model("cnn-small", 0), json.loads(config.read_text()), [(x, y)])
+    for record in train_model(g, controllers, (x, y), (x, y), epochs=1):
+        json.dumps(record)
+    for ctrl in controllers:
+        json.dumps(ctrl.scheduler.state_dict())
+
+
+def entry_paths(value, path=()):
+    """The path of every entry of a JSON tree, inner entries included."""
+    entries = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in entries:
+        yield path + (key,)
+        yield from entry_paths(child, path + (key,))
+
+
+# the attrs each kind's executor reads, present in the file or not
+EXECUTOR_ATTRS = {
+    "Conv2D": ("kernel", "stride", "padding"), "BatchNorm": ("eps", "momentum"), "MaxPool2D": ("kernel", "stride"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(
+    derandomize=True, max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(draw=st.data())
+def test_fuzzed_manifest_evaluates_or_exits_2(tmp_path, capsys, draw):
+    """Replacing or deleting any one manifest entry (top level, node, parameter
+    table or hook), or setting an attr an executor reads, gives a graph that
+    evaluates or a typed error, and eval exits 0 or 2 without a traceback."""
+    data, manifest = live_manifest("int8_sparse50")
+    if draw.draw(st.booleans(), label="set an executor attr"):
+        nodes = manifest["nodes"]
+        targets = [("nodes", i, "attrs", a) for i, n in enumerate(nodes) for a in EXECUTOR_ATTRS.get(n["kind"], ())]
+        path = draw.draw(st.sampled_from(targets), label="attr")
+        value = draw.draw(JSON_VALUES, label="value")
+    else:
+        path = draw.draw(st.sampled_from(list(entry_paths(manifest))), label="entry")
+        value = draw.draw(st.just(DELETE) | JSON_VALUES, label="value")
+    edited = with_manifest(data, _setting(*path, value=value))
+    try:
+        g, _ = deserialize_model(edited)
+    except (SerializationError, GraphError):
+        pass
+    else:
+        with T.no_grad():
+            g.run(Tensor(np.zeros((2, *g.input_shape))))
+    model = tmp_path / "m.nncm"
+    model.write_bytes(edited)
+    code, _, err = run_cli(["eval", "--model", str(model), "--dataset", "stripes", "--samples", "16"], capsys)
+    assert code in (0, 2) and "Traceback" not in err

@@ -204,6 +204,24 @@ def test_shape_inference_and_mismatch_errors():
         bad.add_node(conv_node("c1", INPUT_ID, 3, 4, 3))
 
 
+def test_rejected_node_is_unlinked():
+    g = ModelGraph(input_shape=(3,))
+    with pytest.raises(GraphError, match="FullyConnected 'fc': input features 3 != in_features 4"):
+        g.add_node(fc_node("fc", INPUT_ID, 4, 2))
+    g.add_node(NodeSpec(id="r", kind="ReLU", inputs=[INPUT_ID]))
+    assert list(g.nodes) == ["r"]
+    assert g.infer_shapes()["r"] == (3,)
+
+
+@pytest.mark.parametrize("attrs", [{"eps": 1}, {"eps": 1e-3}, {"momentum": 0}, {"momentum": 1.0}])
+def test_batchnorm_attrs_in_range_accepted(attrs):
+    """An integer eps and either end of momentum's range are accepted; the
+    values rejected are in test_serialize.BAD_BATCHNORM_ATTRS."""
+    spec = bn_node("bn", INPUT_ID, 2)
+    spec.attrs.update(attrs)
+    ModelGraph(input_shape=(2, 4, 4)).add_node(spec)
+
+
 def _added(spec):
     return lambda: ModelGraph(input_shape=(2, 8, 8)).add_node(spec)
 

@@ -5,20 +5,25 @@ import pytest
 
 from nncompress import tensor as T
 from nncompress.api import export_graph
+from nncompress.data import make_dataset
 from nncompress.graph import Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
+from nncompress.models import build_model
 from nncompress.pruning import (
     PruningBuilder,
     apply_filter_masks,
     filter_importance,
     filter_mask,
+    installed_filter_masks,
     propagate_pruning_masks,
     pruning_rate_at_epoch,
     strip_pruned_filters,
+    write_filter_masks,
 )
 from nncompress.quantization import FakeQuantizer, quant_grid
 from nncompress.serialize import serialize_model
 from nncompress.sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
 from nncompress.tensor import Tensor
+from nncompress.train import train_model
 
 from topologies import TOPOLOGIES, chain_bn, chain_relu, drop, rand_conv, rand_fc, simple
 
@@ -355,6 +360,28 @@ def test_frozen_controller_stops_reselecting():
     ctrl.scheduler.epoch_step()
     for nid, m in frozen_masks.items():
         np.testing.assert_array_equal(ctrl.conv_masks[nid], m)
+
+
+def test_restored_scheduler_state_keeps_frozen_masks():
+    # rate and frozen follow the scheduler's epoch, so a restored state resumes
+    # a frozen run as frozen instead of re-selecting from the current weights
+    x, y = make_dataset("stripes", 64, 0)
+    a = PruningBuilder({"pruning_rate": 0.5}).apply_to(build_model("cnn-small", 0))
+    train_model(a.graph, [a], (x, y), (x, y), epochs=1)
+    assert a.frozen and a.rate == 0.5
+    b = PruningBuilder({"pruning_rate": 0.5}).apply_to(build_model("cnn-small", 0))
+    b.scheduler.load_state_dict(a.scheduler.state_dict())
+    write_filter_masks(b.graph, b.hooks, a.mask_map)
+    assert b.frozen and b.rate == 0.5
+    for ctrl in (a, b):
+        for nid in ctrl.prunable:
+            w = ctrl.graph.nodes[nid].params["weight"]
+            w.data = w.data[::-1] * np.arange(1, w.shape[0] + 1).reshape(-1, 1, 1, 1)
+        ctrl.scheduler.epoch_step()
+    masks_a, masks_b = installed_filter_masks(a.graph), installed_filter_masks(b.graph)
+    assert masks_a.keys() == masks_b.keys()
+    for nid in masks_a:
+        np.testing.assert_array_equal(masks_a[nid], masks_b[nid])
 
 
 def test_geometric_median_single_filter_skipped_with_warning():

@@ -468,7 +468,7 @@ def test_builder_controller_flow():
 def test_export_rejects_uninitialized_quantizers(tmp_path):
     g = small_cnn()
     QuantizationBuilder({}).apply_to(g)
-    with pytest.raises(RuntimeError, match="uninitialized"):
+    with pytest.raises(S.SerializationError, match="uninitialized"):
         export_graph(g, tmp_path / "q.nncm")
 
 

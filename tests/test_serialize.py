@@ -398,6 +398,32 @@ def test_parameter_table_mismatch_fails_load_and_add_node(edit, message):
         _add_nodes(edited)
 
 
+# a BatchNorm attr that numpy would read unchecked: a TypeError at run time, or a loss of nan
+BAD_BATCHNORM_ATTRS = [
+    pytest.param("eps", "x", "a finite number > 0, got 'x'", id="string-eps"),
+    pytest.param("eps", None, "a finite number > 0, got None", id="null-eps"),
+    pytest.param("eps", True, "a finite number > 0, got True", id="bool-eps"),
+    pytest.param("eps", -1.0, "a finite number > 0, got -1.0", id="negative-eps"),
+    pytest.param("eps", 0, "a finite number > 0, got 0", id="zero-eps"),
+    pytest.param("eps", float("nan"), "a finite number > 0, got nan", id="nan-eps"),
+    pytest.param("eps", float("inf"), "a finite number > 0, got inf", id="inf-eps"),
+    pytest.param("momentum", "0.1", "a number in [0, 1], got '0.1'", id="string-momentum"),
+    pytest.param("momentum", -0.1, "a number in [0, 1], got -0.1", id="negative-momentum"),
+    pytest.param("momentum", 1.5, "a number in [0, 1], got 1.5", id="momentum-above-1"),
+    pytest.param("momentum", float("nan"), "a number in [0, 1], got nan", id="nan-momentum"),
+]
+
+
+@pytest.mark.parametrize("attr, value, expect", BAD_BATCHNORM_ATTRS)
+def test_bad_batchnorm_attr_fails_load_and_add_node(attr, value, expect):
+    edited = with_manifest(S.serialize_model(build_model("cnn-small")), _setting("nodes", 1, "attrs", attr, value=value))
+    message = f"^BatchNorm 'bn1': attr {attr!r} must be {re.escape(expect)}$"
+    with pytest.raises(GraphError, match=message):
+        S.deserialize_model(edited)
+    with pytest.raises(GraphError, match=message):
+        _add_nodes(edited)
+
+
 @st.composite
 def valid_graphs(draw):
     """A random valid graph over every node kind: a chain of convolutions,
