@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="compression config (JSON); omit for uncompressed training")
     t.add_argument("--model", required=True, choices=PRESETS)
     t.add_argument("--dataset", required=True, help="blobs, stripes, or a .csv path")
-    t.add_argument("--epochs", type=int, default=10)
+    t.add_argument("--epochs", type=_positive_int, default=10)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, help="output directory")
     t.add_argument("--batch-size", type=_positive_int, default=32)

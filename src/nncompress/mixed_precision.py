@@ -137,20 +137,14 @@ def plan_mixed_precision(
 
     Trace probes for layer k draw from an independent sub-stream of
     ``seed``, so the estimate for one layer is unaffected by how many
-    samples the others used.  Once every layer is profiled, the loss tape
-    is released as ``backward`` releases it.
+    samples the others used.
     """
     flops = graph.flops_per_node()
     loss = loss_builder()
     profiles = []
-    try:
-        for index, (nid, fq) in enumerate(weight_quantizers.items()):
-            w = graph.nodes[nid].params["weight"]
-            trace = estimate_hessian_trace(loss, w, num_samples=spec.trace_samples, rng=derive_rng(seed, index))
-            errors = {int(b): quantization_error(w.data, fq, b) for b in spec.candidate_bits}
-            profiles.append(
-                LayerProfile(node_id=nid, avg_trace=trace / w.size, flops=flops[nid], errors=errors)
-            )
-    finally:
-        T.release(loss)
+    for index, (nid, fq) in enumerate(weight_quantizers.items()):
+        w = graph.nodes[nid].params["weight"]
+        trace = estimate_hessian_trace(loss, w, num_samples=spec.trace_samples, rng=derive_rng(seed, index))
+        errors = {int(b): quantization_error(w.data, fq, b) for b in spec.candidate_bits}
+        profiles.append(LayerProfile(node_id=nid, avg_trace=trace / w.size, flops=flops[nid], errors=errors))
     return select_bitwidth_config(profiles, spec.ratio_threshold, spec.candidate_bits, spec.direction)

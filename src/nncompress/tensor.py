@@ -14,6 +14,7 @@ gradient through unchanged.
 from __future__ import annotations
 
 import copy as _copy
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -172,6 +173,11 @@ def _node(data: np.ndarray, parents, op: str) -> Tensor:
     return out
 
 
+def _recording(*tensors) -> bool:
+    """Whether an op on ``tensors`` goes on the tape."""
+    return _GradMode.enabled and any(t.requires_grad for t in tensors)
+
+
 def _operands(a, b, op: str):
     """Both operands as tensors; their shapes must broadcast together."""
     a, b = as_tensor(a), as_tensor(b)
@@ -245,18 +251,20 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _operands(a, b, "div")
     out = _node(a.data / b.data, [], "div")
+    ref = weakref.ref(out)
 
     def vjp_a(g):
         return _sum_to(div(g, b), a.shape)
 
     def vjp_b(g):
-        return _sum_to(neg(div(mul(g, out), b)), b.shape)
+        return _sum_to(neg(div(mul(g, ref()), b)), b.shape)
 
     return _attach(out, [(a, vjp_a), (b, vjp_b)])
 
 
 def _attach(out: Tensor, parents) -> Tensor:
-    # used by ops whose vjps reference the output tensor
+    # used by ops that build their output before their vjps; a vjp that
+    # needs the output holds a weak reference, so no tape is a cycle
     if _GradMode.enabled:
         kept = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
         out._parents = kept
@@ -267,7 +275,8 @@ def _attach(out: Tensor, parents) -> Tensor:
 def texp(a) -> Tensor:
     a = as_tensor(a)
     out = _node(np.exp(a.data), [], "exp")
-    return _attach(out, [(a, lambda g: mul(g, out))])
+    ref = weakref.ref(out)
+    return _attach(out, [(a, lambda g: mul(g, ref()))])
 
 
 def tlog(a) -> Tensor:
@@ -278,7 +287,8 @@ def tlog(a) -> Tensor:
 def tsqrt(a) -> Tensor:
     a = as_tensor(a)
     out = _node(np.sqrt(a.data), [], "sqrt")
-    return _attach(out, [(a, lambda g: div(mul(g, 0.5), out))])
+    ref = weakref.ref(out)
+    return _attach(out, [(a, lambda g: div(mul(g, 0.5), ref()))])
 
 
 def sigmoid(a) -> Tensor:
@@ -287,7 +297,13 @@ def sigmoid(a) -> Tensor:
     x = a.data
     y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     out = _node(y, [], "sigmoid")
-    return _attach(out, [(a, lambda g: mul(g, mul(out, sub(1.0, out))))])
+    ref = weakref.ref(out)
+
+    def vjp(g):
+        s = ref()
+        return mul(g, mul(s, sub(1.0, s)))
+
+    return _attach(out, [(a, vjp)])
 
 
 def tabs(a) -> Tensor:
@@ -298,8 +314,11 @@ def tabs(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
+    out = _node(np.maximum(a.data, 0.0), [], "relu")
+    if not _recording(a):
+        return out
     mask = (a.data > 0).astype(np.float64)
-    return _node(np.maximum(a.data, 0.0), [(a, lambda g: mul(g, Tensor(mask)))], "relu")
+    return _attach(out, [(a, lambda g: mul(g, Tensor(mask)))])
 
 
 def _select(a, b, take_a: np.ndarray, data: np.ndarray, op: str) -> Tensor:
@@ -365,10 +384,14 @@ def fake_quant(x, scale, q_min: float, q_max: float, floor: float) -> Tensor:
     x, scale = as_tensor(x), as_tensor(scale)
     step = _channel_view(np.maximum(scale.data, floor), x.shape, "fake_quant") / q_max
     v = x.data / step
+    if not _recording(x, scale):
+        # the same sequence in place, in the one buffer v
+        np.maximum(v, q_min, out=v)
+        np.minimum(v, q_max, out=v)
+        np.round(v, out=v)
+        return _node(np.multiply(v, step, out=v), [], "fake_quant")
     q = np.round(np.minimum(np.maximum(v, q_min), q_max))
     out = _node(q * step, [], "fake_quant")
-    if not (_GradMode.enabled and (x.requires_grad or scale.requires_grad)):
-        return out
     inside = ((v >= q_min) & (v <= q_max)).astype(np.float64)
     kept = (scale.data >= floor).astype(np.float64)
 
@@ -400,10 +423,16 @@ def fake_quant_asymmetric(x, lo, hi, lo_shift, hi_shift, step, zero) -> Tensor:
         for a in (lo.data + lo_shift, hi.data + hi_shift, step, zero)
     )
     above = np.maximum(x.data, low)
+    if not _recording(x, lo, hi):
+        # the same sequence in place, in the one buffer above
+        np.minimum(above, high, out=above)
+        np.divide(above, step, out=above)
+        np.add(above, zero, out=above)
+        np.round(above, out=above)
+        np.subtract(above, zero, out=above)
+        return _node(np.multiply(above, step, out=above), [], "fake_quant_asym")
     q = np.round(np.minimum(above, high) / step + zero)
     out = _node((q - zero) * step, [], "fake_quant_asym")
-    if not (_GradMode.enabled and (x.requires_grad or lo.requires_grad or hi.requires_grad)):
-        return out
     over_low = (x.data >= low).astype(np.float64)
     under_high = (above <= high).astype(np.float64)
     step_t = Tensor(step)
@@ -516,10 +545,16 @@ def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
     if hp < kh or wp < kw:
         raise ShapeError(f"im2col: window {kh}x{kw} does not fit padded input {hp}x{wp}")
     oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
-    xp = np.pad(a.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else a.data
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    view = view[:, :, ::sh, ::sw, :, :]  # [N,C,oh,ow,kh,kw]
-    cols = np.array(view.transpose(1, 4, 5, 0, 2, 3), order="C").reshape(c * kh * kw, n * oh * ow)
+    src = a.data.transpose(1, 0, 2, 3)  # [C,N,H,W]
+    if pad:
+        xp = np.zeros((c, n, hp, wp), dtype=np.float64)
+        xp[:, :, pad : pad + h, pad : pad + w] = src
+        src = xp
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = src[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    cols = cols.reshape(c * kh * kw, n * oh * ow)
     shape_in = a.shape
 
     def vjp(g):
@@ -530,19 +565,17 @@ def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
 
 def _col2im(cols, shape_in, kh, kw, sh, sw, pad) -> Tensor:
     """Adjoint of ``im2col``: add every window back into the padded input,
-    then crop the padding away."""
+    channel-major, then crop the padding away and transpose to [N,C,H,W]."""
     cols = as_tensor(cols)
     n, c, h, w = shape_in
     hp, wp = h + 2 * pad, w + 2 * pad
     oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
     src = cols.data.reshape(c, kh, kw, n, oh, ow)
-    out = np.zeros((n, c, hp, wp), dtype=np.float64)
-    dst = out.transpose(1, 0, 2, 3)
+    dst = np.zeros((c, n, hp, wp), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
             dst[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += src[:, i, j]
-    if pad:
-        out = out[:, :, pad : pad + h, pad : pad + w].copy()
+    out = np.ascontiguousarray(dst[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3))
 
     def vjp(g):
         return im2col(g, kh, kw, sh, sw, pad)
@@ -624,8 +657,14 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
         b = as_tensor(b)
         if b.shape != (o,):
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({o},)")
-        # a full-size bias leaves the sum C-contiguous, as BatchNorm's sums expect
-        out = add(out, broadcast_to(reshape(b, (1, o, 1, 1)), out.shape))
+        # the sum is written C-contiguous, as BatchNorm's sums expect; the
+        # bias gradient is summed to (1, O, 1, 1) first, as broadcast_to's was
+        data = np.add(out.data, b.data.reshape(1, o, 1, 1), out=np.empty(out.shape))
+        out = _node(
+            data,
+            [(out, lambda g: g), (b, lambda g: reshape(_sum_to(g, (1, o, 1, 1)), (o,)))],
+            "add",
+        )
     return out
 
 
@@ -665,15 +704,19 @@ def batch_norm(x, gamma, beta, eps: float, mean=None, var=None):
     train = mean is None
     if train:
         mean, xc, var, sd, inv = _bn_stats(x.data, n, eps, lambda a: np.sum(a, axis=axes, keepdims=True), np.sqrt)
+        xhat = xc * inv
     else:
         mean, var = np.reshape(mean, pshape), np.reshape(var, pshape)
-        xc = x.data - mean
         sd = np.sqrt(var + eps)
         inv = 1.0 / sd
-    xhat = xc * inv
+        xhat = np.subtract(x.data, mean)
+        np.multiply(xhat, inv, out=xhat)
     gamma_v = gamma.data.reshape(pshape)
-    out = _node(xhat * gamma_v + beta.data.reshape(pshape), [], "batchnorm")
-    if not (_GradMode.enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)):
+    recording = _recording(x, gamma, beta)
+    # the affine step runs in place, into xhat itself when no vjp reads xhat
+    y = np.multiply(xhat, gamma_v, out=None if recording else xhat)
+    out = _node(np.add(y, beta.data.reshape(pshape), out=y), [], "batchnorm")
+    if not recording:
         return out, mean, var
 
     def sum_to(a):
@@ -749,8 +792,8 @@ def _toposort(root: Tensor) -> list:
             continue
         if node._released:
             raise RuntimeError(
-                f"the tape through this {node._op!r} tensor was released by backward() or "
-                "release(); run the forward pass again to differentiate it"
+                f"the tape through this {node._op!r} tensor was released by backward(); "
+                "run the forward pass again to differentiate it"
             )
         visited.add(id(node))
         stack.append((node, True))
@@ -807,10 +850,11 @@ def backward(loss: Tensor):
 
     Gradients accumulate across calls; use ``zero_grad`` between steps.
     Once the leaf gradients are filled the tape is released: every tensor
-    produced by an op drops its links to its inputs, so the tape is freed
-    without the cyclic collector, and a later ``backward`` or ``grad``
-    that reaches one of those tensors raises ``RuntimeError``.  ``grad``
-    keeps its tape, so it can sweep one forward pass many times.
+    produced by an op drops its links to its inputs, and a later
+    ``backward`` or ``grad`` that reaches one of those tensors raises
+    ``RuntimeError``.  ``grad`` keeps its tape, so it can sweep one forward
+    pass many times.  No tape is a reference cycle, so either kind is freed
+    as soon as its last tensor is dropped.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -831,15 +875,9 @@ def backward(loss: Tensor):
     _release(topo)
 
 
-def release(loss: Tensor):
-    """Release the tape behind ``loss`` as ``backward`` does, for a caller
-    that is done differentiating it with ``grad``."""
-    _release(_toposort(loss))
-
-
 def _release(topo: list):
-    # every op output drops the links to its inputs, so the tape is freed by
-    # reference counting even where a vjp holds its own output
+    # every op output drops the links to its inputs, so a later sweep that
+    # reaches one of them raises instead of treating it as a leaf
     for node in topo:
         if node._parents:
             node._parents = ()

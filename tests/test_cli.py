@@ -130,6 +130,16 @@ def test_sizes_below_one_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_epochs_below_one_exit_2(tmp_path, capsys, epochs):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(train_args(out, extra=["--epochs", epochs]))
+    assert exc.value.code == 2
+    assert "--epochs: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_3(tmp_path, capsys):
     code, _, err = run_cli(

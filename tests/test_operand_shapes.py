@@ -230,7 +230,7 @@ def test_conv2d_output_is_c_contiguous():
     assert T.conv2d(x, w, b, padding=1).data.flags["C_CONTIGUOUS"]
 
 
-def test_train_step_tape_has_only_conv_bias_broadcasts():
+def test_train_step_tape_has_no_broadcasts():
     config = json.loads((REPO / "configs" / "int8_sparse50.json").read_text())
     x, y = make_dataset("stripes", 64, seed=0)
     batches = [(x[i : i + 32], y[i : i + 32]) for i in range(0, 64, 32)]
@@ -239,14 +239,12 @@ def test_train_step_tape_has_only_conv_bias_broadcasts():
     loss = T.add(cross_entropy(out, y[:32]), total_compression_loss(controllers))
     tape = T._toposort(loss)
     ops = Counter(node._op for node in tape)
-    assert not {"pad2d", "crop2d"} & set(ops)
-    broadcasts = [node for node in tape if node._op == "broadcast_to"]
+    assert not {"pad2d", "crop2d", "broadcast_to"} & set(ops)
+    # each conv bias feeds one node: the bias add that writes the conv output
     biases = {id(node.params["bias"]) for node in g.nodes.values() if node.kind == "Conv2D"}
-    assert len(broadcasts) == len(biases) == 3
-    for node in broadcasts:
-        (reshaped, _), = node._parents
-        (bias, _), = reshaped._parents
-        assert id(bias) in biases
+    assert len(biases) == 3
+    children = Counter(id(p) for node in tape for p, _ in node._parents if id(p) in biases)
+    assert children == Counter({b: 1 for b in biases})
 
 
 # -- convolution lowering -------------------------------------------------------

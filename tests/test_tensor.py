@@ -17,6 +17,7 @@ from nncompress.quantization import (
     QuantizationBuilder,
     initialize_quantizer_ranges,
     quant_grid,
+    tune_asymmetric_range,
 )
 from nncompress.tensor import Tensor, ShapeError
 from nncompress.util import cross_entropy
@@ -535,12 +536,88 @@ def test_batch_norm_rejects_mismatched_parameters():
         T.batch_norm(Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
 
 
-def test_release_frees_a_kept_tape():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    y = T.texp(x)
-    loss = T.tsum(y)
-    (g,) = T.grad(loss, [x])
-    T.release(loss)
-    assert y._parents == () and loss._parents == ()
-    with pytest.raises(RuntimeError, match=r"released by backward\(\) or release\(\)"):
-        T.grad(loss, [x])
+def test_hessian_probe_tape_is_freed_without_the_collector():
+    # grad() keeps its tape, and the vjps of texp (in the loss) and tsqrt and
+    # div (in BatchNorm's recorded statistics) need their outputs; they reach
+    # them weakly, so the tape goes once the caller drops the loss and gradients
+    g = build_model("cnn-residual", 0)
+    x, y = make_dataset("stripes", 16, seed=0)
+    w = g.nodes["stem"].params["weight"]
+    seen = []
+
+    def probe(t, ctx):
+        seen.append(weakref.ref(t))
+        return t
+
+    g.insert_hook(Hook("bn_a", HookPosition.POST_OUTPUT, "probe", probe))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loss = cross_entropy(g.run(Tensor(x), mode="train", rng=np.random.default_rng(0)), y)
+        (gw,) = T.grad(loss, [w], create_graph=True)
+        gv = T.tsum(T.mul(gw, Tensor(np.random.default_rng(1).normal(size=w.shape))))
+        (hv,) = T.grad(gv, [w])
+        assert np.abs(hv.data).max() > 0.0
+        del loss, gw, gv, hv
+        assert len(seen) == 1 and seen[0]() is None, "bn_a's output outlived its Hessian probe"
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _untaped_and_taped(op, inputs, trainable):
+    """``op(*inputs)`` under ``no_grad`` and on the tape, and whether the
+    input arrays kept their bytes."""
+    before = [t.data.tobytes() for t in inputs]
+    with T.no_grad():
+        untaped = op(*inputs)
+    for t in trainable:
+        t.requires_grad = True
+    taped = op(*inputs)
+    assert taped.requires_grad
+    return untaped, taped, before == [t.data.tobytes() for t in inputs]
+
+
+def test_relu_without_a_tape_matches_the_taped_op():
+    x = Tensor(np.random.default_rng(19).normal(size=(3, 4, 5)))
+    untaped, taped, unchanged = _untaped_and_taped(T.relu, [x], [x])
+    assert untaped._parents == () and not untaped.requires_grad
+    assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
+
+
+@pytest.mark.parametrize("grid", ["weight", "signed_act", "unsigned_act"])
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_fake_quant_without_a_tape_matches_the_taped_op(grid, per_channel):
+    x0, scale0, q_min, q_max = _fake_quant_case(grid, per_channel)
+    x, scale = Tensor(x0), Tensor(scale0)
+    untaped, taped, unchanged = _untaped_and_taped(
+        lambda x, scale: T.fake_quant(x, scale, q_min, q_max, RANGE_FLOOR), [x, scale], [x, scale]
+    )
+    assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
+
+
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_asymmetric_fake_quant_without_a_tape_matches_the_taped_op(per_channel):
+    rng = np.random.default_rng(20)
+    shape = (3,) if per_channel else ()
+    rmin, rmax = rng.uniform(-2, -0.5, shape), rng.uniform(0.5, 2, shape)
+    low, high, zero = tune_asymmetric_range(rmin, rmax, 4)
+    x, lo, hi = Tensor(rng.uniform(-3, 3, (3, 2, 4, 4))), Tensor(rmin), Tensor(rmax)
+    untaped, taped, unchanged = _untaped_and_taped(
+        lambda x, lo, hi: T.fake_quant_asymmetric(x, lo, hi, low - rmin, high - rmax, (high - low) / 15.0, zero),
+        [x, lo, hi],
+        [x, lo, hi],
+    )
+    assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("shape", [(4, 3, 5, 5), (6, 3)], ids=["conv", "fc"])
+def test_batch_norm_without_a_tape_matches_the_taped_op(mode, shape):
+    rng = np.random.default_rng(21)
+    stats = () if mode == "train" else (rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 2.0, 3))
+    x, gamma, beta = Tensor(rng.normal(size=shape)), Tensor(rng.uniform(0.5, 1.5, 3)), Tensor(rng.uniform(-1, 1, 3))
+    untaped, taped, unchanged = _untaped_and_taped(
+        lambda *t: T.batch_norm(*t, 1e-5, *stats)[0], [x, gamma, beta], [x, gamma, beta]
+    )
+    assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
