@@ -383,15 +383,15 @@ def fake_quant(x, scale, q_min: float, q_max: float, floor: float) -> Tensor:
     """
     x, scale = as_tensor(x), as_tensor(scale)
     step = _channel_view(np.maximum(scale.data, floor), x.shape, "fake_quant") / q_max
-    v = x.data / step
-    if not _recording(x, scale):
-        # the same sequence in place, in the one buffer v
-        np.maximum(v, q_min, out=v)
-        np.minimum(v, q_max, out=v)
-        np.round(v, out=v)
-        return _node(np.multiply(v, step, out=v), [], "fake_quant")
-    q = np.round(np.minimum(np.maximum(v, q_min), q_max))
-    out = _node(q * step, [], "fake_quant")
+    v = np.asarray(x.data / step)  # an array even for a 0-d x, so it can be written into
+    recording = _recording(x, scale)
+    # in place in v when nothing is recorded; the vjps keep v and q otherwise
+    q = np.maximum(v, q_min, out=np.empty_like(v) if recording else v)
+    np.minimum(q, q_max, out=q)
+    np.round(q, out=q)
+    out = _node(np.multiply(q, step, out=np.empty_like(q) if recording else q), [], "fake_quant")
+    if not recording:
+        return out
     inside = ((v >= q_min) & (v <= q_max)).astype(np.float64)
     kept = (scale.data >= floor).astype(np.float64)
 
@@ -422,19 +422,20 @@ def fake_quant_asymmetric(x, lo, hi, lo_shift, hi_shift, step, zero) -> Tensor:
         _channel_view(np.asarray(a, dtype=np.float64), x.shape, "fake_quant_asymmetric")
         for a in (lo.data + lo_shift, hi.data + hi_shift, step, zero)
     )
-    above = np.maximum(x.data, low)
-    if not _recording(x, lo, hi):
-        # the same sequence in place, in the one buffer above
-        np.minimum(above, high, out=above)
-        np.divide(above, step, out=above)
-        np.add(above, zero, out=above)
-        np.round(above, out=above)
-        np.subtract(above, zero, out=above)
-        return _node(np.multiply(above, step, out=above), [], "fake_quant_asym")
-    q = np.round(np.minimum(above, high) / step + zero)
-    out = _node((q - zero) * step, [], "fake_quant_asym")
-    over_low = (x.data >= low).astype(np.float64)
-    under_high = (above <= high).astype(np.float64)
+    above = np.asarray(np.maximum(x.data, low))  # an array even for a 0-d x
+    recording = _recording(x, lo, hi)
+    if recording:  # the vjps read only these masks, taken before above is reused
+        over_low = (x.data >= low).astype(np.float64)
+        under_high = (above <= high).astype(np.float64)
+    # the rest of the sequence in place, in the one buffer above
+    np.minimum(above, high, out=above)
+    np.divide(above, step, out=above)
+    np.add(above, zero, out=above)
+    np.round(above, out=above)
+    np.subtract(above, zero, out=above)
+    out = _node(np.multiply(above, step, out=above), [], "fake_quant_asym")
+    if not recording:
+        return out
     step_t = Tensor(step)
 
     def into_clamp(g):

@@ -611,6 +611,20 @@ def test_asymmetric_fake_quant_without_a_tape_matches_the_taped_op(per_channel):
     assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
 
 
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_fake_quant_of_a_scalar_input_runs_with_and_without_a_tape(asymmetric):
+    def op(x, a, b):
+        if asymmetric:
+            return T.fake_quant_asymmetric(x, a, b, 0.0, 0.0, np.array(2.0 / 15.0), np.array(7.0))
+        return T.fake_quant(x, a, -127.0, 127.0, RANGE_FLOOR)
+
+    x, a, b = Tensor(np.array(0.3)), Tensor(np.array(-1.0 if asymmetric else 1.0)), Tensor(np.array(1.0))
+    untaped, taped, unchanged = _untaped_and_taped(op, [x, a, b], [x, a, b])
+    assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
+    taped.backward()
+    assert x.grad is not None
+
+
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("shape", [(4, 3, 5, 5), (6, 3)], ids=["conv", "fc"])
 def test_batch_norm_without_a_tape_matches_the_taped_op(mode, shape):
