@@ -5,6 +5,9 @@ operation links the result to its inputs with vector-Jacobian closures, and
 ``backward``/``grad`` walk the graph in reverse topological order.  The
 vjp closures are themselves written in terms of engine operations, so
 gradients can be differentiated again (needed for Hessian-vector products).
+A sweep that records nothing carries plain ndarrays instead: the engine
+ops a vjp calls then compute on arrays and return arrays, and only the
+gradients handed back are wrapped.
 
 Non-differentiable point-wise maps (rounding, sign, thresholding) go through
 ``ste_apply``, which keeps the exact forward value but passes the incoming
@@ -14,6 +17,7 @@ gradient through unchanged.
 from __future__ import annotations
 
 import copy as _copy
+import functools
 import weakref
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
@@ -27,17 +31,20 @@ class ShapeError(ValueError):
 
 class _GradMode:
     enabled = True
+    # set inside a reverse sweep that records nothing: gradients are
+    # ndarrays, and the engine ops that vjps call take and return arrays
+    arrays = False
 
 
 @contextmanager
-def _grad_mode(enabled: bool):
-    """Turn graph recording on or off inside the block."""
-    prev = _GradMode.enabled
-    _GradMode.enabled = enabled
+def _grad_mode(enabled: bool, arrays: bool = False):
+    """Turn graph recording on or off, and array mode on or off, inside the block."""
+    prev = _GradMode.enabled, _GradMode.arrays
+    _GradMode.enabled, _GradMode.arrays = enabled, arrays
     try:
         yield
     finally:
-        _GradMode.enabled = prev
+        _GradMode.enabled, _GradMode.arrays = prev
 
 
 def no_grad():
@@ -158,6 +165,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _array(x):
+    """The array of a tensor; an array or a number as it is (array mode)."""
+    return x.data if isinstance(x, Tensor) else x
+
+
 def _node(data: np.ndarray, parents, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -217,6 +229,8 @@ def _channel_view(a: np.ndarray, shape: tuple, op: str) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
+    if _GradMode.arrays:
+        return _array(a) + _array(b)
     a, b = _operands(a, b, "add")
     return _node(
         a.data + b.data,
@@ -226,6 +240,8 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
+    if _GradMode.arrays:
+        return _array(a) - _array(b)
     a, b = _operands(a, b, "sub")
     return _node(
         a.data - b.data,
@@ -235,11 +251,15 @@ def sub(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
+    if _GradMode.arrays:
+        return -_array(a)
     a = as_tensor(a)
     return _node(-a.data, [(a, lambda g: neg(g))], "neg")
 
 
 def mul(a, b) -> Tensor:
+    if _GradMode.arrays:
+        return _array(a) * _array(b)
     a, b = _operands(a, b, "mul")
     return _node(
         a.data * b.data,
@@ -249,6 +269,8 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
+    if _GradMode.arrays:
+        return _array(a) / _array(b)
     a, b = _operands(a, b, "div")
     out = _node(a.data / b.data, [], "div")
     ref = weakref.ref(out)
@@ -309,7 +331,7 @@ def sigmoid(a) -> Tensor:
 def tabs(a) -> Tensor:
     a = as_tensor(a)
     sign = np.where(a.data >= 0, 1.0, -1.0)
-    return _node(np.abs(a.data), [(a, lambda g: mul(g, Tensor(sign)))], "abs")
+    return _node(np.abs(a.data), [(a, lambda g: mul(g, sign))], "abs")
 
 
 def relu(a) -> Tensor:
@@ -318,7 +340,7 @@ def relu(a) -> Tensor:
     if not _recording(a):
         return out
     mask = (a.data > 0).astype(np.float64)
-    return _attach(out, [(a, lambda g: mul(g, Tensor(mask)))])
+    return _attach(out, [(a, lambda g: mul(g, mask))])
 
 
 def _select(a, b, take_a: np.ndarray, data: np.ndarray, op: str) -> Tensor:
@@ -327,8 +349,8 @@ def _select(a, b, take_a: np.ndarray, data: np.ndarray, op: str) -> Tensor:
     return _node(
         data,
         [
-            (a, lambda g: _sum_to(mul(g, Tensor(take_a)), a.shape)),
-            (b, lambda g: _sum_to(mul(g, Tensor(1.0 - take_a)), b.shape)),
+            (a, lambda g: _sum_to(mul(g, take_a), a.shape)),
+            (b, lambda g: _sum_to(mul(g, 1.0 - take_a), b.shape)),
         ],
         op,
     )
@@ -396,11 +418,11 @@ def fake_quant(x, scale, q_min: float, q_max: float, floor: float) -> Tensor:
     kept = (scale.data >= floor).astype(np.float64)
 
     def vjp_x(g):
-        return _sum_to(mul(g, Tensor(inside)), x.shape)
+        return _sum_to(mul(g, inside), x.shape)
 
     def vjp_scale(g):
-        g_step = _sum_to(mul(g, Tensor(q - inside * v)), step.shape)
-        return mul(reshape(div(g_step, q_max), scale.shape), Tensor(kept))
+        g_step = _sum_to(mul(g, q - inside * v), step.shape)
+        return mul(reshape(div(g_step, q_max), scale.shape), kept)
 
     return _attach(out, [(x, vjp_x), (scale, vjp_scale)])
 
@@ -436,22 +458,21 @@ def fake_quant_asymmetric(x, lo, hi, lo_shift, hi_shift, step, zero) -> Tensor:
     out = _node(np.multiply(above, step, out=above), [], "fake_quant_asym")
     if not recording:
         return out
-    step_t = Tensor(step)
 
     def into_clamp(g):
-        return div(mul(g, step_t), step_t)
+        return div(mul(g, step), step)
 
     def into_max(g):  # past the clamp's upper bound, into its lower one
-        return mul(into_clamp(g), Tensor(under_high))
+        return mul(into_clamp(g), under_high)
 
     def vjp_x(g):
-        return mul(into_max(g), Tensor(over_low))
+        return mul(into_max(g), over_low)
 
     def vjp_lo(g):
-        return reshape(_sum_to(mul(into_max(g), Tensor(1.0 - over_low)), low.shape), lo.shape)
+        return reshape(_sum_to(mul(into_max(g), 1.0 - over_low), low.shape), lo.shape)
 
     def vjp_hi(g):
-        return reshape(_sum_to(mul(into_clamp(g), Tensor(1.0 - under_high)), high.shape), hi.shape)
+        return reshape(_sum_to(mul(into_clamp(g), 1.0 - under_high), high.shape), hi.shape)
 
     return _attach(out, [(x, vjp_x), (lo, vjp_lo), (hi, vjp_hi)])
 
@@ -460,6 +481,8 @@ def fake_quant_asymmetric(x, lo, hi, lo_shift, hi_shift, step, zero) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    if _GradMode.arrays:
+        return np.reshape(_array(a), shape)
     a = as_tensor(a)
     shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
     old = a.shape
@@ -467,6 +490,8 @@ def reshape(a, shape) -> Tensor:
 
 
 def transpose(a, axes=None) -> Tensor:
+    if _GradMode.arrays:
+        return np.transpose(_array(a), axes)
     a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
@@ -476,8 +501,11 @@ def transpose(a, axes=None) -> Tensor:
 
 
 def broadcast_to(a, shape) -> Tensor:
-    a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
+    if _GradMode.arrays:
+        a = _array(a)
+        return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+    a = as_tensor(a)
     if a.shape == shape:
         return a
     try:
@@ -488,13 +516,11 @@ def broadcast_to(a, shape) -> Tensor:
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+    if _GradMode.arrays:
+        a = _array(a)
+        return np.sum(a, axis=_axes(axis, np.ndim(a)), keepdims=keepdims)
     a = as_tensor(a)
-    if axis is None:
-        axes = tuple(range(a.ndim))
-    elif isinstance(axis, int):
-        axes = (axis % a.ndim,)
-    else:
-        axes = tuple(ax % a.ndim for ax in axis)
+    axes = _axes(axis, a.ndim)
     data = np.sum(a.data, axis=axes, keepdims=keepdims)
     old = a.shape
     kept = tuple(1 if i in axes else s for i, s in enumerate(old))
@@ -506,17 +532,24 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, [(a, vjp)], "sum")
 
 
+def _axes(axis, ndim: int) -> tuple:
+    """``axis`` (None, an int or a sequence) as a tuple of axes in [0, ndim)."""
+    if axis is None:
+        return tuple(range(ndim))
+    if isinstance(axis, int):
+        return (axis % ndim,)
+    return tuple(ax % ndim for ax in axis)
+
+
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        n = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = int(np.prod([a.shape[ax % a.ndim] for ax in axes]))
+    n = int(np.prod([a.shape[ax] for ax in _axes(axis, a.ndim)]))
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def matmul(a, b) -> Tensor:
+    if _GradMode.arrays:
+        return _array(a) @ _array(b)
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
@@ -534,6 +567,8 @@ def _window_count(size: int, k: int, s: int) -> int:
 def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
     """Copy the windows of [N,C,H,W] ``a``, zero-padded by ``pad`` on H and W,
     once into conv2d's operand [C*kh*kw, N*oh*ow]: rows (c,i,j), cols (n,y,x)."""
+    if _GradMode.arrays:
+        return _im2col(_array(a), kh, kw, sh, sw, pad)
     a = as_tensor(a)
     if a.ndim != 4:
         raise ShapeError(f"im2col: expected 4-d input, got {a.shape}")
@@ -542,11 +577,21 @@ def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
             f"im2col: window {kh}x{kw} and stride {sh}x{sw} must be >= 1, padding {pad} >= 0"
         )
     n, c, h, w = a.shape
+    if h + 2 * pad < kh or w + 2 * pad < kw:
+        raise ShapeError(f"im2col: window {kh}x{kw} does not fit padded input {h + 2 * pad}x{w + 2 * pad}")
+    shape_in = a.shape
+
+    def vjp(g):
+        return _col2im(g, shape_in, kh, kw, sh, sw, pad)
+
+    return _node(_im2col(a.data, kh, kw, sh, sw, pad), [(a, vjp)], "im2col")
+
+
+def _im2col(x: np.ndarray, kh, kw, sh, sw, pad) -> np.ndarray:
+    n, c, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    if hp < kh or wp < kw:
-        raise ShapeError(f"im2col: window {kh}x{kw} does not fit padded input {hp}x{wp}")
     oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
-    src = a.data.transpose(1, 0, 2, 3)  # [C,N,H,W]
+    src = x.transpose(1, 0, 2, 3)  # [C,N,H,W]
     if pad:
         xp = np.zeros((c, n, hp, wp), dtype=np.float64)
         xp[:, :, pad : pad + h, pad : pad + w] = src
@@ -555,37 +600,61 @@ def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = src[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-    cols = cols.reshape(c * kh * kw, n * oh * ow)
-    shape_in = a.shape
-
-    def vjp(g):
-        return _col2im(g, shape_in, kh, kw, sh, sw, pad)
-
-    return _node(cols, [(a, vjp)], "im2col")
+    return cols.reshape(c * kh * kw, n * oh * ow)
 
 
 def _col2im(cols, shape_in, kh, kw, sh, sw, pad) -> Tensor:
     """Adjoint of ``im2col``: add every window back into the padded input,
-    channel-major, then crop the padding away and transpose to [N,C,H,W]."""
-    cols = as_tensor(cols)
+    crop the padding away, and lay the result out as [N,C,H,W].
+
+    One ``bincount`` per channel does the adding: each input element's sum
+    starts from +0.0 and takes its windows in (i, j) order, the order of
+    kh*kw strided ``+=`` passes."""
     n, c, h, w = shape_in
     hp, wp = h + 2 * pad, w + 2 * pad
-    oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
-    src = cols.data.reshape(c, kh, kw, n, oh, ow)
-    dst = np.zeros((c, n, hp, wp), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            dst[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += src[:, i, j]
-    out = np.ascontiguousarray(dst[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3))
+    index = _col2im_index(n, h, w, kh, kw, sh, sw, pad)
+    src = _array(cols).reshape(c, -1)
+    out = np.empty((n, c, h, w))
+    for ch in range(c):
+        plane = np.bincount(index, weights=src[ch], minlength=n * hp * wp).reshape(n, hp, wp)
+        out[:, ch] = plane[:, pad : pad + h, pad : pad + w]
+    if _GradMode.arrays:
+        return out
 
     def vjp(g):
         return im2col(g, kh, kw, sh, sw, pad)
 
-    return _node(out, [(cols, vjp)], "col2im")
+    return _node(out, [(as_tensor(cols), vjp)], "col2im")
+
+
+# One entry: the index does not depend on the channel count, so every
+# convolution of a model whose inputs share their height, width and window
+# geometry uses the same one.  An all-channel index cached per shape kept
+# 3.5-8 MB more of the heap resident.
+@functools.lru_cache(maxsize=1)
+def _col2im_index(n, h, w, kh, kw, sh, sw, pad) -> np.ndarray:
+    """For each entry of one channel's rows of im2col's operand, in their
+    flat (i,j,n,y,x) order, the flat position of its source in that
+    channel's padded [N,H+2p,W+2p] input."""
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
+    rows = (np.arange(kh)[:, None] + sh * np.arange(oh)).reshape(kh, 1, 1, oh, 1)
+    cols = (np.arange(kw)[:, None] + sw * np.arange(ow)).reshape(1, kw, 1, 1, ow)
+    planes = np.arange(n, dtype=np.intp).reshape(1, 1, n, 1, 1)
+    # left writeable: bincount copies a read-only index on every call
+    return ((planes * hp + rows) * wp + cols).ravel()
 
 
 def maxpool2d(a, k: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over non-overlapping (by default) kxk windows."""
+    """Max pooling over non-overlapping (by default) kxk windows.
+
+    The forward runs k*k in-place passes over the windows' elements, and
+    each window's maximum is the element ``np.argmax`` picks: the first on
+    ties, and the first NaN.  (Without a tape the passes are ``np.maximum``,
+    which keeps a later NaN only where a window holds two NaNs with
+    different bits.)  A recorded forward keeps that element's flat index
+    in ``a``, so its vjp scatters with one ``bincount`` and the adjoint of
+    that gathers with one ``take``."""
     a = as_tensor(a)
     if a.ndim != 4:
         raise ShapeError(f"maxpool2d: expected 4-d input, got {a.shape}")
@@ -596,45 +665,58 @@ def maxpool2d(a, k: int, stride: Optional[int] = None) -> Tensor:
     if h < k or w < k:
         raise ShapeError(f"maxpool2d: window {k} does not fit input {h}x{w}")
     oh, ow = _window_count(h, k, s), _window_count(w, k, s)
-    view = np.lib.stride_tricks.sliding_window_view(a.data, (k, k), axis=(2, 3))
-    view = view[:, :, ::s, ::s, :, :].reshape(n, c, oh, ow, k * k)
-    idx = np.argmax(view, axis=-1)
-    out = np.take_along_axis(view, idx[..., None], axis=-1)[..., 0]
+    x = a.data
+    order = [(i, j) for i in range(k) for j in range(k)]  # a window's elements in argmax's order
+
+    def at(i, j):  # element (i, j) of every window, [N,C,oh,ow]
+        return x[:, :, i : i + s * oh : s, j : j + s * ow : s]
+
+    out = at(0, 0).copy()
+    if not _recording(a):
+        for i, j in order[1:]:
+            # at a tie np.maximum returns its second operand, the earlier element
+            np.maximum(at(i, j), out, out=out)
+        return _node(out, [], "maxpool2d")
+    offset = np.zeros(out.shape, dtype=np.intp)
+    for i, j in order[1:]:
+        v = at(i, j)
+        # a larger element, or the first NaN: np.argmax's choice
+        take = ~(v <= out) & (out == out)
+        np.copyto(out, v, where=take)
+        np.copyto(offset, i * w + j, where=take)
+    corner = (np.arange(n * c).reshape(n, c, 1, 1) * h + s * np.arange(oh)[:, None]) * w + s * np.arange(ow)
+    flat = corner + offset
     shape_in = a.shape
 
     def vjp(g):
-        return _maxpool_scatter(g, idx, shape_in, k, s)
+        return _maxpool_scatter(g, flat, shape_in)
 
-    return _node(out.copy(), [(a, vjp)], "maxpool2d")
+    return _node(out, [(a, vjp)], "maxpool2d")
 
 
-def _maxpool_scatter(g, idx, shape_in, k, s) -> Tensor:
-    g = as_tensor(g)
-    n, c, h, w = shape_in
-    oh, ow = idx.shape[2], idx.shape[3]
-    out = np.zeros((n, c, h, w), dtype=np.float64)
-    ki, kj = np.unravel_index(idx, (k, k))
-    ni, ci, oi, oj = np.indices((n, c, oh, ow))
-    np.add.at(out, (ni, ci, oi * s + ki, oj * s + kj), g.data)
+def _maxpool_scatter(g, flat, shape_in) -> Tensor:
+    """Each window's gradient added onto its maximal element of the input,
+    windows in (n, c, y, x) order, every sum starting from +0.0."""
+    out = np.bincount(flat.ravel(), weights=_array(g).ravel(), minlength=int(np.prod(shape_in))).reshape(shape_in)
+    if _GradMode.arrays:
+        return out
 
     def vjp(gg):
-        return _maxpool_gather(gg, idx, shape_in, k, s)
+        return _maxpool_gather(gg, flat, shape_in)
 
-    return _node(out, [(g, vjp)], "maxpool_scatter")
+    return _node(out, [(as_tensor(g), vjp)], "maxpool_scatter")
 
 
-def _maxpool_gather(gg, idx, shape_in, k, s) -> Tensor:
-    gg = as_tensor(gg)
-    n, c, h, w = shape_in
-    oh, ow = idx.shape[2], idx.shape[3]
-    ki, kj = np.unravel_index(idx, (k, k))
-    ni, ci, oi, oj = np.indices((n, c, oh, ow))
-    out = gg.data[ni, ci, oi * s + ki, oj * s + kj]
+def _maxpool_gather(gg, flat, shape_in) -> Tensor:
+    """Each window's maximal element of ``gg``: the adjoint of the scatter."""
+    out = np.take(_array(gg), flat)
+    if _GradMode.arrays:
+        return out
 
     def vjp(g3):
-        return _maxpool_scatter(g3, idx, shape_in, k, s)
+        return _maxpool_scatter(g3, flat, shape_in)
 
-    return _node(out, [(gg, vjp)], "maxpool_gather")
+    return _node(out, [(as_tensor(gg), vjp)], "maxpool_gather")
 
 
 # -- layer-level composites ----------------------------------------------
@@ -729,24 +811,20 @@ def batch_norm(x, gamma, beta, eps: float, mean=None, var=None):
 
     def vjp_x(g):
         if not train:
-            return mul(mul(g, reshape(gamma, pshape)), Tensor(inv))
-        if _GradMode.enabled:
-            _, xc_t, _, sd_t, inv_t = recorded_stats()
-            return _bn_x_grad(g, reshape(gamma, pshape), xc_t, sd_t, inv_t, n, sum_to)
-
-        def sum_arrays(a):
-            return np.sum(a, axis=_sum_axes(a.shape, pshape)).reshape(pshape)
-
-        return Tensor(_bn_x_grad(g.data, gamma_v, xc, sd, inv, n, sum_arrays))
+            return mul(mul(g, reshape(gamma, pshape)), inv)
+        if _GradMode.arrays:  # the forward's own statistics
+            return _bn_x_grad(g, gamma_v, xc, sd, inv, n, sum_to)
+        _, xc_t, _, sd_t, inv_t = recorded_stats()
+        return _bn_x_grad(g, reshape(gamma, pshape), xc_t, sd_t, inv_t, n, sum_to)
 
     def vjp_gamma(g):
-        if not _GradMode.enabled:
-            xhat_t = Tensor(xhat)
+        if _GradMode.arrays:
+            xhat_t = xhat
         elif train:
             _, xc_t, _, _, inv_t = recorded_stats()
             xhat_t = mul(xc_t, inv_t)
         else:
-            xhat_t = mul(sub(x, Tensor(mean)), Tensor(inv))
+            xhat_t = mul(sub(x, mean), inv)
         return reshape(sum_to(mul(g, xhat_t)), gamma.shape)
 
     def vjp_beta(g):
@@ -804,18 +882,22 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def _run_backward(topo: list, seed: Tensor, create_graph: bool, keep: set, needed=None) -> dict:
-    """Reverse sweep over ``topo`` (root last), seeded at the root.
+def _run_backward(topo: list, create_graph: bool, keep: set, needed=None) -> dict:
+    """Reverse sweep over ``topo`` (root last), seeded with ones at the root.
 
     With ``needed`` (a set of tensor ids closed under "child of a member"),
     only vjps into those tensors run; without it every vjp runs and every
     reached tensor is differentiated.  Each gradient is dropped as soon as
-    its tensor's vjps have run; returns ``{id(t): grad Tensor}`` for the
-    reached tensors whose id is in ``keep``.
+    its tensor's vjps have run; returns ``{id(t): gradient}`` for the
+    reached tensors whose id is in ``keep``.  With ``create_graph`` the
+    gradients are tensors on a new tape; without it the sweep runs in array
+    mode, and they are ndarrays: a vjp then receives an ndarray, and a
+    tensor it returns is unwrapped.
     """
-    grads: dict = {id(topo[-1]): seed}
+    seed = np.ones_like(topo[-1].data)
+    grads: dict = {id(topo[-1]): Tensor(seed) if create_graph else seed}
     kept: dict = {}
-    with _grad_mode(create_graph):
+    with _grad_mode(create_graph, arrays=not create_graph):
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
@@ -826,6 +908,8 @@ def _run_backward(topo: list, seed: Tensor, create_graph: bool, keep: set, neede
                 if needed is not None and id(parent) not in needed:
                     continue
                 pg = vjp(g)
+                if not create_graph and isinstance(pg, Tensor):  # a vjp built on _node, outside the engine
+                    pg = pg.data
                 prev = grads.get(id(parent))
                 grads[id(parent)] = pg if prev is None else add(prev, pg)
     return kept
@@ -863,12 +947,11 @@ def backward(loss: Tensor):
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    seed = Tensor(np.ones_like(loss.data))
     topo = _toposort(loss)
     leaves = [t for t in topo if not t._parents]
-    grads = _run_backward(topo, seed, False, {id(t) for t in leaves})
+    grads = _run_backward(topo, False, {id(t) for t in leaves})
     for leaf in leaves:
-        g = grads[id(leaf)].data
+        g = grads[id(leaf)]
         if leaf._grad is None:
             leaf._grad = np.array(g, dtype=np.float64)
         else:
@@ -897,12 +980,14 @@ def grad(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> lis
     """
     if loss.data.size != 1:
         raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
-    seed = Tensor(np.ones_like(loss.data))
     topo = _toposort(loss)
     wrt_ids = {id(w) for w in wrt}
-    grads = _run_backward(topo, seed, create_graph, wrt_ids, _on_paths_from(topo, wrt_ids))
+    grads = _run_backward(topo, create_graph, wrt_ids, _on_paths_from(topo, wrt_ids))
     out = []
     for w in wrt:
         g = grads.get(id(w))
-        out.append(g if g is not None else Tensor(np.zeros_like(w.data)))
+        if g is None:
+            out.append(Tensor(np.zeros_like(w.data)))
+        else:
+            out.append(g if create_graph else Tensor(g))
     return out

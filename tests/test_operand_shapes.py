@@ -263,6 +263,7 @@ def _out_size(size, k, s, pad):
 
 def reference_im2col(a, kh, kw, sh, sw, pad):
     """The per-sample lowering: [N, C*kh*kw, oh*ow] columns."""
+    a = T.as_tensor(a)  # an unrecorded sweep hands its vjps ndarrays
     n, c, h, w = a.shape
     oh, ow = _out_size(h, kh, sh, pad), _out_size(w, kw, sw, pad)
     xp = np.pad(a.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -273,6 +274,7 @@ def reference_im2col(a, kh, kw, sh, sw, pad):
 
 
 def reference_col2im(cols, shape_in, kh, kw, sh, sw, pad):
+    cols = T.as_tensor(cols)
     n, c, h, w = shape_in
     oh, ow = _out_size(h, kh, sh, pad), _out_size(w, kw, sw, pad)
     src = cols.data.reshape(n, c, kh, kw, oh, ow)
@@ -342,6 +344,109 @@ def test_col2im_is_the_adjoint_of_im2col(stride, pad, k, n):
     lhs = np.vdot(cols.data, y)
     rhs = np.vdot(x, T._col2im(y, x.shape, k, k, stride, stride, pad).data)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+@LOWERING_GRID
+def test_col2im_matches_strided_adds(stride, pad, k, n):
+    """The per-channel bincount gives the bytes of kh*kw strided += passes from +0.0."""
+    rng = np.random.default_rng(12)
+    shape = (n, 2, 5, 6)
+    oh, ow = _out_size(5, k, stride, pad), _out_size(6, k, stride, pad)
+    cols = rng.normal(size=(2 * k * k, n * oh * ow))
+    cols[rng.random(cols.shape) < 0.2] = -0.0  # a sum of signed zeros alone must still read +0.0
+    src = cols.reshape(2, k, k, n, oh, ow)
+    dst = np.zeros((2, n, 5 + 2 * pad, 6 + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            dst[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += src[:, i, j]
+    expected = np.ascontiguousarray(dst[:, :, pad : pad + 5, pad : pad + 6].transpose(1, 0, 2, 3))
+    assert T._col2im(cols, shape, k, k, stride, stride, pad).data.tobytes() == expected.tobytes()
+
+
+# -- max pooling -----------------------------------------------------------------
+
+
+def reference_maxpool(a, k, s):
+    """np.argmax over each window's elements, with take_along_axis and np.add.at."""
+    a = T.as_tensor(a)
+    n, c, h, w = a.shape
+    oh, ow = _out_size(h, k, s, 0), _out_size(w, k, s, 0)
+    view = np.lib.stride_tricks.sliding_window_view(a.data, (k, k), axis=(2, 3))
+    view = view[:, :, ::s, ::s, :, :].reshape(n, c, oh, ow, k * k)
+    idx = np.argmax(view, axis=-1)
+    out = np.take_along_axis(view, idx[..., None], axis=-1)[..., 0].copy()
+    return T._node(out, [(a, lambda g: reference_maxpool_scatter(g, idx, a.shape, k, s))], "maxpool2d")
+
+
+def _window_elements(idx, k, s):
+    ki, kj = np.unravel_index(idx, (k, k))
+    ni, ci, oi, oj = np.indices(idx.shape)
+    return ni, ci, oi * s + ki, oj * s + kj
+
+
+def reference_maxpool_scatter(g, idx, shape_in, k, s):
+    g = T.as_tensor(g)
+    out = np.zeros(shape_in)
+    np.add.at(out, _window_elements(idx, k, s), g.data)
+    return T._node(out, [(g, lambda gg: reference_maxpool_gather(gg, idx, shape_in, k, s))], "maxpool_scatter")
+
+
+def reference_maxpool_gather(gg, idx, shape_in, k, s):
+    gg = T.as_tensor(gg)
+    out = gg.data[_window_elements(idx, k, s)]
+    return T._node(out, [(gg, lambda g3: reference_maxpool_scatter(g3, idx, shape_in, k, s))], "maxpool_gather")
+
+
+def _ties(rng, shape):
+    # whole windows of zeros, as after a ReLU, plus repeated values and a
+    # -0.0 ahead of a +0.0, where argmax keeps the first
+    x = np.where(rng.random(shape) < 0.6, 0.0, rng.integers(1, 3, shape).astype(np.float64))
+    x[0, 0, :2, :2] = 0.0
+    x[0, 0, 0, 0] = -0.0
+    return x
+
+
+def _nan(rng, shape):
+    x = rng.normal(size=shape)
+    x[0, 1, 1, 1] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("k, s", [(2, 2), (3, 2), (3, 1)])
+@pytest.mark.parametrize("make", [_ties, _nan, lambda rng, shape: rng.normal(size=shape)], ids=["ties", "nan", "normal"])
+def test_maxpool_matches_argmax_and_add_at(make, k, s):
+    rng = np.random.default_rng(13)
+    x = Tensor(make(rng, (2, 3, 7, 7)), requires_grad=True)
+    with T.no_grad():
+        assert T.maxpool2d(x, k, s).data.tobytes() == reference_maxpool(x, k, s).data.tobytes()
+    # forward bytes and the bytes of backward()'s gradient
+    assert_same_bits(lambda: T.maxpool2d(x, k, s), lambda: reference_maxpool(x, k, s), [x])
+    # a Hessian-vector product runs the scatter's vjp, the gather, and its vjp
+    v = Tensor(rng.normal(size=x.shape))
+    seen = []
+    for pool in (T.maxpool2d, reference_maxpool):
+        out = pool(x, k, s)
+        (gx,) = T.grad(T.tsum(T.mul(out, out)), [x], create_graph=True)
+        seen.append(T.grad(T.tsum(T.mul(gx, v)), [x])[0].data.tobytes())
+    assert seen[0] == seen[1], "Hessian-vector product bytes differ"
+
+
+def test_maxpool_gradient_of_a_tie_reaches_the_first_element():
+    x = Tensor(np.zeros((1, 1, 4, 4)), requires_grad=True)
+    T.backward(T.tsum(T.maxpool2d(x, 2)))
+    expected = np.zeros((4, 4))
+    expected[::2, ::2] = 1.0
+    np.testing.assert_array_equal(x.grad[0, 0], expected)
+
+
+def test_maxpool_overlapping_windows_add_in_window_order():
+    # k=3, s=2: the centre column and row are shared by two windows each
+    x = Tensor(np.zeros((1, 1, 5, 5)), requires_grad=True)
+    x.data[0, 0, 2, 2] = 1.0  # the maximum of all four windows
+    g = np.array([0.1, 0.2, 0.3, 0.4]).reshape(1, 1, 2, 2)
+    T.backward(T.tsum(T.mul(T.maxpool2d(x, 3, 2), Tensor(g))))
+    assert x.grad[0, 0, 2, 2] == ((0.0 + 0.1) + 0.2 + 0.3) + 0.4
+    assert np.count_nonzero(x.grad) == 1
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,13 @@ def test_maxpool_grad_matches_fd():
     check_grad(lambda x: T.tsum(T.mul(T.maxpool2d(x, 2), T.maxpool2d(x, 2))), x0)
 
 
+def test_overlapping_maxpool_grad_matches_fd():
+    rng = np.random.default_rng(14)
+    # k=3, s=2: inputs on the shared rows and columns feed two or four windows
+    x0 = rng.permutation(98).astype(np.float64).reshape(1, 2, 7, 7) / 8.0
+    check_grad(lambda x: T.tsum(T.mul(T.maxpool2d(x, 3, 2), T.maxpool2d(x, 3, 2))), x0)
+
+
 def test_linear_grads_match_fd():
     rng = np.random.default_rng(12)
     x0 = rng.uniform(-2, 2, (4, 3))
@@ -336,6 +343,53 @@ def test_train_step_tape_is_freed_without_the_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _train_loss(model, config, seed=0):
+    x, y = make_dataset("stripes", 64, seed=seed)
+    batches = [(x[i : i + 32], y[i : i + 32]) for i in range(0, 64, 32)]
+    controllers, g = create_compressed_model(build_model(model, 0), config, batches)
+    out = g.run(Tensor(x[:32]), mode="train", rng=np.random.default_rng(seed))
+    return T.add(cross_entropy(out, y[:32]), total_compression_loss(controllers))
+
+
+def assert_sweeps_agree(loss):
+    """backward()'s array sweep leaves the bytes that grad(create_graph=True)'s
+    recorded sweep returns, in every leaf on the tape."""
+    leaves = [t for t in T._toposort(loss) if not t._parents]
+    recorded = T.grad(loss, leaves, create_graph=True)
+    for leaf in leaves:
+        leaf.zero_grad()
+    T.backward(loss)
+    for i, (leaf, g) in enumerate(zip(leaves, recorded)):
+        assert leaf.grad.tobytes() == g.data.tobytes(), f"leaf {i} of shape {leaf.shape} differs"
+
+
+def test_array_sweep_matches_recorded_sweep_on_a_train_step():
+    assert_sweeps_agree(_train_loss("cnn-residual", json.loads((REPO / "configs" / "int8_sparse50.json").read_text())))
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in (REPO / "configs").glob("*.json")))
+def test_array_sweep_matches_recorded_sweep_for_every_config(config):
+    assert_sweeps_agree(_train_loss("cnn-small", json.loads((REPO / "configs" / f"{config}.json").read_text())))
+
+
+def test_unrecorded_sweep_hands_vjps_arrays():
+    seen = []
+
+    def vjp(g):
+        seen.append(type(g))
+        return T.mul(g, 2.0)
+
+    def double(a):  # an op built on _node outside the engine
+        return T._node(a.data * 2.0, [(a, vjp)], "double")
+
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    (gx,) = T.grad(T.tsum(double(x)), [x], create_graph=True)
+    T.backward(T.tsum(double(x)))
+    assert seen == [Tensor, np.ndarray]
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    np.testing.assert_array_equal(gx.data, [2.0, 2.0])
 
 
 def test_grad_wrt_intermediate_tensor():

@@ -9,7 +9,14 @@ two ``train_model`` epochs), the output JSON holds the digests of:
 * the training checkpoint (``checkpoint``);
 * the validation logits of the reloaded trained export (``eval_logits``);
 * the mixed-precision plan, with every float in hex (``mp_plan``), for
-  configs that make one.
+  configs that make one;
+* one Hessian-vector product of the trained model (``hessian_probe``),
+  taken last:
+  a train-mode forward on the first 64 training samples, the gradient of
+  cross entropy plus compression loss w.r.t. the first weight layer's
+  weight with ``create_graph``, and its product with one Rademacher vector
+  drawn from seed ``SEED``.  This pins every config's double-backward
+  path, not only the mixed-precision plan's.
 
 A case whose config does not fit the model records its ``ConfigError``
 instead; any other error stops the script.
@@ -39,9 +46,12 @@ from nncompress import (
     make_dataset,
     no_grad,
     save_checkpoint,
+    total_compression_loss,
     train_model,
     train_val_split,
 )
+from nncompress import tensor as T
+from nncompress.util import cross_entropy
 
 SEED = 7
 EPOCHS = 2
@@ -70,6 +80,17 @@ def _plan_text(plan) -> str:
     )
 
 
+def _hessian_probe(graph, controllers, x, y) -> bytes:
+    """The bytes of H v for the first weight layer's weight and one fixed v."""
+    w = next(node.params["weight"] for node in graph.nodes.values() if "weight" in node.params)
+    out = graph.run(Tensor(x), mode="train", rng=np.random.default_rng(SEED))
+    loss = T.add(cross_entropy(out, y), total_compression_loss(controllers))
+    (g,) = T.grad(loss, [w], create_graph=True)
+    v = np.random.default_rng(SEED).integers(0, 2, size=w.shape).astype(np.float64) * 2.0 - 1.0
+    (hv,) = T.grad(T.tsum(T.mul(g, Tensor(v))), [w])
+    return np.ascontiguousarray(hv.data).tobytes()
+
+
 def digest_case(config: dict, model: str, workdir: str) -> dict:
     graph = build_model(model, SEED)
     x, y = make_dataset(MODELS[model], SAMPLES, SEED)
@@ -95,6 +116,8 @@ def digest_case(config: dict, model: str, workdir: str) -> dict:
             plan = getattr(ctrl, "mixed_precision_plan", None)
             if plan is not None:
                 out["mp_plan"] = _sha(_plan_text(plan).encode())
+        # last: its train-mode forward moves BatchNorm's running statistics
+        out["hessian_probe"] = _sha(_hessian_probe(compressed, controllers, x_train[:64], y_train[:64]))
     except ConfigError as err:
         out["error"] = f"ConfigError: {err}"
     return out
