@@ -13,9 +13,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
-from typing import Dict, List, Tuple, Union
+import warnings
+from fnmatch import fnmatch
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .graph import ModelGraph
+from .graph import WEIGHTED_KINDS, Hook, HookPosition, ModelGraph
 from .tensor import Tensor
 
 
@@ -106,6 +108,27 @@ def load_spec(cls, section, path: str = ""):
         return cls(**values)
     except SpecError as err:
         raise ConfigError(f"config key {_dotted(path, err.key)!r} is out of range: {err.reason}") from None
+
+
+def match_layers(ids: Sequence[str], patterns: Sequence[str], what: str, noun: str) -> List[str]:
+    """The ids, in order, that match any of the glob ``patterns``.  Each
+    pattern that matches none of them warns once, naming its ``what`` list
+    and the ``noun`` the ids stand for."""
+    for p in patterns:
+        if not any(fnmatch(i, p) for i in ids):
+            warnings.warn(f"{what} pattern {p!r} matches no {noun}")
+    return [i for i in ids if any(fnmatch(i, p) for p in patterns)]
+
+
+def hook_weights(graph: ModelGraph, family: str, make: Callable) -> Dict[str, Callable]:
+    """Hook ``make(weight shape)`` onto the weight of every convolution and
+    fully connected layer; returns the transforms by node id."""
+    hooks = {}
+    for node in graph.nodes.values():
+        if node.kind in WEIGHTED_KINDS:
+            hooks[node.id] = make(node.params["weight"].shape)
+            graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, family, hooks[node.id], param_name="weight"))
+    return hooks
 
 
 class CompressionScheduler:

@@ -9,15 +9,13 @@ gradients, and both switch on gradually over a four-stage schedule.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from fnmatch import fnmatch
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, SpecError, check_rule
+from .base import CompressionBuilder, CompressionController, SpecError, check_rule, match_layers
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import ShapeError, Tensor
 
@@ -159,8 +157,8 @@ class ActivationBinarizer:
         """Drop the thresholds of removed input channels."""
         self.thresholds.data = self.thresholds.data[keep_in]
 
-    def fits(self, shape) -> bool:  # a (C, H, W) activation with one threshold per channel
-        return len(shape) == 3 and shape[0] == self.thresholds.shape[0]
+    def fits(self, shape) -> bool:  # a (C, H, W) activation: a 0-d scale and one threshold per channel
+        return len(shape) == 3 and self.scale.shape == () and self.thresholds.shape == tuple(shape[:1])
 
     def codec_state(self):
         return {"enabled": self.enabled}, {"scale": self.scale, "thresholds": self.thresholds}
@@ -176,12 +174,7 @@ def _decode_weight_binarizer(attrs, params):
 
 def _decode_activation_binarizer(attrs, params):
     serialize.check_param_names(params, ["scale", "thresholds"], "an activation binarizer")
-    if params["scale"].ndim != 0 or params["thresholds"].ndim != 1:
-        got = {name: list(p.shape) for name, p in params.items()}
-        raise serialize.SerializationError(
-            f"malformed manifest: an activation binarizer needs a 0-d scale and 1-d thresholds, got {got}"
-        )
-    ab = ActivationBinarizer(params["thresholds"].shape[0])
+    ab = ActivationBinarizer.__new__(ActivationBinarizer)  # fits checks the saved parameters' shapes
     ab.scale = params["scale"]
     ab.thresholds = params["thresholds"]
     ab.enabled = serialize.field(attrs, "enabled", f"the {ActivationBinarizer.codec_kind} attrs", serialize.BOOL)
@@ -232,26 +225,17 @@ def default_denylist(graph: ModelGraph) -> List[str]:
     return excluded
 
 
-def _match_any(name: str, patterns: Sequence[str]) -> bool:
-    return any(fnmatch(name, p) for p in patterns)
-
-
 def select_binarized_layers(
     graph: ModelGraph,
     allowlist: Optional[Sequence[str]] = None,
     denylist: Optional[Sequence[str]] = None,
 ) -> List[str]:
     convs = [n.id for n in graph.nodes.values() if n.kind == "Conv2D"]
-    allow = list(allowlist) if allowlist is not None else ["*"]
-    chosen = [c for c in convs if _match_any(c, allow)]
-    if allowlist is not None and not chosen:
-        warnings.warn(f"binarization allowlist {allow} matches no convolution")
-    if denylist is not None:
-        deny = [c for c in convs if _match_any(c, denylist)]
-        if not deny:
-            warnings.warn(f"binarization denylist {list(denylist)} matches no convolution")
-    else:
+    chosen = convs if allowlist is None else match_layers(convs, allowlist, "binarization allowlist", "convolution")
+    if denylist is None:
         deny = default_denylist(graph)
+    else:
+        deny = match_layers(convs, denylist, "binarization denylist", "convolution")
     return [c for c in chosen if c not in deny]
 
 

@@ -317,6 +317,12 @@ class ModelGraph:
             raise GraphError(f"hook references unknown node {hook.node_id!r}")
         if node is None and hook.position is not HookPosition.POST_OUTPUT:
             raise GraphError(f"{hook.family!r} hook at {INPUT_ID}/{hook.position.value}: the input has only an output")
+        # run finds a hook by its whole point, so a field that its position does not read would leave it unrun
+        if (hook.position is not HookPosition.PRE_PARAM and hook.param_name is not None) or (
+                hook.position is not HookPosition.PRE_INPUT and hook.input_index != 0):
+            raise GraphError(f"{hook.family!r} hook at {hook.node_id}/{hook.position.value}: only a pre_param hook "
+                             "names a parameter and only a pre_input hook an input index, "
+                             f"got {hook.param_name!r} and {hook.input_index}")
         if hook.position is HookPosition.PRE_PARAM and hook.param_name not in node.params:
             raise GraphError(f"node {hook.node_id!r} has no parameter {hook.param_name!r}")
         if hook.position is HookPosition.PRE_INPUT and not 0 <= hook.input_index < len(node.inputs):

@@ -9,7 +9,6 @@ an unwilling consumer (or the network output) fall back to dense.
 
 from __future__ import annotations
 
-import fnmatch
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .base import CompressionBuilder, CompressionController, SpecError, check_rule
+from .base import CompressionBuilder, CompressionController, SpecError, check_rule, match_layers
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .sparsity import ParamMask
 
@@ -347,15 +346,8 @@ class PruningBuilder(CompressionBuilder):
     spec_class = FilterPruningSpec
 
     def apply_to(self, graph: ModelGraph) -> PruningController:
-        exclude = self.spec.exclude
-        for pattern in exclude:
-            if not any(fnmatch.fnmatch(nid, pattern) for nid in graph.nodes):
-                warnings.warn(f"exclude pattern {pattern!r} matches no node")
-        prunable = [
-            nid
-            for nid, node in graph.nodes.items()
-            if node.kind == "Conv2D" and not any(fnmatch.fnmatch(nid, p) for p in exclude)
-        ]
+        excluded = match_layers(list(graph.nodes), self.spec.exclude, "exclude", "node")
+        prunable = [nid for nid, node in graph.nodes.items() if node.kind == "Conv2D" and nid not in excluded]
         masks = {nid: np.ones(graph.nodes[nid].attrs["out_channels"], dtype=bool) for nid in prunable}
         mask_map = propagate_pruning_masks(graph, masks)
         return PruningController(graph, apply_filter_masks(graph, mask_map), mask_map, self.spec)

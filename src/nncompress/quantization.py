@@ -198,8 +198,10 @@ class FakeQuantizer:
             for _, p in self.trainable_range_params():
                 p.data = p.data[keep_out].copy()
 
-    def fits(self, shape) -> bool:  # per-channel ranges: one entry per output channel
-        return not self.per_channel or self.trainable_range_params()[0][1].shape == tuple(shape[:1])
+    def fits(self, shape) -> bool:  # 0-d ranges, or one per filter of a conv weight (an activation's axis 0: the batch)
+        want = tuple(shape[:1]) if self.per_channel else ()
+        ranges = self.trainable_range_params()
+        return (len(shape) == 4 or not self.per_channel) and all(p.shape == want for _, p in ranges)
 
     def codec_state(self):
         attrs = {
@@ -233,19 +235,12 @@ def _decode_fake_quant(attrs: dict, params: Dict[str, Tensor]):
     per_channel = serialize.field(attrs, "per_channel", where, serialize.BOOL)
     names = ["scale"] if mode == "symmetric" else ["rmin", "rmax"]
     serialize.check_param_names(params, names, f"a {mode} quantizer")
-    shapes = {p.shape for p in params.values()}
-    if len(shapes) != 1 or len(next(iter(shapes))) != int(per_channel):
-        got = {name: list(p.shape) for name, p in params.items()}
-        raise serialize.SerializationError(
-            f"malformed manifest: a {mode} quantizer with per_channel {per_channel} needs range "
-            f"parameters {names} of one {int(per_channel)}-d shape, got {got}"
-        )
     fq = FakeQuantizer(
         bits=serialize.field(attrs, "bits", where, _BITS),
         mode=mode,
         grid=serialize.field(attrs, "grid", where, _GRID),
         per_channel=per_channel,
-        channels=next(iter(shapes))[0] if per_channel else None,
+        channels=1,  # a placeholder: the saved ranges replace the initial ones, and fits checks them
         init_scheme=serialize.field(attrs, "init_scheme", where, _INIT_SCHEME),
         percentiles=serialize.field(attrs, "percentiles", where, _PERCENTILES),
     )

@@ -10,10 +10,11 @@ Layout, in order:
 
 Hook transforms survive a round trip when they carry a codec: an object
 with a ``codec_kind`` string and a ``codec_state()`` method returning
-``(attrs, params)``, plus a decoder registered under that kind.  A decoded
-transform on a parameter or a node input also answers ``fits(shape)``,
-which the loader asks with the shape of what the hook wraps (an input's
-without its batch dimension), so a hook that does not fit fails here.
+``(attrs, params)``, plus a decoder registered under that kind.  Decoders
+check names and attrs; every decoded transform answers ``fits(shape)``,
+which the loader asks at every position with the shape of what the hook
+wraps (an activation's without its batch dimension), so a hook that does
+not fit fails here.  Every bad file raises ``SerializationError``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .graph import Hook, HookPosition, ModelGraph, NodeSpec
+from .graph import GraphError, Hook, HookPosition, ModelGraph, NodeSpec
 from .tensor import Tensor
 
 MAGIC = b"NNCM"
@@ -184,16 +185,24 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
         raise SerializationError(
             f"unsupported format version {manifest.get('version')!r}, expected {FORMAT_VERSION}"
         )
-    blob_size = field(manifest, "blob_size", "the manifest")
+    blob_size = field(manifest, "blob_size", "the manifest", COUNT)
     blob = data[8 + mlen :]
     if len(blob) < blob_size:
         raise SerializationError(
             f"truncated blob: manifest declares {blob_size} bytes, found {len(blob)}"
         )
     blob = blob[:blob_size]
-    if hashlib.sha256(blob).hexdigest() != field(manifest, "checksum", "the manifest"):
+    if hashlib.sha256(blob).hexdigest() != field(manifest, "checksum", "the manifest", _NAME):
         raise SerializationError("checksum mismatch: parameter data is corrupt")
 
+    try:
+        graph = _build_graph(manifest, blob)
+    except GraphError as e:  # add_node's and insert_hook's message, which names the node or hook
+        raise SerializationError(str(e)) from e
+    return graph, field(manifest, "extra", "the manifest", _OBJECT)
+
+
+def _build_graph(manifest: dict, blob: bytes) -> ModelGraph:
     graph = ModelGraph(input_shape=field(manifest, "input_shape", "the manifest", _SHAPE))
     for entry in field(manifest, "nodes", "the manifest", _LIST):
         nid = field(entry, "id", "a node entry", _NAME)
@@ -213,7 +222,7 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
         where = f"the hook at {node_id!r}"
         kind = field(entry, "kind", where, _NAME)
         if kind not in _DECODERS:
-            raise SerializationError(f"no decoder registered for hook kind {kind!r}")
+            raise SerializationError(f"{where}: no decoder registered for hook kind {kind!r}")
         params = _unpack_params(field(entry, "params", where, _LIST), blob, where)
         try:
             transform = _DECODERS[kind](field(entry, "attrs", where, _OBJECT), params)
@@ -228,20 +237,19 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
             input_index=field(entry, "input_index", where, COUNT),
         )
         graph.insert_hook(hook)
-        if hook.position is HookPosition.POST_OUTPUT:
-            continue
-        node = graph.nodes[node_id]
         if hook.position is HookPosition.PRE_PARAM:
-            what, shape = f"parameter {hook.param_name!r}", node.params[hook.param_name].shape
-        else:
-            ref = node.inputs[hook.input_index]
+            what, shape = f"parameter {hook.param_name!r}", graph.nodes[node_id].params[hook.param_name].shape
+        elif hook.position is HookPosition.PRE_INPUT:
+            ref = graph.nodes[node_id].inputs[hook.input_index]
             what, shape = f"input {ref!r}", shapes[ref]
+        else:
+            what, shape = "its output", shapes[node_id]
         if not transform.fits(shape):
             got = {name: list(p.shape) for name, p in params.items()}
             raise SerializationError(
                 f"malformed manifest: {where} ({kind}, parameters {got}) does not fit {what} of shape {list(shape)}"
             )
-    return graph, manifest.get("extra", {})
+    return graph
 
 
 def save_model(graph: ModelGraph, path, extra: Optional[dict] = None):

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, CompressionScheduler, SpecError
-from .graph import WEIGHTED_KINDS, Hook, HookPosition, ModelGraph
+from .base import CompressionBuilder, CompressionController, CompressionScheduler, SpecError, hook_weights
+from .graph import ModelGraph
 from .tensor import Tensor
 
 
@@ -225,12 +225,7 @@ class MagnitudeSparsityBuilder(CompressionBuilder):
     spec_class = MagnitudeSparsitySpec
 
     def apply_to(self, graph: ModelGraph) -> MagnitudeSparsityController:
-        hooks = {}
-        for node in graph.nodes.values():
-            if node.kind in WEIGHTED_KINDS:
-                pm = ParamMask(np.ones(node.params["weight"].shape))
-                graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, self.name, pm, param_name="weight"))
-                hooks[node.id] = pm
+        hooks = hook_weights(graph, self.name, lambda shape: ParamMask(np.ones(shape)))
         return MagnitudeSparsityController(graph, hooks, self.spec.schedule)
 
 
@@ -362,10 +357,5 @@ class RBSparsityBuilder(CompressionBuilder):
             self.spec.schedule = SparsityScheduleSpec(init=target, target=target, epochs=0)
 
     def apply_to(self, graph: ModelGraph) -> RBSparsityController:
-        gates = {}
-        for node in graph.nodes.values():
-            if node.kind in WEIGHTED_KINDS:
-                gate = RBGate(np.full(node.params["weight"].shape, self.spec.score_init))
-                graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, self.name, gate, param_name="weight"))
-                gates[node.id] = gate
+        gates = hook_weights(graph, self.name, lambda shape: RBGate(np.full(shape, self.spec.score_init)))
         return RBSparsityController(graph, gates, self.spec)

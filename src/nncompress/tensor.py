@@ -648,12 +648,11 @@ def _col2im_index(n, h, w, kh, kw, sh, sw, pad) -> np.ndarray:
 def maxpool2d(a, k: int, stride: Optional[int] = None) -> Tensor:
     """Max pooling over non-overlapping (by default) kxk windows.
 
-    The forward runs k*k in-place passes over the windows' elements, and
-    each window's maximum is the element ``np.argmax`` picks: the first on
-    ties, and the first NaN.  (Without a tape the passes are ``np.maximum``,
-    which keeps a later NaN only where a window holds two NaNs with
-    different bits.)  A recorded forward keeps that element's flat index
-    in ``a``, so its vjp scatters with one ``bincount`` and the adjoint of
+    The forward folds each window with k*k in-place ``np.maximum`` passes,
+    taped or not: a tie keeps the earlier element, and a NaN wins.  A
+    recorded forward then finds the element ``np.argmax`` picks (the first
+    equal to the maximum, or the first NaN) and keeps its flat index in
+    ``a``, so its vjp scatters with one ``bincount`` and the adjoint of
     that gathers with one ``take``."""
     a = as_tensor(a)
     if a.ndim != 4:
@@ -672,18 +671,15 @@ def maxpool2d(a, k: int, stride: Optional[int] = None) -> Tensor:
         return x[:, :, i : i + s * oh : s, j : j + s * ow : s]
 
     out = at(0, 0).copy()
+    for i, j in order[1:]:
+        # at a tie np.maximum returns its second operand, the earlier element
+        np.maximum(at(i, j), out, out=out)
     if not _recording(a):
-        for i, j in order[1:]:
-            # at a tie np.maximum returns its second operand, the earlier element
-            np.maximum(at(i, j), out, out=out)
         return _node(out, [], "maxpool2d")
     offset = np.zeros(out.shape, dtype=np.intp)
-    for i, j in order[1:]:
+    for i, j in reversed(order):  # the earliest match is written last
         v = at(i, j)
-        # a larger element, or the first NaN: np.argmax's choice
-        take = ~(v <= out) & (out == out)
-        np.copyto(out, v, where=take)
-        np.copyto(offset, i * w + j, where=take)
+        np.copyto(offset, i * w + j, where=(v == out) | np.isnan(v))
     corner = (np.arange(n * c).reshape(n, c, 1, 1) * h + s * np.arange(oh)[:, None]) * w + s * np.arange(ow)
     flat = corner + offset
     shape_in = a.shape

@@ -16,6 +16,7 @@ from nncompress.binarization import (
     select_binarized_layers,
 )
 from nncompress.graph import HookPosition, INPUT_ID, ModelGraph, NodeSpec
+from nncompress.models import build_model
 from nncompress.tensor import ShapeError, Tensor
 
 from test_graph import conv_node, fc_node
@@ -238,6 +239,14 @@ def test_unmatched_patterns_warn():
         select_binarized_layers(g, allowlist=["dense*"])
     with pytest.warns(UserWarning, match="denylist"):
         select_binarized_layers(g, denylist=["dense*"])
+
+
+def test_each_unmatched_pattern_warns():
+    """A typo beside a matching pattern warns too, and names the typo."""
+    with pytest.warns(UserWarning) as record:
+        ctrl = BinarizationBuilder({"denylist": ["conv1", "cnov2"]}).apply_to(build_model("cnn-small"))
+    assert [str(w.message) for w in record] == ["binarization denylist pattern 'cnov2' matches no convolution"]
+    assert list(ctrl.handles) == ["conv2"]
 
 
 def test_apply_binarization_places_both_hooks():

@@ -11,7 +11,6 @@ from nncompress import tensor as T
 from nncompress.api import create_compressed_model
 from nncompress.cli import main
 from nncompress.data import make_dataset
-from nncompress.graph import GraphError
 from nncompress.models import build_model
 from nncompress.serialize import SerializationError, deserialize_model, load_checkpoint, load_model, serialize_model
 from nncompress.tensor import Tensor
@@ -19,7 +18,8 @@ from nncompress.train import train_model
 
 from test_api import BAD_VALUE_IDS, BAD_VALUES, REPO
 from test_serialize import (
-    BAD_BATCHNORM_ATTRS, DELETE, JSON_VALUES, MALFORMED_MANIFESTS, _setting, live_manifest, with_manifest,
+    BAD_BATCHNORM_ATTRS, DELETE, JSON_VALUES, MALFORMED_HOOKS, MALFORMED_MANIFESTS, MISMATCHED_PARAMETERS, _setting,
+    binarized_model, live_manifest, quantized_model, with_manifest,
 )
 
 
@@ -206,7 +206,7 @@ def test_bad_node_attr_is_a_graph_error(tmp_path, capsys, edit):
 
     path = tmp_path / "m.nncm"
     path.write_bytes(with_manifest(serialize_model(build_model("cnn-small")), edit_conv1))
-    with pytest.raises(GraphError, match="Conv2D 'conv1': .*attr 'kernel'"):
+    with pytest.raises(SerializationError, match="Conv2D 'conv1': .*attr 'kernel'"):
         load_model(path)
     code, _, err = run_cli(["eval", "--model", str(path), "--dataset", "stripes", "--samples", "16"], capsys)
     assert code == 2 and "conv1" in err and "kernel" in err
@@ -218,6 +218,32 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, edit, message):
     path.write_bytes(with_manifest(serialize_model(build_model("cnn-small")), edit))
     code, _, err = run_cli(["eval", "--model", str(path), "--dataset", "stripes", "--samples", "16"], capsys)
     assert code == 2 and re.search(message, err)
+
+
+def eval_exits_2(tmp_path, capsys, data: bytes) -> str:
+    """``eval`` of a model file holding ``data`` exits 2 without a traceback; returns its stderr."""
+    path = tmp_path / "m.nncm"
+    path.write_bytes(data)
+    code, _, err = run_cli(["eval", "--model", str(path), "--dataset", "stripes", "--samples", "16"], capsys)
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("model,edit,message", MALFORMED_HOOKS)
+def test_malformed_hook_exits_2(tmp_path, capsys, model, edit, message):
+    assert re.search(message, eval_exits_2(tmp_path, capsys, with_manifest(serialize_model(model()), edit)))
+
+
+@pytest.mark.parametrize("edit, message", MISMATCHED_PARAMETERS)
+def test_parameter_table_mismatch_exits_2(tmp_path, capsys, edit, message):
+    err = eval_exits_2(tmp_path, capsys, with_manifest(serialize_model(build_model("cnn-small")), edit))
+    assert message in err
+
+
+@pytest.mark.parametrize("model", [quantized_model, binarized_model], ids=["pre-param", "pre-input"])
+def test_hook_before_the_input_exits_2(tmp_path, capsys, model):
+    data = with_manifest(serialize_model(model()), _setting("hooks", 1, "node_id", value="input"))
+    assert "the input has only an output" in eval_exits_2(tmp_path, capsys, data)
 
 
 def test_stats_lists_compression_hooks(tmp_path, capsys):
@@ -365,6 +391,19 @@ EXECUTOR_ATTRS = {
 }
 
 
+@st.composite
+def hook_points(draw):
+    """A hook's position, with the parameter name or input index that position reads."""
+    position = draw(st.sampled_from(["pre_param", "pre_input", "post_output"]), label="position")
+    names = st.sampled_from(["weight", "bias", "gamma", "running_var"])
+    return {
+        "position": position,
+        "param_name": draw(names, label="param_name") if position == "pre_param" else None,
+        "input_index": draw(st.integers(0, 2), label="input_index") if position == "pre_input" else 0,
+    }
+
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(
     derandomize=True, max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -372,21 +411,29 @@ EXECUTOR_ATTRS = {
 @given(draw=st.data())
 def test_fuzzed_manifest_evaluates_or_exits_2(tmp_path, capsys, draw):
     """Replacing or deleting any one manifest entry (top level, node, parameter
-    table or hook), or setting an attr an executor reads, gives a graph that
-    evaluates or a typed error, and eval exits 0 or 2 without a traceback."""
+    table or hook), setting an attr an executor reads, or moving a hook to
+    another point of its node gives a graph that evaluates or a
+    SerializationError, and eval exits 0 or 2 without a traceback."""
     data, manifest = live_manifest("int8_sparse50")
-    if draw.draw(st.booleans(), label="set an executor attr"):
+    change = draw.draw(st.sampled_from(["executor attr", "entry", "hook point"]), label="change")
+    if change == "executor attr":
         nodes = manifest["nodes"]
         targets = [("nodes", i, "attrs", a) for i, n in enumerate(nodes) for a in EXECUTOR_ATTRS.get(n["kind"], ())]
-        path = draw.draw(st.sampled_from(targets), label="attr")
-        value = draw.draw(JSON_VALUES, label="value")
-    else:
+        edit = _setting(*draw.draw(st.sampled_from(targets), label="attr"), value=draw.draw(JSON_VALUES, label="value"))
+    elif change == "entry":
         path = draw.draw(st.sampled_from(list(entry_paths(manifest))), label="entry")
-        value = draw.draw(st.just(DELETE) | JSON_VALUES, label="value")
-    edited = with_manifest(data, _setting(*path, value=value))
+        edit = _setting(*path, value=draw.draw(st.just(DELETE) | JSON_VALUES, label="value"))
+    else:
+        hook, point = draw.draw(st.integers(0, len(manifest["hooks"]) - 1), label="hook"), draw.draw(hook_points())
+
+        def edit(m):
+            m["hooks"][hook].update(point)
+            return m
+
+    edited = with_manifest(data, edit)
     try:
         g, _ = deserialize_model(edited)
-    except (SerializationError, GraphError):
+    except SerializationError:
         pass
     else:
         with T.no_grad():

@@ -318,6 +318,34 @@ def test_pre_input_hook_targets_one_edge():
         g.insert_hook(Hook("s", HookPosition.PRE_INPUT, "oob", lambda t, ctx: t, input_index=2))
 
 
+@pytest.mark.parametrize(
+    "position, param_name, input_index",
+    [
+        (HookPosition.POST_OUTPUT, "weight", 0),
+        (HookPosition.PRE_INPUT, "weight", 0),
+        (HookPosition.PRE_PARAM, "weight", 1),
+    ],
+    ids=["param-name-on-an-output", "param-name-on-an-input", "input-index-on-a-parameter"],
+)
+def test_hook_field_its_position_never_reads_is_rejected(position, param_name, input_index):
+    """run finds a hook by its whole point, so such a hook would never run."""
+    g = ModelGraph(input_shape=(1, 4, 4))
+    g.add_node(conv_node("c", INPUT_ID, 1, 2, 3))
+    with pytest.raises(GraphError, match=f"^'fam' hook at c/{position.value}: only a pre_param hook names a parameter"):
+        g.insert_hook(Hook("c", position, "fam", lambda t, ctx: t, param_name=param_name, input_index=input_index))
+    assert g.hooks == ()
+
+
+def test_hook_on_a_removed_node_fails_the_run():
+    g = ModelGraph(input_shape=(2,))
+    g.add_node(NodeSpec(id="r", kind="ReLU", inputs=[INPUT_ID]))
+    g.add_node(NodeSpec(id="s", kind="ReLU", inputs=["r"]))
+    g.insert_hook(Hook("s", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+    del g.nodes["s"]
+    with pytest.raises(GraphError, match="^dangling hook on removed node 's'$"):
+        g.run(Tensor(np.zeros((1, 2))))
+
+
 def test_batchnorm_train_normalizes_and_tracks():
     g = ModelGraph(input_shape=(2, 4, 4))
     g.add_node(bn_node("bn", INPUT_ID, 2))

@@ -129,6 +129,17 @@ MALFORMED_MANIFESTS = [
         "field 'name' of a parameter entry of node '.+' must be a string",
         id="list-param-name",
     ),
+    pytest.param(
+        _setting("nodes", 0, "params", 0, "offset", value=10**6),
+        r"truncated blob: parameter 'weight' needs bytes \[1000000, \d+\) but blob has \d+$",
+        id="parameter-past-the-blob",
+    ),
+    pytest.param(_setting("extra", value=5), "field 'extra' of the manifest must be an object, got 5", id="int-extra"),
+    pytest.param(
+        _setting("blob_size", value="0"),
+        "field 'blob_size' of the manifest must be a non-negative integer, got '0'",
+        id="string-blob-size",
+    ),
 ]
 
 
@@ -188,8 +199,9 @@ MALFORMED_HOOKS = [
     _bad_hook(0, "attrs.mode", "bogus", "field 'mode' .* must be one of", "bad-mode"),
     _bad_hook(1, "attrs.grid", "bogus", "field 'grid' .* must be one of", "bad-grid"),
     _bad_hook(1, "attrs.per_channel", "yes", "field 'per_channel' .* must be true or false", "string-per-channel"),
-    _bad_hook(0, "attrs.per_channel", True, r"per_channel True needs range parameters \['scale'\] of one 1-d shape",
-              "per-channel-scalar-scale"),
+    _bad_hook(0, "attrs.per_channel", True,
+              r"the hook at 'input' \(fake_quant, parameters \{'scale': \[\]\}\) "
+              r"does not fit its output of shape \[1, 4, 4\]", "per-channel-scalar-scale"),
     _bad_hook(1, "attrs.mode", "asymmetric", r"asymmetric quantizer needs parameters \['rmin', 'rmax'\]",
               "mode-without-its-params"),
     _bad_hook(0, "attrs.bits", 33, "field 'bits' .* an integer of at least 2 and at most 32", "33-bits"),
@@ -227,6 +239,21 @@ MALFORMED_HOOKS = [
     _bad_hook(1, "params.1.shape", [0],
               r"the hook at 'c1' \(binarize_activations, parameters \{'scale': \[\], 'thresholds': \[0\]\}\) "
               r"does not fit input 'input' of shape \[1, 4, 4\]$", "thresholds-for-no-channels", binarized_model),
+    pytest.param(
+        binarized_model,
+        lambda m: _setting("hooks", 0, "attrs", "enabled", value=True)(
+            _setting("hooks", 0, "param_name", value=None)(_setting("hooks", 0, "position", value="post_output")(m))
+        ),
+        r"the hook at 'c1' \(binarize_weights, parameters \{\}\) does not fit its output of shape \[2, 4, 4\]$",
+        id="weight-binarizer-on-an-output",
+    ),
+    _bad_hook(1, "position", "post_output",
+              r"'quantization' hook at c1/post_output: only a pre_param hook names a parameter .* got 'weight' and 0$",
+              "param-name-on-an-output"),
+    _bad_hook(0, "input_index", 1,
+              r"'quantization' hook at input/post_output: only .* a pre_input hook an input index, got None and 1$",
+              "input-index-on-an-output"),
+    _bad_hook(0, "kind", "bogus", "the hook at 'input': no decoder registered for hook kind 'bogus'", "unknown-kind"),
 ]
 
 
@@ -242,9 +269,10 @@ def test_malformed_hook_is_a_serialization_error(model, edit, message):
     ids=["weight-quantizer-on-the-input", "input-binarizer-before-the-input"],
 )
 def test_hook_before_the_input_is_a_graph_error(model, family, position):
-    """Hook 1 of either model moved to the graph input, which has only an output."""
+    """Hook 1 of either model moved to the graph input, which has only an
+    output: the load raises insert_hook's message as a SerializationError."""
     data = with_manifest(S.serialize_model(model()), _setting("hooks", 1, "node_id", value=INPUT_ID))
-    with pytest.raises(GraphError, match=f"^'{family}' hook at input/{position}: the input has only an output$"):
+    with pytest.raises(SerializationError, match=f"^'{family}' hook at input/{position}: the input has only an output$"):
         S.deserialize_model(data)
 
 
@@ -316,8 +344,22 @@ def test_duplicate_hook_in_file_is_rejected():
         return manifest
 
     data = with_manifest(S.serialize_model(quantized_model()), repeat_first_hook)
-    with pytest.raises(GraphError, match="duplicate 'quantization' hook at input/post_output"):
+    with pytest.raises(SerializationError, match="duplicate 'quantization' hook at input/post_output"):
         S.deserialize_model(data)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d[:4] + struct.pack("<I", len(d)) + d[8:], "truncated manifest"),
+        (lambda d: d[:4] + struct.pack("<I", 2) + b"\xff{", "unreadable manifest: 'utf-8' codec can't decode"),
+        (lambda d: d[:4] + struct.pack("<I", 2) + b"{]", "unreadable manifest: Expecting property name"),
+    ],
+    ids=["manifest-past-the-end", "not-utf-8", "not-json"],
+)
+def test_unreadable_manifest_is_a_serialization_error(edit, message):
+    with pytest.raises(SerializationError, match=message):
+        S.deserialize_model(edit(S.serialize_model(small_model())))
 
 
 def test_version_mismatch_rejected():
@@ -388,11 +430,12 @@ MISMATCHED_PARAMETERS = [
 @pytest.mark.parametrize("edit, message", MISMATCHED_PARAMETERS)
 def test_parameter_table_mismatch_fails_load_and_add_node(edit, message):
     """A node whose parameters differ from its kind's table, by name or by
-    shape, fails the load with the GraphError add_node raises for it."""
+    shape, fails the load with the message of the GraphError add_node raises
+    for it."""
     data = S.serialize_model(build_model("cnn-small"))
     assert list(_add_nodes(data).nodes) == list(S.deserialize_model(data)[0].nodes)
     edited = with_manifest(data, edit)
-    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(SerializationError, match=f"^{re.escape(message)}$"):
         S.deserialize_model(edited)
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
         _add_nodes(edited)
@@ -418,7 +461,7 @@ BAD_BATCHNORM_ATTRS = [
 def test_bad_batchnorm_attr_fails_load_and_add_node(attr, value, expect):
     edited = with_manifest(S.serialize_model(build_model("cnn-small")), _setting("nodes", 1, "attrs", attr, value=value))
     message = f"^BatchNorm 'bn1': attr {attr!r} must be {re.escape(expect)}$"
-    with pytest.raises(GraphError, match=message):
+    with pytest.raises(SerializationError, match=message):
         S.deserialize_model(edited)
     with pytest.raises(GraphError, match=message):
         _add_nodes(edited)
@@ -478,7 +521,7 @@ def test_random_graph_round_trips_bit_identical(g):
 
 def test_shape_error_names_the_node():
     """A shape mismatch in a middle node raises add_node's message for that node."""
-    with pytest.raises(GraphError, match=r"^Conv2D 'conv2': input channels 4 != in_channels 5$"):
+    with pytest.raises(SerializationError, match=r"^Conv2D 'conv2': input channels 4 != in_channels 5$"):
         S.deserialize_model(with_manifest(S.serialize_model(build_model("cnn-small")), _conv2_in_channels))
 
 
@@ -502,7 +545,7 @@ def test_structural_errors_precede_shape_inference(edit, message):
     """Each node's id, kind, inputs and arity are checked as it is linked, so
     a structural fault in the last node wins over a shape fault before it."""
     data = with_manifest(S.serialize_model(build_model("cnn-small")), _after_conv2_mismatch(edit))
-    with pytest.raises(GraphError, match=re.escape(message)):
+    with pytest.raises(SerializationError, match=re.escape(message)):
         S.deserialize_model(data)
 
 
@@ -545,6 +588,9 @@ class _ScaleTransform:
 
     def __call__(self, t, ctx):
         return T.mul(t, T.broadcast_to(T.reshape(self.factor, (1,) * t.ndim), t.shape))
+
+    def fits(self, shape) -> bool:  # one factor for the whole tensor
+        return self.factor.shape == ()
 
     def codec_state(self):
         return {}, {"factor": self.factor}

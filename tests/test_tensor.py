@@ -639,6 +639,17 @@ def test_relu_without_a_tape_matches_the_taped_op():
     assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
 
 
+def test_maxpool_without_a_tape_matches_the_taped_op():
+    x = Tensor(np.random.default_rng(21).normal(size=(2, 3, 4, 4)))
+    # two NaNs of different payloads in one window, and a lone NaN in another
+    x.data[0, 1, 0, 1] = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]
+    x.data[0, 1, 1, 0] = np.frombuffer(np.uint64(0xFFF8000000000002).tobytes())[0]
+    x.data[1, 2, 3, 3] = np.nan
+    untaped, taped, unchanged = _untaped_and_taped(lambda x: T.maxpool2d(x, 2), [x], [x])
+    assert untaped._parents == () and not untaped.requires_grad
+    assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
+
+
 @pytest.mark.parametrize("grid", ["weight", "signed_act", "unsigned_act"])
 @pytest.mark.parametrize("per_channel", [False, True])
 def test_fake_quant_without_a_tape_matches_the_taped_op(grid, per_channel):
