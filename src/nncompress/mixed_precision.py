@@ -34,7 +34,8 @@ def estimate_hessian_trace(
     """Hutchinson estimate of tr(H) for the loss Hessian w.r.t. one parameter.
 
     Averages v'Hv over ``num_samples`` Rademacher probes; each Hv comes from
-    differentiating the gradient a second time.
+    differentiating the gradient a second time, seeded with v.  Every probe
+    sweeps the same gradient tape, so all of them share one prepared sweep.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -42,8 +43,7 @@ def estimate_hessian_trace(
     total = 0.0
     for _ in range(num_samples):
         v = rng.integers(0, 2, size=param.shape).astype(np.float64) * 2.0 - 1.0
-        gv = T.tsum(T.mul(g, Tensor(v)))
-        (hv,) = T.grad(gv, [param])
+        (hv,) = T.grad(g, [param], grad_output=v)
         total += float(np.sum(v * hv.data))
     return total / num_samples
 

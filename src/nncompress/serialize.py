@@ -270,7 +270,12 @@ def save_checkpoint(graph: ModelGraph, path, config: dict, epoch: int, state: Op
 
 
 def load_checkpoint(path) -> Tuple[ModelGraph, dict]:
+    """The model and its ``{"config", "epoch", "state"}`` record: an object,
+    a non-negative integer and an object."""
     graph, extra = load_model(path)
     if "checkpoint" not in extra:
         raise SerializationError("file is a plain model, not a training checkpoint")
-    return graph, extra["checkpoint"]
+    meta = field(extra, "checkpoint", "the manifest's extra", _OBJECT)
+    for key, kind in (("config", _OBJECT), ("epoch", COUNT), ("state", _OBJECT)):
+        field(meta, key, "the checkpoint", kind)
+    return graph, meta

@@ -9,6 +9,12 @@ A sweep that records nothing carries plain ndarrays instead: the engine
 ops a vjp calls then compute on arrays and return arrays, and only the
 gradients handed back are wrapped.
 
+Both walk one prepared sweep: the sorted tape as integer slots, each with
+its edges into the parents that need a gradient.  ``grad`` seeds it with
+one at a scalar root or with ``grad_output`` at any root, and keeps it on
+the root, so sweeping one tape many times (a Hessian probe per random
+vector) sorts it once.
+
 Non-differentiable point-wise maps (rounding, sign, thresholding) go through
 ``ste_apply``, which keeps the exact forward value but passes the incoming
 gradient through unchanged.
@@ -57,6 +63,8 @@ class Tensor:
 
     # set on an op's output once ``backward`` has freed the tape through it
     _released = False
+    # the reverse sweep ``grad`` last prepared from this tensor as its root
+    _sweep = None
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -878,49 +886,81 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def _run_backward(topo: list, create_graph: bool, keep: set, needed=None) -> dict:
-    """Reverse sweep over ``topo`` (root last), seeded with ones at the root.
+class _Releases:
+    # counts the tapes ``backward`` has released: a sweep prepared before the
+    # last release is prepared again, and that raises if it meets a released
+    # tensor
+    count = 0
 
-    With ``needed`` (a set of tensor ids closed under "child of a member"),
-    only vjps into those tensors run; without it every vjp runs and every
-    reached tensor is differentiated.  Each gradient is dropped as soon as
-    its tensor's vjps have run; returns ``{id(t): gradient}`` for the
-    reached tensors whose id is in ``keep``.  With ``create_graph`` the
-    gradients are tensors on a new tape; without it the sweep runs in array
-    mode, and they are ndarrays: a vjp then receives an ndarray, and a
-    tensor it returns is unwrapped.
+
+class _Sweep:
+    """A reverse sweep over one root's tape, prepared once and run for any seed.
+
+    The tensors it differentiates get integer slots in topological order,
+    the root in the last: with ``marked`` the tensors on a path from
+    ``wrt`` to the root, without it every tensor.  ``edges`` lists
+    ``(slot, vjp, parent slot)`` for every edge between slotted tensors,
+    slots in descending order and, within a slot, in the order of its
+    ``_parents``; ``out`` holds the slot of each ``wrt`` tensor (None when
+    no gradient reaches it).  It holds vjps and slots, never the root, so a
+    root that keeps its sweep is no reference cycle.
     """
-    seed = np.ones_like(topo[-1].data)
-    grads: dict = {id(topo[-1]): Tensor(seed) if create_graph else seed}
-    kept: dict = {}
-    with _grad_mode(create_graph, arrays=not create_graph):
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if id(node) in keep:
-                kept[id(node)] = g
-            for parent, vjp in node._parents:
-                if needed is not None and id(parent) not in needed:
+
+    __slots__ = ("key", "releases", "size", "edges", "keep", "out")
+
+    def __init__(self, topo: list, wrt: Sequence[Tensor], marked: bool = True, key: tuple = ()):
+        self.key, self.releases = key, _Releases.count
+        if marked:
+            # every tensor whose gradient can reach wrt: in wrt, or a child of one
+            wrt_ids, order, slot = {id(w) for w in wrt}, [], {}
+            for node in topo:
+                if id(node) not in wrt_ids:
+                    for parent, _ in node._parents:
+                        if id(parent) in slot:
+                            break
+                    else:
+                        continue
+                slot[id(node)] = len(order)
+                order.append(node)
+            if not order:  # no path to wrt: the root alone
+                order, slot = [topo[-1]], {id(topo[-1]): 0}
+        else:
+            order, slot = topo, {id(node): i for i, node in enumerate(topo)}
+        self.edges = [
+            (i, vjp, slot[id(p)])
+            for i in range(len(order) - 1, -1, -1)
+            for p, vjp in order[i]._parents
+            if not marked or id(p) in slot
+        ]
+        self.size = len(order)
+        self.out = [slot.get(id(w)) for w in wrt]
+        self.keep = frozenset(self.out)
+
+    def run(self, seed: np.ndarray, create_graph: bool) -> list:
+        """The gradient of each ``wrt`` tensor (None where none reaches) for
+        ``seed`` at the root.  Each gradient is dropped as soon as its
+        tensor's vjps have run, unless it is returned.  With
+        ``create_graph`` the gradients are tensors on a new tape; without it
+        the sweep runs in array mode, and they are ndarrays: a vjp then
+        receives an ndarray, and a tensor it returns is unwrapped."""
+        grads: list = [None] * self.size
+        grads[-1] = Tensor(seed) if create_graph else seed
+        keep = self.keep
+        at = g = None
+        with _grad_mode(create_graph, arrays=not create_graph):
+            for i, vjp, j in self.edges:
+                if i != at:  # the first edge out of slot i: its gradient is complete
+                    at, g = i, grads[i]
+                    if i not in keep:
+                        grads[i] = None
+                if g is None:
                     continue
                 pg = vjp(g)
                 if not create_graph and isinstance(pg, Tensor):  # a vjp built on _node, outside the engine
                     pg = pg.data
-                prev = grads.get(id(parent))
-                grads[id(parent)] = pg if prev is None else add(prev, pg)
-    return kept
-
-
-def _on_paths_from(topo: list, wrt_ids: set) -> set:
-    """Ids of the tensors in ``topo`` (parents first) that are in ``wrt_ids``
-    or have a parent that is: every tensor whose gradient can reach ``wrt``."""
-    needed = set(wrt_ids)
-    for node in topo:
-        for parent, _ in node._parents:
-            if id(parent) in needed:
-                needed.add(id(node))
-                break
-    return needed
+                prev = grads[j]
+                grads[j] = pg if prev is None else add(prev, pg)
+        return [None if k is None else grads[k] for k in self.out]
 
 
 def backward(loss: Tensor):
@@ -945,9 +985,8 @@ def backward(loss: Tensor):
         return
     topo = _toposort(loss)
     leaves = [t for t in topo if not t._parents]
-    grads = _run_backward(topo, False, {id(t) for t in leaves})
-    for leaf in leaves:
-        g = grads[id(leaf)]
+    grads = _Sweep(topo, leaves, marked=False).run(np.ones_like(loss.data), False)
+    for leaf, g in zip(leaves, grads):
         if leaf._grad is None:
             leaf._grad = np.array(g, dtype=np.float64)
         else:
@@ -957,33 +996,51 @@ def backward(loss: Tensor):
 
 def _release(topo: list):
     # every op output drops the links to its inputs, so a later sweep that
-    # reaches one of them raises instead of treating it as a leaf
+    # reaches one of them raises instead of treating it as a leaf; it also
+    # drops any sweep it kept, which would hold the released tape's vjps
     for node in topo:
         if node._parents:
             node._parents = ()
             node._released = True
+            if node._sweep is not None:
+                node._sweep = None
+    _Releases.count += 1
 
 
-def grad(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list:
+def grad(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False, grad_output=None) -> list:
     """Return d(loss)/d(w) for each w in ``wrt`` as tensors, without touching
     ``.grad`` buffers.  With ``create_graph`` the returned tensors stay on the
     tape, so expressions of them can be differentiated again.
 
+    A scalar ``loss`` is seeded with one.  ``grad_output``, an array of
+    ``loss``'s shape, seeds any root with itself, so the result is the
+    vector-Jacobian product ``grad_output' d(loss)/d(w)``: the bits of
+    ``grad(tsum(mul(loss, Tensor(grad_output))), wrt)``.  ``grad_output`` is
+    a constant: a ``Tensor`` raises ``TypeError``, because no gradient would
+    reach it even under ``create_graph``.
+
     Only tensors on a path from ``wrt`` to ``loss`` are differentiated: a vjp
     into any other tensor never runs.  Every gradient that is kept still gets
     all its contributions in the same order, so the values are the bits a
-    sweep over the whole tape would give.
+    sweep over the whole tape would give.  The sorted, path-marked sweep is
+    kept on ``loss`` for the last ``wrt`` asked, so sweeping one root many
+    times, with a new ``grad_output`` each time, sorts its tape once.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
-    topo = _toposort(loss)
-    wrt_ids = {id(w) for w in wrt}
-    grads = _run_backward(topo, create_graph, wrt_ids, _on_paths_from(topo, wrt_ids))
-    out = []
-    for w in wrt:
-        g = grads.get(id(w))
-        if g is None:
-            out.append(Tensor(np.zeros_like(w.data)))
-        else:
-            out.append(g if create_graph else Tensor(g))
-    return out
+    if grad_output is None:
+        if loss.data.size != 1:
+            raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}; pass grad_output to seed it")
+        seed = np.ones_like(loss.data)
+    else:
+        if isinstance(grad_output, Tensor):
+            raise TypeError("grad: grad_output is a constant array, not a Tensor; it is never differentiated")
+        seed = np.array(grad_output, dtype=np.float64)
+        if seed.shape != loss.shape:
+            raise ShapeError(f"grad: grad_output of shape {seed.shape} does not match the root's {loss.shape}")
+    key = tuple(map(id, wrt))
+    sweep = loss._sweep
+    if sweep is None or sweep.key != key or sweep.releases != _Releases.count:
+        sweep = loss._sweep = _Sweep(_toposort(loss), wrt, key=key)
+    return [
+        Tensor(np.zeros_like(w.data)) if g is None else g if create_graph else Tensor(g)
+        for w, g in zip(wrt, sweep.run(seed, create_graph))
+    ]

@@ -12,7 +12,9 @@ from nncompress.api import create_compressed_model
 from nncompress.cli import main
 from nncompress.data import make_dataset
 from nncompress.models import build_model
-from nncompress.serialize import SerializationError, deserialize_model, load_checkpoint, load_model, serialize_model
+from nncompress.serialize import (
+    SerializationError, deserialize_model, load_checkpoint, load_model, save_checkpoint, serialize_model,
+)
 from nncompress.tensor import Tensor
 from nncompress.train import train_model
 
@@ -210,6 +212,40 @@ def test_bad_node_attr_is_a_graph_error(tmp_path, capsys, edit):
         load_model(path)
     code, _, err = run_cli(["eval", "--model", str(path), "--dataset", "stripes", "--samples", "16"], capsys)
     assert code == 2 and "conv1" in err and "kernel" in err
+
+
+# an edit of a checkpoint's ``extra.checkpoint`` record, and the field its error names
+BAD_CHECKPOINT_RECORDS = {
+    "record-int": (_setting("extra", "checkpoint", value=5), "'checkpoint'"),
+    "record-list": (_setting("extra", "checkpoint", value=[]), "'checkpoint'"),
+    "config-missing": (_setting("extra", "checkpoint", "config", value=DELETE), "'config'"),
+    "config-string": (_setting("extra", "checkpoint", "config", value="cfg.json"), "'config'"),
+    "epoch-missing": (_setting("extra", "checkpoint", "epoch", value=DELETE), "'epoch'"),
+    "epoch-negative": (_setting("extra", "checkpoint", "epoch", value=-1), "'epoch'"),
+    "epoch-float": (_setting("extra", "checkpoint", "epoch", value=1.5), "'epoch'"),
+    "epoch-bool": (_setting("extra", "checkpoint", "epoch", value=True), "'epoch'"),
+    "state-null": (_setting("extra", "checkpoint", "state", value=None), "'state'"),
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "export"])
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_RECORDS))
+def test_bad_checkpoint_record_exits_2(tmp_path, capsys, command, case):
+    """The checksum covers only the blob, so an edited record loads this far;
+    both commands that read a checkpoint reject it with the field's name."""
+    edit, name = BAD_CHECKPOINT_RECORDS[case]
+    good = tmp_path / "good.nncm"
+    save_checkpoint(build_model("cnn-small"), good, config={"compression": []}, epoch=0)
+    path = tmp_path / "ckpt.nncm"
+    path.write_bytes(with_manifest(good.read_bytes(), edit))
+    with pytest.raises(SerializationError, match=name):
+        load_checkpoint(path)
+    argv = {"stats": ["stats", "--checkpoint", str(path)],
+            "export": ["export", "--checkpoint", str(path), "--out", str(tmp_path / "out.nncm")]}[command]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and name in err and "Traceback" not in err
+    assert not (tmp_path / "out.nncm").exists()
+    assert run_cli(argv[:2] + [str(good)] + argv[3:], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("edit,message", MALFORMED_MANIFESTS)

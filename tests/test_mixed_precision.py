@@ -63,6 +63,26 @@ def test_trace_through_model_graph():
     assert t1 == t1_again
 
 
+def test_trace_probes_share_one_sort_of_their_root(monkeypatch):
+    """All probes of one layer sweep the same gradient tape: the loss and the
+    probe root are each sorted once, however many probes run."""
+    g = small_cnn()
+    out = g.run(Tensor(np.random.default_rng(3).normal(size=(4, 1, 8, 8))), mode="train")
+    loss = T.tmean(T.mul(out, out))
+    sorted_roots = []
+    toposort = T._toposort
+
+    def counting(root):
+        sorted_roots.append(root)
+        return toposort(root)
+
+    monkeypatch.setattr(T, "_toposort", counting)
+    w = g.nodes["conv1"].params["weight"]
+    estimate_hessian_trace(loss, w, num_samples=32, rng=np.random.default_rng(0))
+    assert len(sorted_roots) == 2 and sorted_roots[0] is loss
+    assert sorted_roots[1] is not loss and sorted_roots[1].shape == w.shape
+
+
 def test_quantization_error_shrinks_with_bits():
     from nncompress.quantization import FakeQuantizer
 

@@ -17,6 +17,7 @@ from nncompress.quantization import QuantizationSpec, initialize_quantizer_range
 from nncompress.serialize import SerializationError
 from nncompress.sparsity import ParamMask, RBGate
 from nncompress.tensor import Tensor
+from nncompress.util import cross_entropy
 
 from test_api import REPO
 from test_graph import bn_node, conv_node, fc_node
@@ -517,6 +518,29 @@ def test_random_graph_round_trips_bit_identical(g):
     ]
     x = Tensor(np.random.default_rng(0).normal(size=(3, *g.input_shape)))
     assert np.array_equal(loaded.run(x).data, g.run(x).data)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(g=valid_graphs())
+def test_seeded_sweeps_match_dot_product_roots(g):
+    """On any valid graph, grad with ``grad_output`` gives the bytes of the
+    sweep from ``tsum(mul(root, Tensor(grad_output)))``: at the train-mode
+    logits, and at each weight's create_graph gradient (a Hessian probe)."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, *g.input_shape)))
+    out = g.run(x, mode="train", rng=np.random.default_rng(1))
+    weights = [n.params["weight"] for n in g.nodes.values() if "weight" in n.params]
+    u = rng.normal(size=out.shape)
+    seeded = T.grad(out, weights, grad_output=u)
+    dotted = T.grad(T.tsum(T.mul(out, Tensor(u))), weights)
+    assert [s.data.tobytes() for s in seeded] == [d.data.tobytes() for d in dotted]
+    loss = cross_entropy(out, rng.integers(0, out.shape[1], size=out.shape[0]))
+    for w in weights:
+        (gw,) = T.grad(loss, [w], create_graph=True)
+        v = rng.integers(0, 2, size=w.shape).astype(np.float64) * 2.0 - 1.0
+        (seeded,) = T.grad(gw, [w], grad_output=v)
+        (dotted,) = T.grad(T.tsum(T.mul(gw, Tensor(v))), [w])
+        assert seeded.data.tobytes() == dotted.data.tobytes()
 
 
 def test_shape_error_names_the_node():

@@ -700,3 +700,117 @@ def test_batch_norm_without_a_tape_matches_the_taped_op(mode, shape):
         lambda *t: T.batch_norm(*t, 1e-5, *stats)[0], [x, gamma, beta], [x, gamma, beta]
     )
     assert untaped.data.tobytes() == taped.data.tobytes() and unchanged
+
+
+# -- seeded sweeps (grad_output) and the sweep a root keeps ----------------
+
+
+def _rademacher(shape, seed):
+    return np.random.default_rng(seed).integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+
+
+def _probe_loss(config_name):
+    """The Hessian probe set-up of ``tools/export_digests.py``: ``cnn-residual``
+    (seed 7) compressed by ``config_name``, and cross entropy plus
+    compression loss of a train-mode forward on 64 ``stripes`` samples."""
+    config = json.loads((REPO / "configs" / f"{config_name}.json").read_text())
+    x, y = make_dataset("stripes", 128, seed=7)
+    init = [(x[i : i + 64], y[i : i + 64]) for i in range(0, 128, 64)]
+    controllers, g = create_compressed_model(build_model("cnn-residual", 7), config, init)
+    out = g.run(Tensor(x[:64]), mode="train", rng=np.random.default_rng(7))
+    weights = [node.params["weight"] for node in g.nodes.values() if "weight" in node.params]
+    return T.add(cross_entropy(out, y[:64]), total_compression_loss(controllers)), weights
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in (REPO / "configs").glob("*.json")))
+def test_seeded_hessian_probe_matches_the_dot_product_root(config):
+    """grad(g, [w], grad_output=v) gives the bytes of grad(tsum(mul(g, v)), [w])
+    for every weight layer, on its first sweep and on a replay of the kept one."""
+    loss, weights = _probe_loss(config)
+    assert len(weights) >= 4
+    for k, w in enumerate(weights):
+        (g,) = T.grad(loss, [w], create_graph=True)
+        for seed in (k, k + 100):
+            v = _rademacher(w.shape, seed)
+            (seeded,) = T.grad(g, [w], grad_output=v)
+            (dotted,) = T.grad(T.tsum(T.mul(g, Tensor(v))), [w])
+            assert seeded.data.tobytes() == dotted.data.tobytes(), f"weight {k}, probe {seed}"
+
+
+def test_grad_output_seeds_a_non_scalar_root():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = T.mul(T.texp(x), x)
+    u = rng.normal(size=(2, 3))
+    (seeded,) = T.grad(y, [x], grad_output=u)
+    (dotted,) = T.grad(T.tsum(T.mul(y, Tensor(u))), [x])
+    assert seeded.data.tobytes() == dotted.data.tobytes()
+    (recorded,) = T.grad(y, [x], create_graph=True, grad_output=u)
+    assert recorded.requires_grad and recorded.data.tobytes() == dotted.data.tobytes()
+    with pytest.raises(TypeError, match="grad_output is a constant array, not a Tensor"):
+        T.grad(y, [x], create_graph=True, grad_output=Tensor(u, requires_grad=True))
+
+
+def test_grad_output_shape_is_checked():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = T.mul(x, x)
+    with pytest.raises(ShapeError, match=r"grad_output of shape \(3, 2\) does not match the root's \(2, 3\)"):
+        T.grad(y, [x], grad_output=np.ones((3, 2)))
+    with pytest.raises(ShapeError, match=r"grad_output of shape \(\) does not match"):
+        T.grad(y, [x], grad_output=1.0)
+    with pytest.raises(ShapeError, match=r"loss must be scalar, got shape \(2, 3\)"):
+        T.grad(y, [x])
+
+
+def test_kept_sweep_follows_wrt():
+    """A root keeps the sweep of the last ``wrt`` it was asked for; asking for
+    another prepares a new one, and every answer is a fresh sweep's."""
+    rng = np.random.default_rng(4)
+    a, b = Tensor(rng.normal(size=3), requires_grad=True), Tensor(rng.normal(size=3), requires_grad=True)
+    h = T.mul(a, b)
+    root = T.mul(T.tsum(T.mul(h, h)), T.tsum(T.texp(a)))
+    ga, gb, gab = T.grad(root, [a])[0], T.grad(root, [b])[0], T.grad(root, [a, b])
+    assert root._sweep.key == (id(a), id(b))
+    assert ga.data.tobytes() == T.grad(root, [a])[0].data.tobytes() == gab[0].data.tobytes()
+    assert gb.data.tobytes() == gab[1].data.tobytes()
+    (gh,) = T.grad(root, [h])
+    np.testing.assert_allclose(gh.data, 2.0 * h.data * np.sum(np.exp(a.data)))
+
+
+def test_kept_sweep_is_not_replayed_past_a_release():
+    w = Tensor([2.0, 3.0], requires_grad=True)
+    h = T.mul(w, w)
+    root = T.mul(h, 3.0)
+    (first,) = T.grad(root, [w], grad_output=np.ones(2))
+    np.testing.assert_array_equal(first.data, [12.0, 18.0])
+    assert root._sweep is not None
+    T.backward(T.tsum(T.mul(h, 5.0)))  # releases h, which root's kept sweep runs through
+    with pytest.raises(RuntimeError, match="'mul' tensor was released"):
+        T.grad(root, [w], grad_output=np.ones(2))
+
+
+def test_backward_drops_the_sweep_a_released_root_kept():
+    w = Tensor([2.0, 3.0], requires_grad=True)
+    loss = T.tsum(T.mul(T.texp(w), w))
+    T.grad(loss, [w])
+    assert loss._sweep is not None
+    T.backward(loss)
+    assert loss._sweep is None
+
+
+def test_root_keeping_its_sweep_is_freed_without_the_collector():
+    loss, weights = _probe_loss("int8_sparse50")
+    w = weights[1]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        (g,) = T.grad(loss, [w], create_graph=True)
+        for seed in range(3):
+            T.grad(g, [w], grad_output=_rademacher(w.shape, seed))
+        assert loss._sweep is not None and g._sweep is not None
+        roots = weakref.ref(loss), weakref.ref(g)
+        del loss, g
+        assert [r() for r in roots] == [None, None], "a root that keeps its sweep outlived its last reference"
+    finally:
+        if was_enabled:
+            gc.enable()
