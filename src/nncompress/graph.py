@@ -273,7 +273,8 @@ class ModelGraph:
         return [n for n in self.nodes.values() if node_id in n.inputs]
 
     def output_id(self) -> str:
-        terminals = [nid for nid in self.nodes if not self.consumers(nid)]
+        used = {ref for n in self.nodes.values() for ref in n.inputs}
+        terminals = [nid for nid in self.nodes if nid not in used]
         if len(terminals) != 1:
             raise GraphError(f"graph must have exactly one output node, found {terminals}")
         return terminals[0]

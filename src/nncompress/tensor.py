@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import copy as _copy
 import functools
+import math
+import os
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -561,11 +564,12 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    return _node(
-        a.data @ b.data,
-        [(a, lambda g: matmul(g, transpose(b))), (b, lambda g: matmul(transpose(a), g))],
-        "matmul",
-    )
+    return _matmul_node(a, b, a.data @ b.data)
+
+
+def _matmul_node(a: Tensor, b: Tensor, data: np.ndarray) -> Tensor:
+    """The tape node of ``a @ b``, whose value ``data`` is already computed."""
+    return _node(data, [(a, lambda g: matmul(g, transpose(b))), (b, lambda g: matmul(transpose(a), g))], "matmul")
 
 
 def _window_count(size: int, k: int, s: int) -> int:
@@ -578,37 +582,54 @@ def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
     if _GradMode.arrays:
         return _im2col(_array(a), kh, kw, sh, sw, pad)
     a = as_tensor(a)
-    if a.ndim != 4:
-        raise ShapeError(f"im2col: expected 4-d input, got {a.shape}")
+    _check_windows(a.shape, kh, kw, sh, sw, pad)
+    return _im2col_node(a, _im2col(a.data, kh, kw, sh, sw, pad), kh, kw, sh, sw, pad)
+
+
+def _check_windows(shape: tuple, kh, kw, sh, sw, pad):
+    """Raise ``ShapeError`` unless im2col can lower an input of ``shape``."""
+    if len(shape) != 4:
+        raise ShapeError(f"im2col: expected 4-d input, got {shape}")
     if min(kh, kw, sh, sw) < 1 or pad < 0:
         raise ShapeError(
             f"im2col: window {kh}x{kw} and stride {sh}x{sw} must be >= 1, padding {pad} >= 0"
         )
-    n, c, h, w = a.shape
+    h, w = shape[2:]
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ShapeError(f"im2col: window {kh}x{kw} does not fit padded input {h + 2 * pad}x{w + 2 * pad}")
+
+
+def _im2col_node(a: Tensor, cols: np.ndarray, kh, kw, sh, sw, pad) -> Tensor:
+    """The tape node of ``im2col(a, ...)``, whose value ``cols`` is already computed."""
     shape_in = a.shape
 
     def vjp(g):
         return _col2im(g, shape_in, kh, kw, sh, sw, pad)
 
-    return _node(_im2col(a.data, kh, kw, sh, sw, pad), [(a, vjp)], "im2col")
+    return _node(cols, [(a, vjp)], "im2col")
 
 
 def _im2col(x: np.ndarray, kh, kw, sh, sw, pad) -> np.ndarray:
     n, c, h, w = x.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    oh, ow = _window_count(hp, kh, sh), _window_count(wp, kw, sw)
+    oh, ow = _window_count(h + 2 * pad, kh, sh), _window_count(w + 2 * pad, kw, sw)
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=np.float64)
+    _lower(x, cols, sh, sw, pad)
+    return cols.reshape(c * kh * kw, n * oh * ow)
+
+
+def _lower(x: np.ndarray, cols: np.ndarray, sh, sw, pad):
+    """Copy the windows of [N,C,H,W] ``x``, zero-padded by ``pad``, into
+    ``cols`` viewed as [C,kh,kw,N,oh,ow]."""
+    c, kh, kw, n, oh, ow = cols.shape
+    h, w = x.shape[2:]
     src = x.transpose(1, 0, 2, 3)  # [C,N,H,W]
     if pad:
-        xp = np.zeros((c, n, hp, wp), dtype=np.float64)
-        xp[:, :, pad : pad + h, pad : pad + w] = src
-        src = xp
-    cols = np.empty((c, kh, kw, n, oh, ow), dtype=np.float64)
+        padded = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
+        padded[:, :, pad:-pad, pad:-pad] = src
+        src = padded
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = src[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-    return cols.reshape(c * kh * kw, n * oh * ow)
 
 
 def _col2im(cols, shape_in, kh, kw, sh, sw, pad) -> Tensor:
@@ -727,32 +748,138 @@ def _maxpool_gather(gg, flat, shape_in) -> Tensor:
 
 
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d correlation, NCHW input against OIHW weights."""
+    """2-d correlation, NCHW input against OIHW weights.
+
+    One kernel, ``_conv_forward``, computes the lowered input, its product
+    with the [O, C*kh*kw] weight and the biased output.  A large batch is
+    split into blocks of whole samples, one per usable CPU, each lowered,
+    multiplied and biased by one thread; the bits are those of one block.
+    A recorded call wraps the kernel's arrays in the tape nodes
+    ``im2col`` -> ``matmul`` -> ``reshape`` -> ``transpose`` -> ``add``.
+    """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and weight, got {x.shape}, {w.shape}")
-    n, c, h, wd = x.shape
+    n, c = x.shape[:2]
     o, ci, kh, kw = w.shape
     if c != ci:
         raise ShapeError(f"conv2d: input channels {c} != weight in_channels {ci}")
-    cols = im2col(x, kh, kw, stride, stride, padding)  # [C*kh*kw, N*L]
-    oh = _window_count(h + 2 * padding, kh, stride)
-    ow = _window_count(wd + 2 * padding, kw, stride)
-    out = matmul(reshape(w, (o, c * kh * kw)), cols)  # [O, N*L]
-    out = transpose(reshape(out, (o, n, oh, ow)), (1, 0, 2, 3))
+    _check_windows(x.shape, kh, kw, stride, stride, padding)
+    operands = (x, w)
     if b is not None:
         b = as_tensor(b)
         if b.shape != (o,):
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({o},)")
-        # the sum is written C-contiguous, as BatchNorm's sums expect; the
-        # bias gradient is summed to (1, O, 1, 1) first, as broadcast_to's was
-        data = np.add(out.data, b.data.reshape(1, o, 1, 1), out=np.empty(out.shape))
-        out = _node(
-            data,
-            [(out, lambda g: g), (b, lambda g: reshape(_sum_to(g, (1, o, 1, 1)), (o,)))],
-            "add",
-        )
-    return out
+        operands += (b,)
+    w2 = reshape(w, (o, c * kh * kw))
+    cols, prod, data = _conv_forward(x.data, w2.data, None if b is None else b.data, kh, kw, stride, padding)
+    if not _recording(*operands):
+        return _node(data, [], "conv2d")
+    out = _matmul_node(w2, _im2col_node(x, cols, kh, kw, stride, stride, padding), prod)  # [O, N*L]
+    out = transpose(reshape(out, (o, n) + data.shape[2:]), (1, 0, 2, 3))
+    if b is None:
+        return out
+    # the bias gradient is summed to (1, O, 1, 1) first, as broadcast_to's was
+    return _node(data, [(out, lambda g: g), (b, lambda g: reshape(_sum_to(g, (1, o, 1, 1)), (o,)))], "add")
+
+
+# Blocked convolution.  A block carries at least this many multiply-adds.
+# A smaller product can take another BLAS kernel than the whole batch's
+# (OpenBLAS has a small-matrix path), and so give other bits; and a
+# smaller block does not pay for waking a worker that has been idle
+# through a training epoch.
+_MIN_BLOCK_MACS = 1 << 21
+# Block edges fall on multiples of this many product columns, and a batch
+# is split only if its column count is one too, so that every block meets
+# the GEMM micro-kernel's column tiles where the whole product does.
+# Both values fit OpenBLAS's kernels; the bits match one block only where
+# tests/test_conv_blocks.py passes.  Where it fails, run on one CPU, or
+# derive the alignment and minimum from the BLAS in use.
+_BLOCK_ALIGN = 64
+
+
+class _Workers:
+    # the threads that run every block but the first, made on first use in
+    # each process: a process forked from this one has the pool but not its
+    # threads
+    pid = None
+    pool = None
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sample_blocks(n: int, cols_per_sample: int, macs_per_col: int) -> list:
+    """The sample bounds of ``conv2d``'s blocks: ``[0, n]`` for one block,
+    else one block per usable CPU, as equal as the alignment allows, each
+    of at least ``_MIN_BLOCK_MACS`` multiply-adds."""
+    step = _BLOCK_ALIGN // math.gcd(cols_per_sample, _BLOCK_ALIGN)  # samples per aligned edge
+    if n % step:
+        return [0, n]
+    units, unit_macs = n // step, max(1, step * cols_per_sample * macs_per_col)
+    most = units // -(-_MIN_BLOCK_MACS // unit_macs)  # blocks of at least the minimum
+    count = min(most, _cpus()) if most > 1 else 1
+    return [units * i // count * step for i in range(count + 1)]
+
+
+def _run_blocks(fn, bounds: list, *args):
+    """``fn(*args, lo, hi)`` for each pair of adjacent ``bounds``: the first
+    block in this thread, the others on worker threads.  Returns once every
+    block is done, and re-raises here an exception a worker raised."""
+    if len(bounds) == 2:
+        return fn(*args, *bounds)
+    if _Workers.pid != os.getpid():
+        _Workers.pid = os.getpid()
+        _Workers.pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="nncompress-conv")
+    futures = [_Workers.pool.submit(fn, *args, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(*args, bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _conv_forward(x: np.ndarray, w2: np.ndarray, b, kh, kw, stride, pad):
+    """``conv2d``'s arrays: the lowered input [C*kh*kw, N*L], its product
+    [O, N*L] with the weight ``w2`` [O, C*kh*kw], and the output [N,O,oh,ow]
+    (with a bias ``b``, a new C-contiguous sum, as BatchNorm's sums expect;
+    without, a view of the product).
+
+    The caller allocates these three, and ``_conv_block`` fills them one
+    block of whole samples at a time.  The blocks split the product by
+    columns only, on aligned edges, so each output element has the bits of
+    the one-block product.
+    """
+    n, c, h, w = x.shape
+    o = w2.shape[0]
+    oh, ow = _window_count(h + 2 * pad, kh, stride), _window_count(w + 2 * pad, kw, stride)
+    cols = np.empty((c, kh, kw, n, oh, ow))
+    prod = np.empty((o, n * oh * ow))
+    out = None if b is None else np.empty((n, o, oh, ow))
+    _run_blocks(_conv_block, _sample_blocks(n, oh * ow, w2.size), x, w2, b, cols, prod, out, stride, pad)
+    if out is None:
+        out = prod.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * oh * ow), prod, out
+
+
+def _conv_block(x, w2, b, cols, prod, out, stride, pad, lo, hi):
+    """Samples ``lo:hi`` of ``_conv_forward``, in one thread: their windows
+    into ``cols`` [C,kh,kw,N,oh,ow], their columns of the product into
+    ``prod``, and with a bias ``b`` their biased output into ``out``.  The
+    product reads lowered columns still in this thread's cache, and the
+    thread allocates only the zero-padded copy of its samples.  A worker
+    runs only this: numpy on arrays, no engine op, no grad mode."""
+    _lower(x[lo:hi], cols[:, :, :, lo:hi], stride, stride, pad)
+    o, oh, ow = len(w2), cols.shape[4], cols.shape[5]
+    part = prod[:, lo * oh * ow : hi * oh * ow]
+    np.matmul(w2, cols.reshape(w2.shape[1], prod.shape[1])[:, lo * oh * ow : hi * oh * ow], out=part)
+    if b is not None:
+        np.add(part.reshape(o, hi - lo, oh, ow).transpose(1, 0, 2, 3), b.reshape(1, o, 1, 1), out=out[lo:hi])
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -1036,6 +1163,7 @@ def grad(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False, grad_o
         seed = np.array(grad_output, dtype=np.float64)
         if seed.shape != loss.shape:
             raise ShapeError(f"grad: grad_output of shape {seed.shape} does not match the root's {loss.shape}")
+    wrt = tuple(wrt)  # read once: a generator would be empty after the first pass
     key = tuple(map(id, wrt))
     sweep = loss._sweep
     if sweep is None or sweep.key != key or sweep.releases != _Releases.count:

@@ -814,3 +814,16 @@ def test_root_keeping_its_sweep_is_freed_without_the_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_grad_reads_wrt_once(create_graph):
+    rng = np.random.default_rng(21)
+    x, y = Tensor(rng.normal(size=(3, 4)), requires_grad=True), Tensor(rng.normal(size=(4,)), requires_grad=True)
+    loss = T.tsum(T.mul(T.mul(x, x), y))
+    seen = []
+    for wrt in ((w for w in [x, y]), (x, y), [x, y]):
+        grads = T.grad(loss, wrt, create_graph=create_graph)
+        seen.append([g.data.tobytes() for g in grads])
+    assert len(seen[0]) == 2
+    assert seen[0] == seen[1] == seen[2]
