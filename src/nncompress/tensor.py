@@ -5,15 +5,18 @@ operation links the result to its inputs with vector-Jacobian closures, and
 ``backward``/``grad`` walk the graph in reverse topological order.  The
 vjp closures are themselves written in terms of engine operations, so
 gradients can be differentiated again (needed for Hessian-vector products).
-A sweep that records nothing carries plain ndarrays instead: the engine
-ops a vjp calls then compute on arrays and return arrays, and only the
-gradients handed back are wrapped.
 
 Both walk one prepared sweep: the sorted tape as integer slots, each with
 its edges into the parents that need a gradient.  ``grad`` seeds it with
 one at a scalar root or with ``grad_output`` at any root, and keeps it on
 the root, so sweeping one tape many times (a Hessian probe per random
 vector) sorts it once.
+
+Each op is written once, as a forward on ndarrays, a shape check and its
+vjps, and one dispatcher, ``_apply``, runs it.  In a sweep that records
+nothing it returns the forward's array, so the ops a vjp calls compute on
+arrays; otherwise it checks the operands, and builds vjps only when an
+operand is recorded.
 
 Non-differentiable point-wise maps (rounding, sign, thresholding) go through
 ``ste_apply``, which keeps the exact forward value but passes the incoming
@@ -25,6 +28,7 @@ from __future__ import annotations
 import copy as _copy
 import functools
 import math
+import operator
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -64,6 +68,11 @@ def no_grad():
 class Tensor:
     """A dense n-dimensional float64 array with an optional gradient buffer."""
 
+    # a new tensor is an untaped leaf until an op links it
+    requires_grad = False
+    _grad: Optional[np.ndarray] = None
+    _parents: tuple = ()  # ((Tensor, vjp), ...)
+    _op: str = "leaf"
     # set on an op's output once ``backward`` has freed the tape through it
     _released = False
     # the reverse sweep ``grad`` last prepared from this tensor as its root
@@ -73,9 +82,6 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self._grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()  # ((Tensor, vjp), ...)
-        self._op: str = "leaf"
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -117,8 +123,6 @@ class Tensor:
         out.data = _copy.deepcopy(self.data, memo)
         out.requires_grad = self.requires_grad
         out._grad = _copy.deepcopy(self._grad, memo)
-        out._parents = ()
-        out._op = "leaf"
         return out
 
     def __float__(self) -> float:
@@ -176,29 +180,59 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _array(x):
-    """The array of a tensor; an array or a number as it is (array mode)."""
-    return x.data if isinstance(x, Tensor) else x
+# -- the dispatcher -------------------------------------------------------
 
 
-def _node(data: np.ndarray, parents, op: str) -> Tensor:
+def _apply(op: str, forward, check, a, b, vjps):
+    """Run engine op ``op``: the one place that decides array mode,
+    recording and vjp attachment.  ``forward(x, y)`` computes on the arrays
+    of ``a`` and ``b``, or on ``b`` itself when it holds parameters (None,
+    for a ufunc, is its ``out``); in array mode its array is the result.
+    Otherwise ``check(a, b, op)`` raises ``ShapeError`` or returns the op's
+    tensors, ``a``'s first, and ``y``, and the result is a tensor.  Only when
+    one of those tensors is recorded does ``vjps(*tensors, y, out)`` build a
+    ``(tensor, vjp)`` pair for each; ``out`` is a weak reference to the
+    result, so no tape is a reference cycle.
+    """
+    if _GradMode.arrays:
+        return forward(a.data if isinstance(a, Tensor) else a, b.data if isinstance(b, Tensor) else b)
+    ins, y = check(a, b, op)
     out = Tensor.__new__(Tensor)
-    out.data = data
-    out._grad = None
-    out._op = op
-    if _GradMode.enabled:
-        kept = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
-        out._parents = kept
-        out.requires_grad = bool(kept)
-    else:
-        out._parents = ()
-        out.requires_grad = False
+    out.data, out._op = forward(ins[0].data, y), op
+    if _records(ins):
+        _link(out, vjps(*ins, y, weakref.ref(out)))
     return out
 
 
-def _recording(*tensors) -> bool:
-    """Whether an op on ``tensors`` goes on the tape."""
-    return _GradMode.enabled and any(t.requires_grad for t in tensors)
+def _records(tensors) -> bool:
+    """Whether an op on ``tensors`` goes on the tape.  A fused op asks
+    before its forward, to write in place when nothing records."""
+    if _GradMode.enabled:
+        for t in tensors:
+            if t.requires_grad:
+                return True
+    return False
+
+
+def _link(out: Tensor, parents):
+    """Put on the tape the vjps into those of ``parents`` that are recorded."""
+    kept = tuple(pair for pair in parents if pair[0].requires_grad)
+    out._parents, out.requires_grad = kept, bool(kept)
+
+
+def _node(data: np.ndarray, parents, op: str) -> Tensor:
+    """A tensor of ``op``'s result ``data`` made outside ``_apply``, with
+    ``(tensor, vjp)`` ``parents`` linked while recording is on."""
+    out = Tensor.__new__(Tensor)
+    out.data, out._op = data, op
+    if _GradMode.enabled:
+        _link(out, parents)
+    return out
+
+
+def _operand(a, params, op: str):
+    """A unary op's operand as a tensor, its parameters as they are."""
+    return (as_tensor(a),), params
 
 
 def _operands(a, b, op: str):
@@ -209,7 +243,18 @@ def _operands(a, b, op: str):
             np.broadcast_shapes(a.shape, b.shape)
         except ValueError as e:
             raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from e
-    return a, b
+    return (a, b), b.data
+
+
+def _given(a, others: tuple, op: str):
+    """The tensors of a fused op, which checked them and computed its
+    arrays before it dispatched."""
+    return (a,) + others, None
+
+
+def _scaled(a: Tensor, factor: np.ndarray):
+    """The vjps of a unary op whose Jacobian is the diagonal ``factor``."""
+    return ((a, lambda g: mul(g, factor)),)
 
 
 def _sum_axes(gshape: tuple, shape: tuple) -> tuple:
@@ -240,143 +285,83 @@ def _channel_view(a: np.ndarray, shape: tuple, op: str) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    if _GradMode.arrays:
-        return _array(a) + _array(b)
-    a, b = _operands(a, b, "add")
-    return _node(
-        a.data + b.data,
-        [(a, lambda g: _sum_to(g, a.shape)), (b, lambda g: _sum_to(g, b.shape))],
-        "add",
-    )
+    return _apply("add", operator.add, _operands, a, b, lambda a, b, y, out: (
+        (a, lambda g: _sum_to(g, a.shape)),
+        (b, lambda g: _sum_to(g, b.shape)),
+    ))
 
 
 def sub(a, b) -> Tensor:
-    if _GradMode.arrays:
-        return _array(a) - _array(b)
-    a, b = _operands(a, b, "sub")
-    return _node(
-        a.data - b.data,
-        [(a, lambda g: _sum_to(g, a.shape)), (b, lambda g: _sum_to(neg(g), b.shape))],
-        "sub",
-    )
+    return _apply("sub", operator.sub, _operands, a, b, lambda a, b, y, out: (
+        (a, lambda g: _sum_to(g, a.shape)),
+        (b, lambda g: _sum_to(neg(g), b.shape)),
+    ))
 
 
 def neg(a) -> Tensor:
-    if _GradMode.arrays:
-        return -_array(a)
-    a = as_tensor(a)
-    return _node(-a.data, [(a, lambda g: neg(g))], "neg")
+    return _apply("neg", np.negative, _operand, a, None, lambda a, y, out: ((a, neg),))
 
 
 def mul(a, b) -> Tensor:
-    if _GradMode.arrays:
-        return _array(a) * _array(b)
-    a, b = _operands(a, b, "mul")
-    return _node(
-        a.data * b.data,
-        [(a, lambda g: _sum_to(mul(g, b), a.shape)), (b, lambda g: _sum_to(mul(g, a), b.shape))],
-        "mul",
-    )
+    return _apply("mul", operator.mul, _operands, a, b, lambda a, b, y, out: (
+        (a, lambda g: _sum_to(mul(g, b), a.shape)),
+        (b, lambda g: _sum_to(mul(g, a), b.shape)),
+    ))
 
 
 def div(a, b) -> Tensor:
-    if _GradMode.arrays:
-        return _array(a) / _array(b)
-    a, b = _operands(a, b, "div")
-    out = _node(a.data / b.data, [], "div")
-    ref = weakref.ref(out)
-
-    def vjp_a(g):
-        return _sum_to(div(g, b), a.shape)
-
-    def vjp_b(g):
-        return _sum_to(neg(div(mul(g, ref()), b)), b.shape)
-
-    return _attach(out, [(a, vjp_a), (b, vjp_b)])
-
-
-def _attach(out: Tensor, parents) -> Tensor:
-    # used by ops that build their output before their vjps; a vjp that
-    # needs the output holds a weak reference, so no tape is a cycle
-    if _GradMode.enabled:
-        kept = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
-        out._parents = kept
-        out.requires_grad = bool(kept)
-    return out
+    return _apply("div", operator.truediv, _operands, a, b, lambda a, b, y, out: (
+        (a, lambda g: _sum_to(div(g, b), a.shape)),
+        (b, lambda g: _sum_to(neg(div(mul(g, out()), b)), b.shape)),
+    ))
 
 
 def texp(a) -> Tensor:
-    a = as_tensor(a)
-    out = _node(np.exp(a.data), [], "exp")
-    ref = weakref.ref(out)
-    return _attach(out, [(a, lambda g: mul(g, ref()))])
+    return _apply("exp", np.exp, _operand, a, None, lambda a, y, out: ((a, lambda g: mul(g, out())),))
 
 
 def tlog(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.log(a.data), [(a, lambda g: div(g, a))], "log")
+    return _apply("log", np.log, _operand, a, None, lambda a, y, out: ((a, lambda g: div(g, a)),))
 
 
 def tsqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = _node(np.sqrt(a.data), [], "sqrt")
-    ref = weakref.ref(out)
-    return _attach(out, [(a, lambda g: div(mul(g, 0.5), ref()))])
+    return _apply("sqrt", np.sqrt, _operand, a, None, lambda a, y, out: ((a, lambda g: div(mul(g, 0.5), out())),))
 
 
 def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
+    return _apply("sigmoid", _logistic, _operand, a, None, lambda a, y, out: (
+        (a, lambda g: mul(g, mul(out(), sub(1.0, out())))),
+    ))
+
+
+def _logistic(x, _):
     # numerically stable two-sided form
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = _node(y, [], "sigmoid")
-    ref = weakref.ref(out)
-
-    def vjp(g):
-        s = ref()
-        return mul(g, mul(s, sub(1.0, s)))
-
-    return _attach(out, [(a, vjp)])
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def tabs(a) -> Tensor:
-    a = as_tensor(a)
-    sign = np.where(a.data >= 0, 1.0, -1.0)
-    return _node(np.abs(a.data), [(a, lambda g: mul(g, sign))], "abs")
+    return _apply("abs", np.abs, _operand, a, None, lambda a, y, out: _scaled(a, np.where(a.data >= 0, 1.0, -1.0)))
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = _node(np.maximum(a.data, 0.0), [], "relu")
-    if not _recording(a):
-        return out
-    mask = (a.data > 0).astype(np.float64)
-    return _attach(out, [(a, lambda g: mul(g, mask))])
-
-
-def _select(a, b, take_a: np.ndarray, data: np.ndarray, op: str) -> Tensor:
-    # the gradient goes to ``a`` where ``take_a`` holds and to ``b`` elsewhere
-    take_a = take_a.astype(np.float64)
-    return _node(
-        data,
-        [
-            (a, lambda g: _sum_to(mul(g, take_a), a.shape)),
-            (b, lambda g: _sum_to(mul(g, 1.0 - take_a), b.shape)),
-        ],
-        op,
-    )
+    return _apply("relu", np.maximum, _operand, a, 0.0, lambda a, y, out: _scaled(a, (a.data > 0).astype(np.float64)))
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; at ties the gradient goes to the first operand."""
-    a, b = _operands(a, b, "maximum")
-    return _select(a, b, a.data >= b.data, np.maximum(a.data, b.data), "maximum")
+    return _apply("maximum", np.maximum, _operands, a, b, _select_vjps)
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; at ties the gradient goes to the first operand."""
-    a, b = _operands(a, b, "minimum")
-    return _select(a, b, a.data <= b.data, np.minimum(a.data, b.data), "minimum")
+    return _apply("minimum", np.minimum, _operands, a, b, _select_vjps)
+
+
+def _select_vjps(a, b, y, out):
+    # the gradient goes to ``a`` where the output equals it, so at every
+    # tie, and to ``b`` elsewhere
+    take_a = (out().data == a.data).astype(np.float64)
+    return (a, lambda g: _sum_to(mul(g, take_a), a.shape)), (b, lambda g: _sum_to(mul(g, 1.0 - take_a), b.shape))
 
 
 def clamp(a, lo, hi) -> Tensor:
@@ -390,11 +375,14 @@ def ste_apply(x, forward_fn: Callable[[np.ndarray], np.ndarray], name: str = "st
     The forward value is ``forward_fn(x)``; the backward passes the upstream
     gradient through unchanged (identity Jacobian).
     """
-    x = as_tensor(x)
-    data = np.asarray(forward_fn(x.data), dtype=np.float64)
-    if data.shape != x.shape:
-        raise ShapeError(f"ste_apply: forward_fn changed shape {x.shape} -> {data.shape}")
-    return _node(data, [(x, lambda g: g)], name)
+    return _apply(name, _ste, _operand, x, forward_fn, lambda x, y, out: ((x, lambda g: g),))
+
+
+def _ste(x, forward_fn):
+    data = np.asarray(forward_fn(x), dtype=np.float64)
+    if data.shape != np.shape(x):
+        raise ShapeError(f"ste_apply: forward_fn changed shape {np.shape(x)} -> {data.shape}")
+    return data
 
 
 def round_ste(x) -> Tensor:
@@ -417,25 +405,24 @@ def fake_quant(x, scale, q_min: float, q_max: float, floor: float) -> Tensor:
     x, scale = as_tensor(x), as_tensor(scale)
     step = _channel_view(np.maximum(scale.data, floor), x.shape, "fake_quant") / q_max
     v = np.asarray(x.data / step)  # an array even for a 0-d x, so it can be written into
-    recording = _recording(x, scale)
+    recording = _records((x, scale))
     # in place in v when nothing is recorded; the vjps keep v and q otherwise
     q = np.maximum(v, q_min, out=np.empty_like(v) if recording else v)
     np.minimum(q, q_max, out=q)
     np.round(q, out=q)
-    out = _node(np.multiply(q, step, out=np.empty_like(q) if recording else q), [], "fake_quant")
-    if not recording:
-        return out
-    inside = ((v >= q_min) & (v <= q_max)).astype(np.float64)
-    kept = (scale.data >= floor).astype(np.float64)
+    data = np.multiply(q, step, out=np.empty_like(q) if recording else q)
 
-    def vjp_x(g):
-        return _sum_to(mul(g, inside), x.shape)
+    def vjps(x, scale, y, out):
+        inside = ((v >= q_min) & (v <= q_max)).astype(np.float64)
+        kept = (scale.data >= floor).astype(np.float64)
 
-    def vjp_scale(g):
-        g_step = _sum_to(mul(g, q - inside * v), step.shape)
-        return mul(reshape(div(g_step, q_max), scale.shape), kept)
+        def vjp_scale(g):
+            g_step = _sum_to(mul(g, q - inside * v), step.shape)
+            return mul(reshape(div(g_step, q_max), scale.shape), kept)
 
-    return _attach(out, [(x, vjp_x), (scale, vjp_scale)])
+        return (x, lambda g: _sum_to(mul(g, inside), x.shape)), (scale, vjp_scale)
+
+    return _apply("fake_quant", lambda *_: data, _given, x, (scale,), vjps)
 
 
 def fake_quant_asymmetric(x, lo, hi, lo_shift, hi_shift, step, zero) -> Tensor:
@@ -456,8 +443,7 @@ def fake_quant_asymmetric(x, lo, hi, lo_shift, hi_shift, step, zero) -> Tensor:
         for a in (lo.data + lo_shift, hi.data + hi_shift, step, zero)
     )
     above = np.asarray(np.maximum(x.data, low))  # an array even for a 0-d x
-    recording = _recording(x, lo, hi)
-    if recording:  # the vjps read only these masks, taken before above is reused
+    if _records((x, lo, hi)):  # the vjps read only these masks, taken before above is reused
         over_low = (x.data >= low).astype(np.float64)
         under_high = (above <= high).astype(np.float64)
     # the rest of the sequence in place, in the one buffer above
@@ -466,110 +452,139 @@ def fake_quant_asymmetric(x, lo, hi, lo_shift, hi_shift, step, zero) -> Tensor:
     np.add(above, zero, out=above)
     np.round(above, out=above)
     np.subtract(above, zero, out=above)
-    out = _node(np.multiply(above, step, out=above), [], "fake_quant_asym")
-    if not recording:
-        return out
+    np.multiply(above, step, out=above)
 
-    def into_clamp(g):
-        return div(mul(g, step), step)
+    def vjps(x, lo, hi, y, out):
+        def into_clamp(g):
+            return div(mul(g, step), step)
 
-    def into_max(g):  # past the clamp's upper bound, into its lower one
-        return mul(into_clamp(g), under_high)
+        def into_max(g):  # past the clamp's upper bound, into its lower one
+            return mul(into_clamp(g), under_high)
 
-    def vjp_x(g):
-        return mul(into_max(g), over_low)
+        def vjp_lo(g):
+            return reshape(_sum_to(mul(into_max(g), 1.0 - over_low), low.shape), lo.shape)
 
-    def vjp_lo(g):
-        return reshape(_sum_to(mul(into_max(g), 1.0 - over_low), low.shape), lo.shape)
+        def vjp_hi(g):
+            return reshape(_sum_to(mul(into_clamp(g), 1.0 - under_high), high.shape), hi.shape)
 
-    def vjp_hi(g):
-        return reshape(_sum_to(mul(into_clamp(g), 1.0 - under_high), high.shape), hi.shape)
+        return (x, lambda g: mul(into_max(g), over_low)), (lo, vjp_lo), (hi, vjp_hi)
 
-    return _attach(out, [(x, vjp_x), (lo, vjp_lo), (hi, vjp_hi)])
+    return _apply("fake_quant_asym", lambda *_: above, _given, x, (lo, hi), vjps)
 
 
 # -- structural / reduction ops ------------------------------------------
 
 
 def reshape(a, shape) -> Tensor:
-    if _GradMode.arrays:
-        return np.reshape(_array(a), shape)
+    return _apply("reshape", _reshape, _reshape_operand, a, shape, lambda a, shape, out: (
+        (a, lambda g: reshape(g, a.shape)),
+    ))
+
+
+def _reshape(x, shape):
+    return x.reshape(shape)
+
+
+def _reshape_operand(a, shape, op: str):
     a = as_tensor(a)
     shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
-    old = a.shape
-    return _node(a.data.reshape(shape), [(a, lambda g: reshape(g, old))], "reshape")
+    known, free = math.prod(s for s in shape if s != -1), shape.count(-1)  # free: -1, numpy's inferred length
+    if min(shape, default=0) < -1 or free > 1 or ((not known or a.size % known) if free else known != a.size):
+        raise ShapeError(f"{op}: cannot reshape {a.shape} (size {a.size}) to {shape}")
+    return (a,), shape
 
 
 def transpose(a, axes=None) -> Tensor:
-    if _GradMode.arrays:
-        return np.transpose(_array(a), axes)
+    return _apply("transpose", _transpose, _transpose_operand, a, axes, _transpose_vjps)
+
+
+def _transpose(x, axes):
+    return x.transpose(axes)
+
+
+def _transpose_operand(a, axes, op: str):
     a = as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(axes)
+    axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"{op}: axes {axes} are not a permutation of the axes of {a.shape}")
+    return (a,), axes
+
+
+def _transpose_vjps(a, axes, out):
     inv = tuple(np.argsort(axes))
-    return _node(np.transpose(a.data, axes), [(a, lambda g: transpose(g, inv))], "transpose")
+    return ((a, lambda g: transpose(g, inv)),)
 
 
 def broadcast_to(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if _GradMode.arrays:
-        a = _array(a)
-        return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+    if isinstance(a, Tensor) and a.shape == shape:
+        return a  # nothing to spread, and no tape node
+    return _apply("broadcast_to", _spread, _broadcast_operand, a, shape, lambda a, shape, out: (
+        (a, lambda g: _sum_to(g, a.shape)),
+    ))
+
+
+def _spread(x, shape):
+    return x if x.shape == shape else np.broadcast_to(x, shape).copy()
+
+
+def _broadcast_operand(a, shape, op: str):
     a = as_tensor(a)
-    if a.shape == shape:
-        return a
-    try:
-        data = np.broadcast_to(a.data, shape).copy()
-    except ValueError as e:
-        raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}") from e
-    return _node(data, [(a, lambda g: _sum_to(g, a.shape))], "broadcast_to")
+    if len(shape) < a.ndim or any(s not in (1, t) for s, t in zip(a.shape[::-1], shape[::-1])):
+        raise ShapeError(f"{op}: cannot broadcast {a.shape} to {shape}")
+    return (a,), shape
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    if _GradMode.arrays:
-        a = _array(a)
-        return np.sum(a, axis=_axes(axis, np.ndim(a)), keepdims=keepdims)
+    return _apply("sum", _sum, _sum_operand, a, (axis, keepdims), _sum_vjps)
+
+
+def _sum(x, spec):
+    return np.add.reduce(x, spec[0], None, None, spec[1])  # np.sum's reduction, without its wrappers
+
+
+def _sum_operand(a, spec, op: str):
     a = as_tensor(a)
-    axes = _axes(axis, a.ndim)
-    data = np.sum(a.data, axis=axes, keepdims=keepdims)
-    old = a.shape
-    kept = tuple(1 if i in axes else s for i, s in enumerate(old))
-
-    def vjp(g):
-        # spreading the gradient over the summed axes is this op's adjoint
-        return broadcast_to(reshape(g, kept), old)
-
-    return _node(data, [(a, vjp)], "sum")
+    return (a,), (_axes(spec[0], a.ndim, op), spec[1])
 
 
-def _axes(axis, ndim: int) -> tuple:
-    """``axis`` (None, an int or a sequence) as a tuple of axes in [0, ndim)."""
+def _sum_vjps(a, spec, out):
+    kept = tuple(1 if i in spec[0] else s for i, s in enumerate(a.shape))
+    # spreading the gradient over the summed axes is this op's adjoint
+    return ((a, lambda g: broadcast_to(reshape(g, kept), a.shape)),)
+
+
+def _axes(axis, ndim: int, op: str) -> tuple:
+    """``axis`` (None, an int or a sequence) as a tuple of distinct axes in
+    [0, ndim); an axis outside [-ndim, ndim) or a repeated one raises."""
     if axis is None:
         return tuple(range(ndim))
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(ax % ndim for ax in axis)
+    given = (axis,) if isinstance(axis, (int, np.integer)) else tuple(axis)
+    axes = tuple([ax % ndim for ax in given if -ndim <= ax < ndim])
+    if len(axes) != len(given) or len(set(axes)) != len(axes):
+        raise ShapeError(f"{op}: axis {axis} is out of range or repeated for a tensor of rank {ndim}")
+    return axes
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    n = int(np.prod([a.shape[ax] for ax in _axes(axis, a.ndim)]))
+    n = math.prod(a.shape[ax] for ax in _axes(axis, a.ndim, "tmean"))
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def matmul(a, b) -> Tensor:
-    if _GradMode.arrays:
-        return _array(a) @ _array(b)
+    return _apply("matmul", operator.matmul, _matmul_operands, a, b, _matmul_vjps)
+
+
+def _matmul_operands(a, b, op: str):
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    return _matmul_node(a, b, a.data @ b.data)
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} @ {b.shape}")
+    return (a, b), b.data
 
 
-def _matmul_node(a: Tensor, b: Tensor, data: np.ndarray) -> Tensor:
-    """The tape node of ``a @ b``, whose value ``data`` is already computed."""
-    return _node(data, [(a, lambda g: matmul(g, transpose(b))), (b, lambda g: matmul(transpose(a), g))], "matmul")
+def _matmul_vjps(a, b, y, out):
+    return (a, lambda g: matmul(g, transpose(b))), (b, lambda g: matmul(transpose(a), g))
 
 
 def _window_count(size: int, k: int, s: int) -> int:
@@ -579,37 +594,31 @@ def _window_count(size: int, k: int, s: int) -> int:
 def im2col(a, kh: int, kw: int, sh: int, sw: int, pad: int = 0) -> Tensor:
     """Copy the windows of [N,C,H,W] ``a``, zero-padded by ``pad`` on H and W,
     once into conv2d's operand [C*kh*kw, N*oh*ow]: rows (c,i,j), cols (n,y,x)."""
-    if _GradMode.arrays:
-        return _im2col(_array(a), kh, kw, sh, sw, pad)
-    a = as_tensor(a)
-    _check_windows(a.shape, kh, kw, sh, sw, pad)
-    return _im2col_node(a, _im2col(a.data, kh, kw, sh, sw, pad), kh, kw, sh, sw, pad)
+    return _apply("im2col", _im2col, _windows, a, (kh, kw, sh, sw, pad), _im2col_vjps)
 
 
-def _check_windows(shape: tuple, kh, kw, sh, sw, pad):
-    """Raise ``ShapeError`` unless im2col can lower an input of ``shape``."""
-    if len(shape) != 4:
-        raise ShapeError(f"im2col: expected 4-d input, got {shape}")
+def _windows(a, window, op: str):
+    """``a`` as a tensor and its ``window`` (kh, kw, sh, sw, pad), once kh x kw
+    windows at stride sh x sw fit [N,C,H,W] ``a`` zero-padded by pad."""
+    a, (kh, kw, sh, sw, pad) = as_tensor(a), window
+    if a.ndim != 4:
+        raise ShapeError(f"{op}: expected 4-d input, got {a.shape}")
     if min(kh, kw, sh, sw) < 1 or pad < 0:
         raise ShapeError(
-            f"im2col: window {kh}x{kw} and stride {sh}x{sw} must be >= 1, padding {pad} >= 0"
+            f"{op}: window {kh}x{kw} and stride {sh}x{sw} must be >= 1, padding {pad} >= 0"
         )
-    h, w = shape[2:]
+    h, w = a.shape[2:]
     if h + 2 * pad < kh or w + 2 * pad < kw:
-        raise ShapeError(f"im2col: window {kh}x{kw} does not fit padded input {h + 2 * pad}x{w + 2 * pad}")
+        raise ShapeError(f"{op}: window {kh}x{kw} does not fit input {h}x{w} with padding {pad}")
+    return (a,), window
 
 
-def _im2col_node(a: Tensor, cols: np.ndarray, kh, kw, sh, sw, pad) -> Tensor:
-    """The tape node of ``im2col(a, ...)``, whose value ``cols`` is already computed."""
-    shape_in = a.shape
-
-    def vjp(g):
-        return _col2im(g, shape_in, kh, kw, sh, sw, pad)
-
-    return _node(cols, [(a, vjp)], "im2col")
+def _im2col_vjps(a, window, out):
+    return ((a, lambda g: _col2im(g, a.shape, *window)),)
 
 
-def _im2col(x: np.ndarray, kh, kw, sh, sw, pad) -> np.ndarray:
+def _im2col(x: np.ndarray, window) -> np.ndarray:
+    kh, kw, sh, sw, pad = window
     n, c, h, w = x.shape
     oh, ow = _window_count(h + 2 * pad, kh, sh), _window_count(w + 2 * pad, kw, sw)
     cols = np.empty((c, kh, kw, n, oh, ow), dtype=np.float64)
@@ -639,21 +648,22 @@ def _col2im(cols, shape_in, kh, kw, sh, sw, pad) -> Tensor:
     One ``bincount`` per channel does the adding: each input element's sum
     starts from +0.0 and takes its windows in (i, j) order, the order of
     kh*kw strided ``+=`` passes."""
-    n, c, h, w = shape_in
+    geometry = (shape_in, kh, kw, sh, sw, pad)
+    return _apply("col2im", _add_windows, _operand, cols, geometry, lambda cols, geometry, out: (
+        (cols, lambda g: im2col(g, *geometry[1:])),
+    ))
+
+
+def _add_windows(cols: np.ndarray, geometry) -> np.ndarray:
+    (n, c, h, w), kh, kw, sh, sw, pad = geometry
     hp, wp = h + 2 * pad, w + 2 * pad
     index = _col2im_index(n, h, w, kh, kw, sh, sw, pad)
-    src = _array(cols).reshape(c, -1)
+    src = cols.reshape(c, -1)
     out = np.empty((n, c, h, w))
     for ch in range(c):
         plane = np.bincount(index, weights=src[ch], minlength=n * hp * wp).reshape(n, hp, wp)
         out[:, ch] = plane[:, pad : pad + h, pad : pad + w]
-    if _GradMode.arrays:
-        return out
-
-    def vjp(g):
-        return im2col(g, kh, kw, sh, sw, pad)
-
-    return _node(out, [(as_tensor(cols), vjp)], "col2im")
+    return out
 
 
 # One entry: the index does not depend on the channel count, so every
@@ -679,69 +689,60 @@ def maxpool2d(a, k: int, stride: Optional[int] = None) -> Tensor:
 
     The forward folds each window with k*k in-place ``np.maximum`` passes,
     taped or not: a tie keeps the earlier element, and a NaN wins.  A
-    recorded forward then finds the element ``np.argmax`` picks (the first
+    recorded call then finds the element ``np.argmax`` picks (the first
     equal to the maximum, or the first NaN) and keeps its flat index in
     ``a``, so its vjp scatters with one ``bincount`` and the adjoint of
     that gathers with one ``take``."""
-    a = as_tensor(a)
-    if a.ndim != 4:
-        raise ShapeError(f"maxpool2d: expected 4-d input, got {a.shape}")
     s = k if stride is None else stride
-    if k < 1 or s < 1:
-        raise ShapeError(f"maxpool2d: window {k} and stride {s} must be >= 1")
-    n, c, h, w = a.shape
-    if h < k or w < k:
-        raise ShapeError(f"maxpool2d: window {k} does not fit input {h}x{w}")
-    oh, ow = _window_count(h, k, s), _window_count(w, k, s)
-    x = a.data
-    order = [(i, j) for i in range(k) for j in range(k)]  # a window's elements in argmax's order
+    return _apply("maxpool2d", _maxpool, _windows, a, (k, k, s, s, 0), _maxpool_vjps)
 
-    def at(i, j):  # element (i, j) of every window, [N,C,oh,ow]
-        return x[:, :, i : i + s * oh : s, j : j + s * ow : s]
 
-    out = at(0, 0).copy()
-    for i, j in order[1:]:
+def _pool_elements(x: np.ndarray, window) -> list:
+    """Each offset (i, j) of a window, in ``np.argmax``'s order, with that
+    element of every window of [N,C,H,W] ``x`` as an [N,C,oh,ow] view."""
+    k, _, s = window[:3]
+    oh, ow = _window_count(x.shape[2], k, s), _window_count(x.shape[3], k, s)
+    return [((i, j), x[:, :, i : i + s * oh : s, j : j + s * ow : s]) for i in range(k) for j in range(k)]
+
+
+def _maxpool(x: np.ndarray, window) -> np.ndarray:
+    elements = _pool_elements(x, window)
+    out = elements[0][1].copy()
+    for _, v in elements[1:]:
         # at a tie np.maximum returns its second operand, the earlier element
-        np.maximum(at(i, j), out, out=out)
-    if not _recording(a):
-        return _node(out, [], "maxpool2d")
-    offset = np.zeros(out.shape, dtype=np.intp)
-    for i, j in reversed(order):  # the earliest match is written last
-        v = at(i, j)
-        np.copyto(offset, i * w + j, where=(v == out) | np.isnan(v))
-    corner = (np.arange(n * c).reshape(n, c, 1, 1) * h + s * np.arange(oh)[:, None]) * w + s * np.arange(ow)
-    flat = corner + offset
-    shape_in = a.shape
+        np.maximum(v, out, out=out)
+    return out
 
-    def vjp(g):
-        return _maxpool_scatter(g, flat, shape_in)
 
-    return _node(out, [(a, vjp)], "maxpool2d")
+def _maxpool_vjps(a, window, out):
+    (n, c, h, w), s, best = a.shape, window[2], out().data
+    offset = np.zeros(best.shape, dtype=np.intp)
+    for (i, j), v in reversed(_pool_elements(a.data, window)):  # the earliest match is written last
+        np.copyto(offset, i * w + j, where=(v == best) | np.isnan(v))
+    oh, ow = best.shape[2:]
+    flat = (np.arange(n * c).reshape(n, c, 1, 1) * h + s * np.arange(oh)[:, None]) * w + s * np.arange(ow) + offset
+    return ((a, lambda g: _maxpool_scatter(g, flat, a.shape)),)
 
 
 def _maxpool_scatter(g, flat, shape_in) -> Tensor:
     """Each window's gradient added onto its maximal element of the input,
     windows in (n, c, y, x) order, every sum starting from +0.0."""
-    out = np.bincount(flat.ravel(), weights=_array(g).ravel(), minlength=int(np.prod(shape_in))).reshape(shape_in)
-    if _GradMode.arrays:
-        return out
+    return _apply("maxpool_scatter", _scatter, _operand, g, (flat, shape_in), lambda g, index, out: (
+        (g, lambda gg: _maxpool_gather(gg, *index)),
+    ))
 
-    def vjp(gg):
-        return _maxpool_gather(gg, flat, shape_in)
 
-    return _node(out, [(as_tensor(g), vjp)], "maxpool_scatter")
+def _scatter(g: np.ndarray, index) -> np.ndarray:
+    flat, shape_in = index
+    return np.bincount(flat.ravel(), weights=g.ravel(), minlength=math.prod(shape_in)).reshape(shape_in)
 
 
 def _maxpool_gather(gg, flat, shape_in) -> Tensor:
-    """Each window's maximal element of ``gg``: the adjoint of the scatter."""
-    out = np.take(_array(gg), flat)
-    if _GradMode.arrays:
-        return out
-
-    def vjp(g3):
-        return _maxpool_scatter(g3, flat, shape_in)
-
-    return _node(out, [(as_tensor(gg), vjp)], "maxpool_gather")
+    """Each window's maximal element of ``gg``, of ``shape_in``: the
+    adjoint of the scatter."""
+    return _apply("maxpool_gather", np.take, _operand, gg, flat, lambda gg, flat, out: (
+        (gg, lambda g3: _maxpool_scatter(g3, flat, gg.shape)),
+    ))
 
 
 # -- layer-level composites ----------------------------------------------
@@ -754,7 +755,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     with the [O, C*kh*kw] weight and the biased output.  A large batch is
     split into blocks of whole samples, one per usable CPU, each lowered,
     multiplied and biased by one thread; the bits are those of one block.
-    A recorded call wraps the kernel's arrays in the tape nodes
+    A recorded call hands the kernel's arrays to the tape nodes
     ``im2col`` -> ``matmul`` -> ``reshape`` -> ``transpose`` -> ``add``.
     """
     x, w = as_tensor(x), as_tensor(w)
@@ -764,23 +765,28 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     o, ci, kh, kw = w.shape
     if c != ci:
         raise ShapeError(f"conv2d: input channels {c} != weight in_channels {ci}")
-    _check_windows(x.shape, kh, kw, stride, stride, padding)
+    window = (kh, kw, stride, stride, padding)
+    _windows(x, window, "conv2d")
     operands = (x, w)
     if b is not None:
         b = as_tensor(b)
         if b.shape != (o,):
             raise ShapeError(f"conv2d: bias shape {b.shape} != ({o},)")
         operands += (b,)
-    w2 = reshape(w, (o, c * kh * kw))
-    cols, prod, data = _conv_forward(x.data, w2.data, None if b is None else b.data, kh, kw, stride, padding)
-    if not _recording(*operands):
-        return _node(data, [], "conv2d")
-    out = _matmul_node(w2, _im2col_node(x, cols, kh, kw, stride, stride, padding), prod)  # [O, N*L]
-    out = transpose(reshape(out, (o, n) + data.shape[2:]), (1, 0, 2, 3))
+    w2 = w.data.reshape(o, c * kh * kw)
+    cols, prod, data = _conv_forward(x.data, w2, None if b is None else b.data, kh, kw, stride, padding)
+    if not _records(operands):
+        return _apply("conv2d", lambda *_: data, _given, x, operands[1:], None)
+    lowered = _apply("im2col", lambda *_: cols, _operand, x, window, _im2col_vjps)
+    out = _apply("matmul", lambda *_: prod, _matmul_operands, reshape(w, w2.shape), lowered, _matmul_vjps)
+    out = transpose(reshape(out, (o, n) + data.shape[2:]), (1, 0, 2, 3))  # from [O, N*L]
     if b is None:
         return out
     # the bias gradient is summed to (1, O, 1, 1) first, as broadcast_to's was
-    return _node(data, [(out, lambda g: g), (b, lambda g: reshape(_sum_to(g, (1, o, 1, 1)), (o,)))], "add")
+    return _apply("add", lambda *_: data, _given, out, (b,), lambda conv, b, y, out: (
+        (conv, lambda g: g),
+        (b, lambda g: reshape(_sum_to(g, (1, o, 1, 1)), (o,))),
+    ))
 
 
 # Blocked convolution.  A block carries at least this many multiply-adds.
@@ -925,43 +931,33 @@ def batch_norm(x, gamma, beta, eps: float, mean=None, var=None):
         inv = 1.0 / sd
         xhat = np.subtract(x.data, mean)
         np.multiply(xhat, inv, out=xhat)
-    gamma_v = gamma.data.reshape(pshape)
-    recording = _recording(x, gamma, beta)
     # the affine step runs in place, into xhat itself when no vjp reads xhat
-    y = np.multiply(xhat, gamma_v, out=None if recording else xhat)
-    out = _node(np.add(y, beta.data.reshape(pshape), out=y), [], "batchnorm")
-    if not recording:
-        return out, mean, var
+    y = np.multiply(xhat, gamma.data.reshape(pshape), out=None if _records((x, gamma, beta)) else xhat)
+    np.add(y, beta.data.reshape(pshape), out=y)
 
-    def sum_to(a):
-        return _sum_to(a, pshape)
+    def vjps(x, gamma, beta, _, out):
+        def statistics():
+            # the one choice between the forward's arrays and recorded
+            # statistics: a sweep that records nothing reads the forward's
+            # own; a recorded vjp (create_graph) rebuilds them from x on the
+            # tape, and the normalized input only for the vjp that reads it
+            if _GradMode.arrays:
+                return xc, sd, inv, lambda: xhat
+            _, xc_t, _, sd_t, inv_t = _bn_stats(x, n, eps, lambda a: tsum(a, axis=axes, keepdims=True), tsqrt)
+            return xc_t, sd_t, inv_t, lambda: mul(xc_t, inv_t)
 
-    def recorded_stats():
-        # the statistics as functions of x on the tape, for a recorded vjp
-        return _bn_stats(x, n, eps, lambda a: tsum(a, axis=axes, keepdims=True), tsqrt)
+        def vjp_x(g):
+            if not train:
+                return mul(mul(g, reshape(gamma, pshape)), inv)
+            return _bn_x_grad(g, reshape(gamma, pshape), *statistics()[:3], n)
 
-    def vjp_x(g):
-        if not train:
-            return mul(mul(g, reshape(gamma, pshape)), inv)
-        if _GradMode.arrays:  # the forward's own statistics
-            return _bn_x_grad(g, gamma_v, xc, sd, inv, n, sum_to)
-        _, xc_t, _, sd_t, inv_t = recorded_stats()
-        return _bn_x_grad(g, reshape(gamma, pshape), xc_t, sd_t, inv_t, n, sum_to)
+        def vjp_gamma(g):
+            xhat_t = statistics()[3]() if train else mul(sub(x, mean), inv)
+            return reshape(_sum_to(mul(g, xhat_t), pshape), gamma.shape)
 
-    def vjp_gamma(g):
-        if _GradMode.arrays:
-            xhat_t = xhat
-        elif train:
-            _, xc_t, _, _, inv_t = recorded_stats()
-            xhat_t = mul(xc_t, inv_t)
-        else:
-            xhat_t = mul(sub(x, mean), inv)
-        return reshape(sum_to(mul(g, xhat_t)), gamma.shape)
+        return (x, vjp_x), (gamma, vjp_gamma), (beta, lambda g: reshape(_sum_to(g, pshape), beta.shape))
 
-    def vjp_beta(g):
-        return reshape(sum_to(g), beta.shape)
-
-    return _attach(out, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)]), mean, var
+    return _apply("batchnorm", lambda *_: y, _given, x, (gamma, beta), vjps), mean, var
 
 
 def _bn_stats(x, n: int, eps: float, total, sqrt):
@@ -975,15 +971,15 @@ def _bn_stats(x, n: int, eps: float, total, sqrt):
     return mean, xc, var, sd, 1.0 / sd
 
 
-def _bn_x_grad(g, gamma_v, xc, sd, inv, n: int, sum_to):
+def _bn_x_grad(g, gamma_v, xc, sd, inv, n: int):
     """Train-mode BatchNorm's input gradient, accumulated as the unfused
-    chain's reverse sweep accumulates it; ``sum_to`` sums to [1,C,1,1].
-    Arrays and tensors both work."""
+    chain's reverse sweep accumulates it; its sums run to ``gamma_v``'s
+    shape [1,C,1,1].  Arrays and tensors both work."""
     gxhat = g * gamma_v
-    g_sd = -((sum_to(gxhat * xc) * inv) / sd)
+    g_sd = -((_sum_to(gxhat * xc, gamma_v.shape) * inv) / sd)
     t = (((g_sd * 0.5) / sd) * (1.0 / n)) * xc
     gxc = gxhat * inv + t + t
-    return gxc + sum_to(-gxc) * (1.0 / n)
+    return gxc + _sum_to(-gxc, gamma_v.shape) * (1.0 / n)
 
 
 # -- backward engine ------------------------------------------------------
