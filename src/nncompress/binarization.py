@@ -110,8 +110,11 @@ def binarization_stage_at(epoch: int, stage_durations: Sequence[int]) -> Binariz
 # -- hook transforms -------------------------------------------------------
 
 
+@serialize.register_hook_codec
 class WeightBinarizer:
     codec_kind = "binarize_weights"
+    codec_attrs = {"scheme": serialize.one_of(WEIGHT_SCHEMES), "enabled": serialize.BOOL}
+    codec_params = ()
 
     def __init__(self, scheme: str):
         if scheme not in WEIGHT_SCHEMES:
@@ -133,12 +136,12 @@ class WeightBinarizer:
     def fits(self, shape) -> bool:
         return len(shape) == 4  # a convolution weight
 
-    def codec_state(self):
-        return {"scheme": self.scheme, "enabled": self.enabled}, {}
 
-
+@serialize.register_hook_codec
 class ActivationBinarizer:
     codec_kind = "binarize_activations"
+    codec_attrs = {"enabled": serialize.BOOL}
+    codec_params = ("scale", "thresholds")
 
     def __init__(self, channels: int):
         self.scale = Tensor(np.asarray(1.0), requires_grad=True)
@@ -159,30 +162,6 @@ class ActivationBinarizer:
 
     def fits(self, shape) -> bool:  # a (C, H, W) activation: a 0-d scale and one threshold per channel
         return len(shape) == 3 and self.scale.shape == () and self.thresholds.shape == tuple(shape[:1])
-
-    def codec_state(self):
-        return {"enabled": self.enabled}, {"scale": self.scale, "thresholds": self.thresholds}
-
-
-def _decode_weight_binarizer(attrs, params):
-    where = f"the {WeightBinarizer.codec_kind} attrs"
-    serialize.check_param_names(params, [], "a weight binarizer")
-    wb = WeightBinarizer(serialize.field(attrs, "scheme", where, serialize.one_of(WEIGHT_SCHEMES)))
-    wb.enabled = serialize.field(attrs, "enabled", where, serialize.BOOL)
-    return wb
-
-
-def _decode_activation_binarizer(attrs, params):
-    serialize.check_param_names(params, ["scale", "thresholds"], "an activation binarizer")
-    ab = ActivationBinarizer.__new__(ActivationBinarizer)  # fits checks the saved parameters' shapes
-    ab.scale = params["scale"]
-    ab.thresholds = params["thresholds"]
-    ab.enabled = serialize.field(attrs, "enabled", f"the {ActivationBinarizer.codec_kind} attrs", serialize.BOOL)
-    return ab
-
-
-serialize.register_hook_codec(WeightBinarizer.codec_kind, _decode_weight_binarizer)
-serialize.register_hook_codec(ActivationBinarizer.codec_kind, _decode_activation_binarizer)
 
 
 # -- layer selection -------------------------------------------------------

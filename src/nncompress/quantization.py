@@ -77,6 +77,19 @@ def tune_asymmetric_range(rmin, rmax, bits: int):
     return lo, hi, z
 
 
+# what a model file's quantizer attrs must hold
+_BITS = (
+    lambda v: isinstance(v, int) and not isinstance(v, bool) and MIN_BITS <= v <= MAX_BITS,
+    f"an integer of at least {MIN_BITS} and at most {MAX_BITS}",
+)
+_PERCENTILES = (
+    lambda v: isinstance(v, list) and len(v) == 2 and all(serialize.NUMBER[0](p) for p in v)
+    and 0.0 <= v[0] <= v[1] <= 100.0,
+    "two numbers in [0, 100], the first not above the second",
+)
+
+
+@serialize.register_hook_codec
 class FakeQuantizer:
     """Quantize-dequantize transform with trainable range parameters.
 
@@ -85,6 +98,18 @@ class FakeQuantizer:
     """
 
     codec_kind = "fake_quant"
+    codec_attrs = {
+        "mode": serialize.one_of(MODES),
+        "bits": _BITS,
+        "grid": serialize.one_of(GRIDS),
+        "per_channel": serialize.BOOL,
+        "initialized": serialize.BOOL,
+        "init_scheme": serialize.one_of(INIT_SCHEMES),
+        "percentiles": _PERCENTILES,
+    }
+    # runtime state, never saved: whether an initialization pass is collecting, and what it saw
+    collecting = False
+    _samples: Tuple[np.ndarray, ...] = ()
 
     def __init__(
         self,
@@ -114,17 +139,15 @@ class FakeQuantizer:
             self.rmin = Tensor(np.full(shape, -1.0), requires_grad=True)
             self.rmax = Tensor(np.full(shape, 1.0), requires_grad=True)
         self.initialized = False
-        self.collecting = False
         self.init_scheme = init_scheme
         self.percentiles = (float(percentiles[0]), float(percentiles[1]))
-        self._samples: List[np.ndarray] = []
 
     # -- range initialization ---------------------------------------------
 
     def observe(self, arr: np.ndarray):
         """Keep a tensor's values: one row per output channel, or one row in all."""
         arr = np.asarray(arr, dtype=np.float64)
-        self._samples.append(arr.reshape(arr.shape[0] if self.per_channel else 1, -1))
+        self._samples += (arr.reshape(arr.shape[0] if self.per_channel else 1, -1),)
 
     def finalize(self):
         """Set ranges from every observed value, by min/max or the configured percentiles."""
@@ -140,7 +163,7 @@ class FakeQuantizer:
             lo, hi, am = lo[0], hi[0], am[0]
         self._set_range(lo, hi, am)
         self.collecting = False
-        self._samples = []
+        self._samples = ()
 
     def init_from_array(self, arr: np.ndarray):
         """Set ranges straight from one array's values."""
@@ -183,10 +206,12 @@ class FakeQuantizer:
 
     # -- bookkeeping -------------------------------------------------------
 
+    @property
+    def codec_params(self) -> Tuple[str, ...]:
+        return ("scale",) if self.mode == "symmetric" else ("rmin", "rmax")
+
     def trainable_range_params(self) -> List[Tuple[str, Tensor]]:
-        if self.mode == "symmetric":
-            return [("scale", self.scale)]
-        return [("rmin", self.rmin), ("rmax", self.rmax)]
+        return [(name, getattr(self, name)) for name in self.codec_params]
 
     def describe(self) -> str:
         span = "per-channel" if self.per_channel else "per-tensor"
@@ -202,57 +227,6 @@ class FakeQuantizer:
         want = tuple(shape[:1]) if self.per_channel else ()
         ranges = self.trainable_range_params()
         return (len(shape) == 4 or not self.per_channel) and all(p.shape == want for _, p in ranges)
-
-    def codec_state(self):
-        attrs = {
-            "bits": self.bits,
-            "mode": self.mode,
-            "grid": self.grid,
-            "per_channel": self.per_channel,
-            "initialized": self.initialized,
-            "init_scheme": self.init_scheme,
-            "percentiles": list(self.percentiles),
-        }
-        return attrs, dict(self.trainable_range_params())
-
-
-# what the decoder accepts in a quantizer's attrs
-_BITS = (
-    lambda v: isinstance(v, int) and not isinstance(v, bool) and MIN_BITS <= v <= MAX_BITS,
-    f"an integer of at least {MIN_BITS} and at most {MAX_BITS}",
-)
-_MODE, _GRID, _INIT_SCHEME = serialize.one_of(MODES), serialize.one_of(GRIDS), serialize.one_of(INIT_SCHEMES)
-_PERCENTILES = (
-    lambda v: isinstance(v, list) and len(v) == 2 and all(serialize.NUMBER[0](p) for p in v)
-    and 0.0 <= v[0] <= v[1] <= 100.0,
-    "two numbers in [0, 100], the first not above the second",
-)
-
-
-def _decode_fake_quant(attrs: dict, params: Dict[str, Tensor]):
-    where = f"the {FakeQuantizer.codec_kind} attrs"
-    mode = serialize.field(attrs, "mode", where, _MODE)
-    per_channel = serialize.field(attrs, "per_channel", where, serialize.BOOL)
-    names = ["scale"] if mode == "symmetric" else ["rmin", "rmax"]
-    serialize.check_param_names(params, names, f"a {mode} quantizer")
-    fq = FakeQuantizer(
-        bits=serialize.field(attrs, "bits", where, _BITS),
-        mode=mode,
-        grid=serialize.field(attrs, "grid", where, _GRID),
-        per_channel=per_channel,
-        channels=1,  # a placeholder: the saved ranges replace the initial ones, and fits checks them
-        init_scheme=serialize.field(attrs, "init_scheme", where, _INIT_SCHEME),
-        percentiles=serialize.field(attrs, "percentiles", where, _PERCENTILES),
-    )
-    if mode == "symmetric":
-        fq.scale = params["scale"]
-    else:
-        fq.rmin, fq.rmax = params["rmin"], params["rmax"]
-    fq.initialized = serialize.field(attrs, "initialized", where, serialize.BOOL)
-    return fq
-
-
-serialize.register_hook_codec(FakeQuantizer.codec_kind, _decode_fake_quant)
 
 
 # -- insertion policy ------------------------------------------------------

@@ -8,13 +8,14 @@ Layout, in order:
 * parameter blob: row-major float64, little-endian, parameters packed
   back to back at the byte offsets recorded in the manifest
 
-Hook transforms survive a round trip when they carry a codec: an object
-with a ``codec_kind`` string and a ``codec_state()`` method returning
-``(attrs, params)``, plus a decoder registered under that kind.  Decoders
-check names and attrs; every decoded transform answers ``fits(shape)``,
-which the loader asks at every position with the shape of what the hook
-wraps (an activation's without its batch dimension), so a hook that does
-not fit fails here.  Every bad file raises ``SerializationError``.
+Hook transforms survive a round trip when their class is registered with
+``register_hook_codec`` and declares what a file stores: ``codec_kind``,
+``codec_attrs`` (each saved attr and the field kind that checks it) and
+``codec_params`` (its tensor attributes' names).  One writer and one reader
+serve every kind.  Every rebuilt transform answers ``fits(shape)``, which
+the loader asks at every position with the shape of what the hook wraps
+(an activation's without its batch dimension), so a hook that does not
+fit fails here.  Every bad file raises ``SerializationError``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import hashlib
 import json
 import math
 import struct
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,15 +41,19 @@ class SerializationError(ValueError):
     """Corrupt, truncated, or incompatible model file."""
 
 
-_DECODERS: Dict[str, Callable] = {}
+_CODECS: Dict[str, type] = {}
 
 
-def register_hook_codec(kind: str, decoder: Callable[[dict, Dict[str, Tensor]], Callable]):
-    """Register a factory that rebuilds a hook transform from saved state."""
-    _DECODERS[kind] = decoder
+def register_hook_codec(cls: type) -> type:
+    """Class decorator: hooks whose transform is a ``cls`` are saved and
+    loaded under ``cls.codec_kind`` by its ``codec_attrs`` and ``codec_params``."""
+    _CODECS[cls.codec_kind] = cls
+    return cls
 
 
-def _pack_params(table: list, blob: bytearray, params: Dict[str, Tensor]):
+def _pack_params(blob: bytearray, params: Dict[str, Tensor]) -> list:
+    """Append each parameter to ``blob``; their manifest entries."""
+    table = []
     for name, t in params.items():
         # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
         arr = np.asarray(t.data, dtype=_F8)
@@ -61,6 +66,7 @@ def _pack_params(table: list, blob: bytearray, params: Dict[str, Tensor]):
             }
         )
         blob.extend(arr.tobytes(order="C"))
+    return table
 
 
 def _is_count(value) -> bool:
@@ -88,19 +94,13 @@ _POSITION = one_of([p.value for p in HookPosition])
 def field(entry, key: str, where: str, kind=None):
     """``entry[key]``, which must pass ``kind``'s test when one is given; a
     missing field or an entry that is not an object is a malformed manifest
-    too.  Hook decoders check their attrs with it."""
+    too.  The hook reader checks every declared attr with it."""
     if not isinstance(entry, dict) or key not in entry:
         raise SerializationError(f"malformed manifest: {where} has no field {key!r}")
     value = entry[key]
     if kind is not None and not kind[0](value):
         raise SerializationError(f"malformed manifest: field {key!r} of {where} must be {kind[1]}, got {value!r}")
     return value
-
-
-def check_param_names(params: Dict[str, Tensor], names, owner: str):
-    """Hook decoders check that a hook has exactly the parameters they read."""
-    if set(params) != set(names):
-        raise SerializationError(f"malformed manifest: {owner} needs parameters {list(names)}, got {sorted(params)}")
 
 
 def _unpack_params(table: list, blob: bytes, owner: str) -> Dict[str, Tensor]:
@@ -126,21 +126,19 @@ def serialize_model(graph: ModelGraph, extra: Optional[dict] = None) -> bytes:
     blob = bytearray()
     nodes = []
     for nid, node in graph.nodes.items():
-        table: list = []
-        _pack_params(table, blob, node.params)
         nodes.append(
-            {"id": nid, "kind": node.kind, "inputs": list(node.inputs), "attrs": node.attrs, "params": table}
+            {"id": nid, "kind": node.kind, "inputs": list(node.inputs), "attrs": node.attrs,
+             "params": _pack_params(blob, node.params)}
         )
     hooks = []
     for h in graph.hooks:
-        codec_kind = getattr(h.transform, "codec_kind", None)
-        if codec_kind is None:
+        tr = h.transform
+        codec_kind = getattr(tr, "codec_kind", None)
+        if _CODECS.get(codec_kind) is not type(tr):  # no codec_kind, or not the class registered under it
             raise SerializationError(
-                f"hook {h.family!r} at {h.node_id!r} has no codec and cannot be saved"
+                f"hook {h.family!r} at {h.node_id!r} has no codec and cannot be saved: "
+                f"{type(tr).__name__} is not the class registered for hook kind {codec_kind!r}"
             )
-        attrs, hparams = h.transform.codec_state()
-        table = []
-        _pack_params(table, blob, hparams)
         hooks.append(
             {
                 "node_id": h.node_id,
@@ -149,8 +147,8 @@ def serialize_model(graph: ModelGraph, extra: Optional[dict] = None) -> bytes:
                 "input_index": h.input_index,
                 "family": h.family,
                 "kind": codec_kind,
-                "attrs": attrs,
-                "params": table,
+                "attrs": {name: getattr(tr, name) for name in tr.codec_attrs},
+                "params": _pack_params(blob, {name: getattr(tr, name) for name in tr.codec_params}),
             }
         )
     manifest = {
@@ -220,14 +218,7 @@ def _build_graph(manifest: dict, blob: bytes) -> ModelGraph:
     for entry in field(manifest, "hooks", "the manifest", _LIST):
         node_id = field(entry, "node_id", "a hook entry", _NAME)
         where = f"the hook at {node_id!r}"
-        kind = field(entry, "kind", where, _NAME)
-        if kind not in _DECODERS:
-            raise SerializationError(f"{where}: no decoder registered for hook kind {kind!r}")
-        params = _unpack_params(field(entry, "params", where, _LIST), blob, where)
-        try:
-            transform = _DECODERS[kind](field(entry, "attrs", where, _OBJECT), params)
-        except SerializationError as e:
-            raise SerializationError(f"{where}: {e}") from e
+        transform = _decode_hook(entry, blob, where)
         hook = Hook(
             node_id=node_id,
             position=HookPosition(field(entry, "position", where, _POSITION)),
@@ -245,11 +236,37 @@ def _build_graph(manifest: dict, blob: bytes) -> ModelGraph:
         else:
             what, shape = "its output", shapes[node_id]
         if not transform.fits(shape):
-            got = {name: list(p.shape) for name, p in params.items()}
+            got = {name: list(getattr(transform, name).shape) for name in transform.codec_params}
             raise SerializationError(
-                f"malformed manifest: {where} ({kind}, parameters {got}) does not fit {what} of shape {list(shape)}"
+                f"malformed manifest: {where} ({transform.codec_kind}, parameters {got}) "
+                f"does not fit {what} of shape {list(shape)}"
             )
     return graph
+
+
+def _decode_hook(entry: dict, blob: bytes, where: str):
+    """The transform of one hook entry, rebuilt from its class's declarations:
+    each attr read with its field kind, then exactly its parameters, by name."""
+    kind = field(entry, "kind", where, _NAME)
+    if kind not in _CODECS:
+        raise SerializationError(f"{where}: no decoder registered for hook kind {kind!r}")
+    cls = _CODECS[kind]
+    params = _unpack_params(field(entry, "params", where, _LIST), blob, where)
+    attrs = field(entry, "attrs", where, _OBJECT)
+    transform = cls.__new__(cls)
+    try:
+        for name, attr_kind in cls.codec_attrs.items():
+            setattr(transform, name, field(attrs, name, f"the {kind} attrs", attr_kind))
+    except SerializationError as e:
+        raise SerializationError(f"{where}: {e}") from e
+    names = transform.codec_params  # a quantizer's depend on its mode, set above
+    if set(params) != set(names):
+        raise SerializationError(
+            f"{where}: malformed manifest: a {kind} hook needs parameters {list(names)}, got {sorted(params)}"
+        )
+    for name, p in params.items():
+        setattr(transform, name, p)
+    return transform
 
 
 def save_model(graph: ModelGraph, path, extra: Optional[dict] = None):

@@ -140,10 +140,13 @@ def magnitude_masks(weights: Dict[str, np.ndarray], level: float):
     return threshold, masks
 
 
+@serialize.register_hook_codec
 class ParamMask:
     """Multiplies a parameter by a fixed 0/1 mask; masked entries get no gradient."""
 
     codec_kind = "param_mask"
+    codec_attrs = {}
+    codec_params = ("mask",)
 
     def __init__(self, mask: np.ndarray):
         self.mask = Tensor(np.asarray(mask, dtype=np.float64))
@@ -169,17 +172,6 @@ class ParamMask:
 
     def fits(self, shape) -> bool:  # the parameter's own shape, or one entry per filter
         return self.mask.shape in (tuple(shape), (*shape[:1], *(1,) * (len(shape) - 1)))
-
-    def codec_state(self):
-        return {}, {"mask": self.mask}
-
-
-def _decode_param_mask(attrs, params):
-    serialize.check_param_names(params, ["mask"], "a parameter mask")
-    return ParamMask(params["mask"].data)
-
-
-serialize.register_hook_codec(ParamMask.codec_kind, _decode_param_mask)
 
 
 class MagnitudeSparsityController(CompressionController):
@@ -264,10 +256,13 @@ def rb_eval_mask(scores: Tensor) -> np.ndarray:
     return (scores.data > 0).astype(np.float64)
 
 
+@serialize.register_hook_codec
 class RBGate:
     """Weight hook: stochastic gates in training, thresholded scores in eval."""
 
     codec_kind = "rb_gate"
+    codec_attrs = {}
+    codec_params = ("scores",)
 
     def __init__(self, scores: np.ndarray):
         self.scores = Tensor(np.asarray(scores, dtype=np.float64), requires_grad=True)
@@ -292,19 +287,6 @@ class RBGate:
 
     def fits(self, shape) -> bool:
         return self.scores.shape == tuple(shape)
-
-    def codec_state(self):
-        return {}, {"scores": self.scores}
-
-
-def _decode_rb_gate(attrs, params):
-    serialize.check_param_names(params, ["scores"], "a stochastic gate")
-    gate = RBGate.__new__(RBGate)
-    gate.scores = params["scores"]
-    return gate
-
-
-serialize.register_hook_codec(RBGate.codec_kind, _decode_rb_gate)
 
 
 class RBSparsityController(CompressionController):

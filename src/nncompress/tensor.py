@@ -392,18 +392,21 @@ def round_ste(x) -> Tensor:
 
 def fake_quant(x, scale, q_min: float, q_max: float, floor: float) -> Tensor:
     """Fused symmetric fake quantization ``round(clamp(x / step, q_min, q_max)) * step``
-    with ``step = max(scale, floor) / q_max``.
+    with ``step = max(|scale|, floor) / q_max``.
 
     ``scale`` is the trainable range, one value or one per index of ``x``'s
-    first axis.  The value equals the ``maximum`` -> ``reshape`` -> ``div`` ->
-    ``clamp`` -> ``round_ste`` -> ``mul`` chain bit for bit, and the vjps are
-    that chain's in closed form, with ``v = x / step`` and ``inside`` the mask
-    of ``q_min <= v <= q_max``: ``g * inside`` for ``x``, and
-    ``((sum of g * (q - inside * v)) / q_max) * [scale >= floor]`` for
-    ``scale``.  Both are engine ops, so they can be differentiated again.
+    first axis.  Only its magnitude sets the step, so a scale that training
+    drives negative quantizes as its absolute value and keeps a gradient
+    instead of sticking at the floor.  The value equals the ``tabs`` ->
+    ``maximum`` -> ``reshape`` -> ``div`` -> ``clamp`` -> ``round_ste`` ->
+    ``mul`` chain bit for bit, and the vjps are that chain's in closed form,
+    with ``v = x / step`` and ``inside`` the mask of ``q_min <= v <= q_max``:
+    ``g * inside`` for ``x``, and ``((sum of g * (q - inside * v)) / q_max) *
+    sign(scale) * [|scale| >= floor]`` for ``scale``.  Both are engine ops,
+    so they can be differentiated again.
     """
     x, scale = as_tensor(x), as_tensor(scale)
-    step = _channel_view(np.maximum(scale.data, floor), x.shape, "fake_quant") / q_max
+    step = _channel_view(np.maximum(np.abs(scale.data), floor), x.shape, "fake_quant") / q_max
     v = np.asarray(x.data / step)  # an array even for a 0-d x, so it can be written into
     recording = _records((x, scale))
     # in place in v when nothing is recorded; the vjps keep v and q otherwise
@@ -414,7 +417,7 @@ def fake_quant(x, scale, q_min: float, q_max: float, floor: float) -> Tensor:
 
     def vjps(x, scale, y, out):
         inside = ((v >= q_min) & (v <= q_max)).astype(np.float64)
-        kept = (scale.data >= floor).astype(np.float64)
+        kept = np.sign(scale.data) * (np.abs(scale.data) >= floor)
 
         def vjp_scale(g):
             g_step = _sum_to(mul(g, q - inside * v), step.shape)

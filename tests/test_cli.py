@@ -13,7 +13,7 @@ from nncompress.cli import main
 from nncompress.data import make_dataset
 from nncompress.models import build_model
 from nncompress.serialize import (
-    SerializationError, deserialize_model, load_checkpoint, load_model, save_checkpoint, serialize_model,
+    SerializationError, deserialize_model, load_checkpoint, load_model, save_checkpoint, save_model, serialize_model,
 )
 from nncompress.tensor import Tensor
 from nncompress.train import train_model
@@ -373,6 +373,32 @@ def test_csv_dataset_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert float(stdout.split("accuracy")[1].split()[0]) > 0.8
+
+
+def _csv_with_label(tmp_path, label):
+    """Eighty rows of eight features, labelled 0 and 1 except row 7, labelled ``label``."""
+    rng = np.random.default_rng(0)
+    rows = ["f0,f1,f2,f3,f4,f5,f6,f7,label"]
+    for i in range(80):
+        rows.append(",".join(f"{v:.5f}" for v in rng.normal(size=8)) + f",{label if i == 7 else i % 2}")
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("label", [5, -1])
+def test_label_outside_the_classes_exits_2(tmp_path, capsys, label):
+    """Train and eval of a two-class model name the label that has no class."""
+    csv = _csv_with_label(tmp_path, label)
+    model_path = tmp_path / "m.nncm"
+    save_model(build_model("mlp-small"), model_path)
+    for argv in (
+        train_args(tmp_path / "run", dataset=str(csv), epochs=1),
+        ["eval", "--model", str(model_path), "--dataset", str(csv)],
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and "Traceback" not in err
+        assert f"error: label {label} is outside the model's 2 classes (0 to 1)" in err
 
 
 def test_console_script_entry_point(tmp_path):

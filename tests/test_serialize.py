@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nncompress import serialize as S
-from nncompress.api import create_compressed_model
+from nncompress.api import create_compressed_model, scheduler_epoch_step
 from nncompress.binarization import ActivationBinarizer, WeightBinarizer
 from nncompress import tensor as T
 from nncompress.graph import _KINDS, GraphError, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
@@ -19,7 +19,7 @@ from nncompress.sparsity import ParamMask, RBGate
 from nncompress.tensor import Tensor
 from nncompress.util import cross_entropy
 
-from test_api import REPO
+from test_api import REPO, stripes_like
 from test_graph import bn_node, conv_node, fc_node
 
 
@@ -57,6 +57,35 @@ def test_double_round_trip_stable():
     g2, _ = S.deserialize_model(data1)
     data2 = S.serialize_model(g2)
     assert data1 == data2
+
+
+ROUND_TRIP_CASES = [
+    pytest.param(name, init, id=f"{name or 'uncompressed'}-{'init' if init else 'lazy'}")
+    for name in [None] + sorted(p.name for p in REPO.glob("configs/*.json"))
+    for init in (True, False)
+    if init or name != "mixed_precision.json"  # its bit-width search needs labelled init data
+]
+
+
+@pytest.mark.parametrize("config_name, init", ROUND_TRIP_CASES)
+def test_every_codec_round_trips(config_name, init):
+    """A compressed cnn-small, its quantizer ranges set from init data or left
+    lazy, serializes again to the same bytes after a reload, and the reload's
+    eval logits equal the live graph's."""
+    graph = build_model("cnn-small", 3)
+    if config_name is not None:
+        config = json.loads((REPO / "configs" / config_name).read_text())
+        controllers, graph = create_compressed_model(graph, config, [stripes_like(64)] if init else None)
+        for _ in range(9):  # past every schedule's ramp, so masks, gates and binarizers are live
+            scheduler_epoch_step(controllers)
+    data = S.serialize_model(graph)
+    loaded, _ = S.deserialize_model(data)
+    assert S.serialize_model(loaded) == data
+    # without init data the activation quantizers stay lazy; the weight ones read their weights
+    quantizers = [h.transform for h in loaded.hooks if h.family == "quantization"]
+    assert any(not q.initialized for q in quantizers) == (bool(quantizers) and not init)
+    x = np.random.default_rng(4).normal(size=(16, 1, 8, 8))
+    assert np.array_equal(loaded.run(Tensor(x)).data, graph.run(Tensor(x)).data)
 
 
 def test_bad_magic_rejected():
@@ -203,7 +232,7 @@ MALFORMED_HOOKS = [
     _bad_hook(0, "attrs.per_channel", True,
               r"the hook at 'input' \(fake_quant, parameters \{'scale': \[\]\}\) "
               r"does not fit its output of shape \[1, 4, 4\]", "per-channel-scalar-scale"),
-    _bad_hook(1, "attrs.mode", "asymmetric", r"asymmetric quantizer needs parameters \['rmin', 'rmax'\]",
+    _bad_hook(1, "attrs.mode", "asymmetric", r"a fake_quant hook needs parameters \['rmin', 'rmax'\], got \['scale'\]",
               "mode-without-its-params"),
     _bad_hook(0, "attrs.bits", 33, "field 'bits' .* an integer of at least 2 and at most 32", "33-bits"),
     _bad_hook(0, "attrs.initialized", DELETE, "the fake_quant attrs has no field 'initialized'", "no-initialized"),
@@ -216,9 +245,9 @@ MALFORMED_HOOKS = [
               "bad-weight-scheme", binarized_model),
     _bad_hook(1, "attrs.enabled", DELETE, "the binarize_activations attrs has no field 'enabled'",
               "no-activations-enabled", binarized_model),
-    _bad_hook(1, "params.1", DELETE, r"activation binarizer needs parameters \['scale', 'thresholds'\], got \['scale'\]",
+    _bad_hook(1, "params.1", DELETE, r"a binarize_activations hook needs parameters \['scale', 'thresholds'\], got \['scale'\]",
               "no-thresholds", binarized_model),
-    _bad_hook(0, "params.0.name", "bogus", r"parameter mask needs parameters \['mask'\], got \['bogus'\]",
+    _bad_hook(0, "params.0.name", "bogus", r"a param_mask hook needs parameters \['mask'\], got \['bogus'\]",
               "renamed-mask", masked_model),
     # c1's weight is [2, 1, 3, 3]; each hook parameter shrinks so that its blob read stays in bounds
     _bad_hook(0, "params.0.shape", [1, 1, 3, 3],
@@ -604,8 +633,11 @@ def test_failed_save_leaves_the_existing_file(tmp_path):
     assert path.read_bytes() == saved
 
 
+@S.register_hook_codec
 class _ScaleTransform:
     codec_kind = "test_scale"
+    codec_attrs = {}
+    codec_params = ("factor",)
 
     def __init__(self, factor: Tensor):
         self.factor = factor
@@ -616,12 +648,6 @@ class _ScaleTransform:
     def fits(self, shape) -> bool:  # one factor for the whole tensor
         return self.factor.shape == ()
 
-    def codec_state(self):
-        return {}, {"factor": self.factor}
-
-
-S.register_hook_codec("test_scale", lambda attrs, params: _ScaleTransform(params["factor"]))
-
 
 def test_hook_with_codec_round_trips():
     g = small_model(2)
@@ -631,6 +657,27 @@ def test_hook_with_codec_round_trips():
     assert g2.hooks[0].family == "scale"
     x = np.random.default_rng(0).normal(size=(3, 1, 4, 4))
     assert np.array_equal(g.run(Tensor(x)).data, g2.run(Tensor(x)).data)
+
+
+class _ScaleSubclass(_ScaleTransform):
+    """Inherits the declarations of test_scale, registered for its base class only."""
+
+
+class _UnknownKind(_ScaleTransform):
+    codec_kind = "test_unknown"  # registered for no class
+
+
+@pytest.mark.parametrize(
+    "cls, kind", [(_ScaleSubclass, "test_scale"), (_UnknownKind, "test_unknown")], ids=["subclass", "unknown-kind"]
+)
+def test_transform_of_an_unregistered_class_is_not_saved(tmp_path, cls, kind):
+    """A file that no loader could rebuild is never written."""
+    g = small_model(2)
+    g.insert_hook(Hook("fc", HookPosition.POST_OUTPUT, "scale", cls(Tensor(np.array(2.5))), param_name=None))
+    message = f"^hook 'scale' at 'fc' has no codec .*: {cls.__name__} is not the class registered for hook kind '{kind}'$"
+    with pytest.raises(SerializationError, match=message):
+        S.save_model(g, tmp_path / "m.nncm")
+    assert not (tmp_path / "m.nncm").exists()
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -513,6 +513,24 @@ def test_fake_quant_vjps_match_composition(grid, per_channel):
         np.testing.assert_allclose(fused.data, chain.data, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_fake_quant_reads_a_negative_scale_by_its_magnitude(per_channel):
+    """A scale below zero quantizes as its absolute value, and its gradient is
+    the positive scale's negated, so training can bring it back past the floor."""
+    x0, scale0, q_min, q_max = _fake_quant_case("signed_act", per_channel)
+    signs = np.where(np.arange(scale0.size) % 2, 1.0, -1.0).reshape(scale0.shape)  # channels 0 and 2 flip
+    u = Tensor(np.random.default_rng(18).uniform(-1, 1, x0.shape))
+    outs, grads = [], []
+    for s in (scale0, signs * scale0):
+        scale = Tensor(s, requires_grad=True)
+        y = T.fake_quant(Tensor(x0), scale, q_min, q_max, RANGE_FLOOR)
+        outs.append(y.data)
+        grads.append(T.grad(T.tsum(T.mul(y, u)), [scale])[0].data)
+    assert outs[1].tobytes() == outs[0].tobytes()
+    assert np.all(grads[0] != 0)
+    assert np.array_equal(grads[1], signs * grads[0])
+
+
 def test_fake_quant_hessian_vector_product_matches_composition():
     rng = np.random.default_rng(17)
     w0 = rng.uniform(-1, 1, (4, 3, 3, 3))
