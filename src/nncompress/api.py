@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .base import CompressionBuilder, CompressionController, ConfigError, load_spec
+from .base import CompressionBuilder, CompressionController, ConfigError, load_spec, require
 from .binarization import BinarizationBuilder
 from .graph import ModelGraph
 from .pruning import (
@@ -25,12 +25,14 @@ from .quantization import FakeQuantizer, QuantizationBuilder
 from .serialize import SerializationError, save_model
 from .sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
 from .tensor import Tensor
+from .util import one_of
 
 BUILDERS: Dict[str, type] = {
     b.name: b for b in (QuantizationBuilder, BinarizationBuilder, MagnitudeSparsityBuilder,
                         RBSparsityBuilder, PruningBuilder)
 }
 SPARSITY = (MagnitudeSparsityBuilder.name, RBSparsityBuilder.name)
+ALGORITHM = one_of(sorted(BUILDERS))  # the kind of a section's ``algorithm``
 
 
 @dataclass
@@ -52,10 +54,7 @@ def _parse_config(config) -> Tuple[ConfigSpec, List[CompressionBuilder]]:
     for i, section in enumerate(spec.compression):
         path = f"compression[{i}]"
         algo = section.get("algorithm")
-        if algo not in BUILDERS:
-            raise ConfigError(
-                f"{path}.algorithm must be one of {sorted(BUILDERS)}, got {algo!r}"
-            )
+        require(ALGORITHM, algo, f"{path}.algorithm")
         if algo in seen:
             raise ConfigError(f"duplicate {algo!r} section at {path}")
         seen.add(algo)

@@ -5,7 +5,10 @@ never editing layer math) and hands back a controller owning the algorithm's
 training-time state: an additive loss term, what each epoch of its
 schedule means, any data-driven set-up, and statistics.  Each config
 section is described by a dataclass spec in the algorithm's module;
-``load_spec`` fills it from a mapping.
+``load_spec`` fills it from a mapping.  A field declared with ``setting``
+names its value kind: a generic one from ``util``, or the setting's own
+from its algorithm's module (``quantization.BITS``), which the hook
+constructors and the model-file reader check the same setting against.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, ModelGraph
 from .tensor import Tensor
+from .util import BOOL, INTEGER, LIST, NUMBER, OBJECT, STRING
 
 
 class ConfigError(ValueError):
@@ -33,17 +37,24 @@ class SpecError(ValueError):
         self.key, self.reason = key, reason
 
 
-def check_rule(key: str, rule, *args):
-    """Run a module's own validating function on a spec field's value."""
-    try:
-        rule(*args)
-    except ValueError as err:
-        raise SpecError(key, err) from None
+# the kind each annotated type of a spec field must pass
+_TYPE_KINDS = {bool: BOOL, int: INTEGER, float: NUMBER, str: STRING, dict: OBJECT}
 
 
-_TYPE_NAMES = {
-    bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "a mapping"
-}
+def setting(kind, default=dataclasses.MISSING):
+    """A spec field whose values must pass ``kind``; a ``Spec`` checks it when built."""
+    return dataclasses.field(default=default, metadata={"kind": kind})
+
+
+class Spec:
+    """Base of the specs with ``setting`` fields.  A subclass's own
+    ``__post_init__`` calls this one, then checks its cross-field rules."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            kind, value = f.metadata.get("kind"), getattr(self, f.name)
+            if kind and value is not None and not kind[0](value):
+                raise SpecError(f.name, f"must be {kind[1]}, got {value!r}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,22 +72,24 @@ def _dotted(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def require(kind, value, path: str):
+    """Raise a ``ConfigError`` naming the config key ``path`` when ``value`` fails ``kind``."""
+    if not kind[0](value):
+        raise ConfigError(f"{f'config key {path!r}' if path else 'config'} must be {kind[1]}, got {value!r}")
+
+
 def _convert(tp, value, path: str):
     """Check ``value`` against an annotated type; returns it in that type's form."""
-    if tp in _TYPE_NAMES:
-        if tp is float and isinstance(value, int) and not isinstance(value, bool):
-            return float(value)
-        if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
-            return value
-        raise ConfigError(f"config key {path!r} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    if tp in _TYPE_KINDS:
+        require(_TYPE_KINDS[tp], value, path)
+        return float(value) if tp is float else value
     if dataclasses.is_dataclass(tp):
         return load_spec(tp, value, path)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is Union:  # Optional[X]
         return None if value is None else _convert(args[0], value, path)
     # a string is iterable, but never a list of patterns or numbers
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"config key {path!r} must be a list, got {value!r}")
+    require(LIST, value, path)
     if origin is tuple and args[-1] is not Ellipsis:
         if len(value) != len(args):
             raise ConfigError(f"config key {path!r} must have {len(args)} entries, got {value!r}")
@@ -92,8 +105,7 @@ def load_spec(cls, section, path: str = ""):
     keys, values of the wrong type and values the spec's ``__post_init__``
     rejects as out of range raise ``ConfigError`` naming their dotted path.
     """
-    if not isinstance(section, dict):
-        raise ConfigError(f"config key {path!r} must be a mapping" if path else "config must be a mapping")
+    require(OBJECT, section, path)
     fields = _spec_fields(cls)
     for key in section:
         if key not in fields:

@@ -15,12 +15,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, SpecError, check_rule, match_layers
+from .base import CompressionBuilder, CompressionController, Spec, match_layers, setting
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import ShapeError, Tensor
+from .util import BOOL, COUNT, LIST, check, one_of
 
 FAMILY = "binarization"
-WEIGHT_SCHEMES = ("xnor", "dorefa")
+WEIGHT_SCHEME = one_of(("xnor", "dorefa"))
+STAGE_EPOCHS = (lambda v: LIST[0](v) and len(v) == 4 and all(map(COUNT[0], v)), "four non-negative integers")
 
 
 def _sign(data: np.ndarray) -> np.ndarray:
@@ -39,8 +41,7 @@ def binarize_weights(w: Tensor, scheme: str) -> Tensor:
     w = T.as_tensor(w)
     if w.ndim != 4:
         raise ShapeError(f"binarize_weights: expected 4-D conv weight, got {w.shape}")
-    if scheme not in WEIGHT_SCHEMES:
-        raise ValueError(f"unknown weight scheme {scheme!r}")
+    check(WEIGHT_SCHEME, scheme, "scheme")
     if scheme == "dorefa":
         alpha = np.mean(np.abs(w.data))
     else:
@@ -91,10 +92,7 @@ def binarization_stage_at(epoch: int, stage_durations: Sequence[int]) -> Binariz
     learning rate quadratically to zero and switching weight decay off.
     """
     durations = [int(d) for d in stage_durations]
-    if len(durations) != 4:
-        raise ValueError(f"expected 4 stage durations, got {len(durations)}")
-    if any(d < 0 for d in durations):
-        raise ValueError(f"negative stage duration in {durations}")
+    check(STAGE_EPOCHS, durations, "stage durations")
     d1, d2, d3, d4 = durations
     if epoch < d1:
         return BinarizationStage(1, False, False, 1.0, True)
@@ -113,12 +111,11 @@ def binarization_stage_at(epoch: int, stage_durations: Sequence[int]) -> Binariz
 @serialize.register_hook_codec
 class WeightBinarizer:
     codec_kind = "binarize_weights"
-    codec_attrs = {"scheme": serialize.one_of(WEIGHT_SCHEMES), "enabled": serialize.BOOL}
+    codec_attrs = {"scheme": WEIGHT_SCHEME, "enabled": BOOL}
     codec_params = ()
 
     def __init__(self, scheme: str):
-        if scheme not in WEIGHT_SCHEMES:
-            raise ValueError(f"unknown weight scheme {scheme!r}")
+        check(self.codec_attrs["scheme"], scheme, "scheme")
         self.scheme = scheme
         self.enabled = False
 
@@ -140,7 +137,7 @@ class WeightBinarizer:
 @serialize.register_hook_codec
 class ActivationBinarizer:
     codec_kind = "binarize_activations"
-    codec_attrs = {"enabled": serialize.BOOL}
+    codec_attrs = {"enabled": BOOL}
     codec_params = ("scale", "thresholds")
 
     def __init__(self, channels: int):
@@ -282,16 +279,11 @@ class BinarizationController(CompressionController):
 
 
 @dataclass
-class BinarizationSpec:
-    weight_scheme: str = "xnor"
-    stage_epochs: Tuple[int, ...] = (2, 2, 2, 4)
+class BinarizationSpec(Spec):
+    weight_scheme: str = setting(WEIGHT_SCHEME, "xnor")
+    stage_epochs: Tuple[int, ...] = setting(STAGE_EPOCHS, (2, 2, 2, 4))
     allowlist: Optional[List[str]] = None  # None: every convolution
     denylist: Optional[List[str]] = None  # None: default_denylist
-
-    def __post_init__(self):
-        if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise SpecError("weight_scheme", f"must be one of {list(WEIGHT_SCHEMES)}, got {self.weight_scheme!r}")
-        check_rule("stage_epochs", binarization_stage_at, 0, self.stage_epochs)
 
 
 class BinarizationBuilder(CompressionBuilder):

@@ -3,7 +3,7 @@
 Exit codes, mapped from error types in ``main`` alone: 0 success, 2
 configuration, data, model-file or file-system problems, 3 numeric failure
 during training.  NNCOMPRESS_SEED and NNCOMPRESS_LOG_LEVEL override the
-seed argument and log verbosity.
+seed argument and log verbosity; a bad value of either, or of a flag, exits 2.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .data import make_dataset, train_val_split
 from .models import PRESETS, build_model
 from .serialize import load_checkpoint, load_model, save_checkpoint
 from .train import NumericError, evaluate, train_model
+from .util import COUNT, FINITE_POSITIVE, FRACTION, POSITIVE
 
 log = logging.getLogger("nncompress")
 
@@ -28,13 +29,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _seed(args) -> int:
-    env = os.environ.get("NNCOMPRESS_SEED")
-    return int(env) if env is not None else args.seed
-
-
 def cmd_train(args) -> int:
-    seed = _seed(args)
+    seed = args.seed
     config = {}
     if args.config:
         try:
@@ -99,7 +95,7 @@ def cmd_export(args) -> int:
 
 def cmd_eval(args) -> int:
     graph, _ = load_model(args.model)
-    x, y = make_dataset(args.dataset, args.samples, _seed(args))
+    x, y = make_dataset(args.dataset, args.samples, args.seed)
     start = time.perf_counter()
     acc, loss = evaluate(graph, x, y)
     elapsed = time.perf_counter() - start
@@ -120,11 +116,31 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _typed(parse, kind):
+    """An argparse type: the text read by ``parse``, which must pass ``kind``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text  # which no numeric kind passes
+        if not kind[0](value):
+            raise argparse.ArgumentTypeError(f"must be {kind[1]}, got {value!r}")
+        return value
+
+    return convert
+
+
+_POSITIVE_INT, _SEED = _typed(int, POSITIVE), _typed(int, COUNT)
+_LOG_LEVEL = _typed(str.upper, (lambda v: isinstance(logging.getLevelName(v), int), "a logging level name"))
+
+
+def _from_env(name: str, convert, default):
+    """Environment variable ``name`` read by an argparse type, or ``default`` when it is unset."""
+    try:
+        return convert(os.environ[name]) if name in os.environ else default
+    except argparse.ArgumentTypeError as err:
+        raise ValueError(f"{name}: {err}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,13 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="compression config (JSON); omit for uncompressed training")
     t.add_argument("--model", required=True, choices=PRESETS)
     t.add_argument("--dataset", required=True, help="blobs, stripes, or a .csv path")
-    t.add_argument("--epochs", type=_positive_int, default=10)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--epochs", type=_POSITIVE_INT, default=10)
+    t.add_argument("--seed", type=_SEED, default=0)
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--batch-size", type=_positive_int, default=32)
-    t.add_argument("--lr", type=float, default=0.1)
-    t.add_argument("--momentum", type=float, default=0.0)
-    t.add_argument("--samples", type=_positive_int, default=512, help="synthetic dataset size")
+    t.add_argument("--batch-size", type=_POSITIVE_INT, default=32)
+    t.add_argument("--lr", type=_typed(float, FINITE_POSITIVE), default=0.1)
+    t.add_argument("--momentum", type=_typed(float, FRACTION), default=0.0)
+    t.add_argument("--samples", type=_POSITIVE_INT, default=512, help="synthetic dataset size")
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("export", help="strip and bake a checkpoint into a deployable model file")
@@ -152,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("eval", help="accuracy of a model file on a dataset")
     v.add_argument("--model", required=True)
     v.add_argument("--dataset", required=True)
-    v.add_argument("--samples", type=_positive_int, default=256)
-    v.add_argument("--seed", type=int, default=1)
+    v.add_argument("--samples", type=_POSITIVE_INT, default=256)
+    v.add_argument("--seed", type=_SEED, default=1)
     v.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("stats", help="per-layer compression state of a checkpoint")
@@ -163,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("NNCOMPRESS_LOG_LEVEL", "INFO").upper(),
-        format="%(levelname)s %(message)s",
-    )
     args = build_parser().parse_args(argv)
     try:
+        level = _from_env("NNCOMPRESS_LOG_LEVEL", _LOG_LEVEL, "INFO")
+        logging.basicConfig(level=level, format="%(levelname)s %(message)s")
+        if "seed" in args:
+            args.seed = _from_env("NNCOMPRESS_SEED", _SEED, args.seed)
         return args.fn(args)
     except (NumericError, ValueError, OSError) as err:  # every other typed error of the package is a ValueError
         print(f"error: {err}", file=sys.stderr)

@@ -14,7 +14,6 @@ Hooks of different families stack and compose in registration order.
 from __future__ import annotations
 
 import copy as _copy
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
+from .util import COUNT, FINITE_POSITIVE, INTEGER, NUMBER, POSITIVE
 
 INPUT_ID = "input"
 
@@ -80,15 +80,19 @@ def _prod(shape) -> int:
 # -- node kinds: what each kind owns and does, in one table ------------------
 
 
-def _attr(node: NodeSpec, name: str, default: Optional[int] = None) -> int:
-    """An integer attr; ``default`` stands in for an optional one that is absent."""
+BN_MOMENTUM = (lambda v: NUMBER[0](v) and 0 <= v <= 1, "a number in [0, 1]")
+
+
+def _attr(node: NodeSpec, name: str, default=None, kind=INTEGER):
+    """An attr that passes ``kind``; ``default`` stands in for an optional one that is absent."""
     value = node.attrs.get(name, default)
-    if type(value) is int:  # the common case first: every add_node infers every node's shape
+    # the common case first: every add_node infers every node's shape
+    if type(value) is int and (kind is INTEGER or kind[0](value)):
         return value
     if name not in node.attrs and default is None:
         raise GraphError(f"{node.kind} {node.id!r}: missing attr {name!r}")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise GraphError(f"{node.kind} {node.id!r}: attr {name!r} must be an integer, got {value!r}")
+    if not kind[0](value):
+        raise GraphError(f"{node.kind} {node.id!r}: attr {name!r} must be {kind[1]}, got {value!r}")
     return value
 
 
@@ -106,16 +110,10 @@ def _channels(node: NodeSpec, shape: Tuple[int, ...], attr: str, what: str = "in
     return shape
 
 
-def _check_window(node: NodeSpec, kernel: int, stride: int, padding: int = 0):
-    for name, value, low in (("kernel", kernel, 1), ("stride", stride, 1), ("padding", padding, 0)):
-        if value < low:
-            raise GraphError(f"{node.kind} {node.id!r}: {name} must be >= {low}, got {value}")
-
-
 def _conv_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
     c, h, w = _channels(node, _rank(node, ins[0], 3), "in_channels")
-    k, s, p = _attr(node, "kernel"), _attr(node, "stride", 1), _attr(node, "padding", 0)
-    _check_window(node, k, s, p)
+    k = _attr(node, "kernel", kind=POSITIVE)
+    s, p = _attr(node, "stride", 1, POSITIVE), _attr(node, "padding", 0, COUNT)
     oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
     if oh < 1 or ow < 1:
         raise GraphError(f"Conv2D {node.id!r}: kernel {k} does not fit input {h}x{w}")
@@ -129,11 +127,9 @@ def _fc_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
 
 def _bn_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
     """BatchNorm's shape, once the optional attrs its executor reads are in range."""
-    for name, ok, want in (("eps", lambda v: 0 < v < math.inf, "a finite number > 0"),
-                           ("momentum", lambda v: 0 <= v <= 1, "a number in [0, 1]")):
-        value = node.attrs.get(name)
-        if name in node.attrs and (isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value)):
-            raise GraphError(f"BatchNorm {node.id!r}: attr {name!r} must be {want}, got {value!r}")
+    for name, kind in (("eps", FINITE_POSITIVE), ("momentum", BN_MOMENTUM)):
+        if name in node.attrs:
+            _attr(node, name, kind=kind)
     return _channels(node, ins[0], "num_features")
 
 
@@ -145,9 +141,8 @@ def _add_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
 
 def _pool_shape(node: NodeSpec, ins) -> Tuple[int, ...]:
     c, h, w = _rank(node, ins[0], 3)
-    k = _attr(node, "kernel")
-    s = _attr(node, "stride", k)
-    _check_window(node, k, s)
+    k = _attr(node, "kernel", kind=POSITIVE)
+    s = _attr(node, "stride", k, POSITIVE)
     if h < k or w < k:
         raise GraphError(f"MaxPool2D {node.id!r}: window {k} does not fit input {h}x{w}")
     return (c, (h - k) // s + 1, (w - k) // s + 1)

@@ -19,13 +19,13 @@ import numpy as np
 from . import tensor as T
 from .graph import ModelGraph
 from .tensor import Tensor
-from .util import derive_rng
+from .util import check, derive_rng, one_of
 
-if TYPE_CHECKING:  # quantization imports DIRECTIONS from here
+if TYPE_CHECKING:  # quantization imports DIRECTION from here
     from .quantization import FakeQuantizer, MixedPrecisionSpec
 
 BASELINE_BITS = 8
-DIRECTIONS = ("at_least", "at_most")  # the ratio bound is a floor or a ceiling
+DIRECTION = one_of(("at_least", "at_most"))  # the ratio bound is a floor or a ceiling
 
 
 def estimate_hessian_trace(
@@ -93,8 +93,7 @@ def select_bitwidth_config(
     lower metric, then the higher total bit count, then the
     lexicographically smaller assignment.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown ratio direction {direction!r}")
+    check(DIRECTION, direction, "direction")
     if not profiles:
         raise ValueError("no quantized layers to assign bits to")
     choices = sorted(set(int(b) for b in bit_choices))

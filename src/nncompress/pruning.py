@@ -16,12 +16,14 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .base import CompressionBuilder, CompressionController, SpecError, check_rule, match_layers
+from .base import CompressionBuilder, CompressionController, Spec, match_layers, setting
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .sparsity import ParamMask
+from .util import FRACTION, check, one_of
 
 FAMILY = "filter_pruning"
-CRITERIA = ("l1", "l2", "geometric_median")
+CRITERION = one_of(("l1", "l2", "geometric_median"))
+SCHEDULER_MODE = one_of(("baseline", "exponential"))
 PASSTHROUGH_KINDS = ("BatchNorm", "ReLU", "MaxPool2D")
 
 
@@ -68,18 +70,13 @@ def pruning_rate_at_epoch(
     """
     if not 0.0 <= target < 1.0:
         raise ValueError(f"target pruning rate must be in [0, 1), got {target}")
-    if mode == "baseline":
-        if epoch < warmup_epochs:
-            return 0.0, False
+    check(SCHEDULER_MODE, mode, "pruning scheduler mode")
+    if epoch < warmup_epochs:
+        return 0.0, False
+    t = epoch - warmup_epochs
+    if mode == "baseline" or epochs <= 0 or t >= epochs:
         return target, True
-    if mode == "exponential":
-        if epoch < warmup_epochs:
-            return 0.0, False
-        t = epoch - warmup_epochs
-        if epochs <= 0 or t >= epochs:
-            return target, True
-        return target - target * math.exp(-5.0 * t / epochs), False
-    raise ValueError(f"unknown pruning scheduler mode {mode!r}")
+    return target - target * math.exp(-5.0 * t / epochs), False
 
 
 # -- mask propagation ------------------------------------------------------
@@ -262,26 +259,18 @@ def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGr
 
 
 @dataclass
-class PruningSchedulerSpec:
-    mode: str = "baseline"
+class PruningSchedulerSpec(Spec):
+    mode: str = setting(SCHEDULER_MODE, "baseline")
     warmup_epochs: int = 0
     epochs: int = 5
 
-    def __post_init__(self):
-        check_rule("mode", pruning_rate_at_epoch, self.mode, 0, 0.0)
-
 
 @dataclass
-class FilterPruningSpec:
-    pruning_rate: float
-    criterion: str = "l2"
+class FilterPruningSpec(Spec):
+    pruning_rate: float = setting(FRACTION)
+    criterion: str = setting(CRITERION, "l2")
     scheduler: PruningSchedulerSpec = field(default_factory=PruningSchedulerSpec)
     exclude: List[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        check_rule("pruning_rate", pruning_rate_at_epoch, "baseline", 0, self.pruning_rate)
-        if self.criterion not in CRITERIA:
-            raise SpecError("criterion", f"must be one of {list(CRITERIA)}, got {self.criterion!r}")
 
 
 class PruningController(CompressionController):

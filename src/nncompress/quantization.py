@@ -18,15 +18,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, ConfigError, SpecError, check_rule
+from .base import CompressionBuilder, CompressionController, ConfigError, Spec, SpecError, setting
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
-from .mixed_precision import DIRECTIONS, plan_mixed_precision
+from .mixed_precision import DIRECTION, plan_mixed_precision
 from .tensor import Tensor
-from .util import cross_entropy
+from .util import BOOL, INTEGER, LIST, PERCENT, POSITIVE, check, cross_entropy, one_of
 
 FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
-MODES = ("symmetric", "asymmetric")
 MIN_BITS = 2
 MAX_BITS = 32  # the widest integer grid; it bounds the 2 ** bits that a model file can ask for
 # each grid's (lowest, highest) integer level, from half = 2 ** (bits - 1):
@@ -37,20 +36,31 @@ _GRID_LEVELS = {
     "signed_act": lambda half: (-half, half - 1),
     "unsigned_act": lambda half: (0, 2 * half - 1),
 }
-GRIDS = tuple(_GRID_LEVELS)
-INIT_SCHEMES = ("minmax", "percentile")
+# each quantizer setting's kind, shared by the config specs, FakeQuantizer and the model-file reader
+MODE = one_of(("symmetric", "asymmetric"))
+BITS = (lambda v: INTEGER[0](v) and MIN_BITS <= v <= MAX_BITS,
+        f"an integer of at least {MIN_BITS} and at most {MAX_BITS}")
+CANDIDATE_BITS = (
+    lambda v: LIST[0](v) and len(v) > 0 and all(BITS[0](b) for b in v),
+    f"a non-empty list of integers of at least {MIN_BITS} and at most {MAX_BITS}",
+)
+GRID = one_of(_GRID_LEVELS)
+INIT_SCHEME = one_of(("minmax", "percentile"))
+PERCENTILES = (
+    lambda v: LIST[0](v) and len(v) == 2 and all(PERCENT[0](p) for p in v) and v[0] <= v[1],
+    "two numbers in [0, 100], the first not above the second",
+)
 
 VALUE_PRODUCING_KINDS = ("Conv2D", "FullyConnected", "BatchNorm", "ReLU", "Add")
 
 
 def quant_grid(bits: int, kind: str) -> Tuple[int, int]:
-    """Integer level range of grid ``kind`` (one of ``GRIDS``) at a bit width."""
+    """Integer level range of grid ``kind`` (a value ``GRID`` passes) at a bit width."""
     if bits < MIN_BITS:
         raise ValueError(f"bit width must be at least {MIN_BITS}, got {bits}")
     if bits > MAX_BITS:
         raise ValueError(f"bit width must be at most {MAX_BITS}, got {bits}")
-    if kind not in _GRID_LEVELS:
-        raise ValueError(f"unknown grid kind {kind!r}")
+    check(GRID, kind, "grid")
     return _GRID_LEVELS[kind](2 ** (bits - 1))
 
 
@@ -77,18 +87,6 @@ def tune_asymmetric_range(rmin, rmax, bits: int):
     return lo, hi, z
 
 
-# what a model file's quantizer attrs must hold
-_BITS = (
-    lambda v: isinstance(v, int) and not isinstance(v, bool) and MIN_BITS <= v <= MAX_BITS,
-    f"an integer of at least {MIN_BITS} and at most {MAX_BITS}",
-)
-_PERCENTILES = (
-    lambda v: isinstance(v, list) and len(v) == 2 and all(serialize.NUMBER[0](p) for p in v)
-    and 0.0 <= v[0] <= v[1] <= 100.0,
-    "two numbers in [0, 100], the first not above the second",
-)
-
-
 @serialize.register_hook_codec
 class FakeQuantizer:
     """Quantize-dequantize transform with trainable range parameters.
@@ -99,13 +97,13 @@ class FakeQuantizer:
 
     codec_kind = "fake_quant"
     codec_attrs = {
-        "mode": serialize.one_of(MODES),
-        "bits": _BITS,
-        "grid": serialize.one_of(GRIDS),
-        "per_channel": serialize.BOOL,
-        "initialized": serialize.BOOL,
-        "init_scheme": serialize.one_of(INIT_SCHEMES),
-        "percentiles": _PERCENTILES,
+        "mode": MODE,
+        "bits": BITS,
+        "grid": GRID,
+        "per_channel": BOOL,
+        "initialized": BOOL,
+        "init_scheme": INIT_SCHEME,
+        "percentiles": PERCENTILES,
     }
     # runtime state, never saved: whether an initialization pass is collecting, and what it saw
     collecting = False
@@ -121,17 +119,16 @@ class FakeQuantizer:
         init_scheme: str = "minmax",
         percentiles: Tuple[float, float] = (0.1, 99.9),
     ):
-        if mode not in MODES:
-            raise ValueError(f"unknown quantization mode {mode!r}")
-        quant_grid(bits, grid)  # validates both
+        # the model-file reader's kinds, so that what is built can be saved and loaded
+        for name, value in zip(("mode", "bits", "grid", "per_channel", "init_scheme", "percentiles"),
+                               (mode, bits, grid, per_channel, init_scheme, percentiles)):
+            check(self.codec_attrs[name], value, name)
         if per_channel and not channels:
             raise ValueError("per-channel quantizer needs a channel count")
-        if init_scheme not in INIT_SCHEMES:
-            raise ValueError(f"unknown range init scheme {init_scheme!r}")
-        self.bits = int(bits)
+        self.bits = bits
         self.mode = mode
         self.grid = grid
-        self.per_channel = bool(per_channel)
+        self.per_channel = per_channel
         shape = (int(channels),) if per_channel else ()
         if mode == "symmetric":
             self.scale = Tensor(np.ones(shape), requires_grad=True)
@@ -338,56 +335,35 @@ def initialize_quantizer_ranges(graph: ModelGraph, batches=None, num_batches: Op
 
 
 @dataclass
-class QuantizationInitSpec:
-    num_batches: Optional[int] = None  # None: every init batch
-    type: str = "minmax"
-    min_percentile: float = 0.1
-    max_percentile: float = 99.9
+class QuantizationInitSpec(Spec):
+    num_batches: Optional[int] = setting(POSITIVE, None)  # None: every init batch
+    type: str = setting(INIT_SCHEME, "minmax")
+    min_percentile: float = setting(PERCENT, 0.1)
+    max_percentile: float = setting(PERCENT, 99.9)
 
     def __post_init__(self):
-        if self.num_batches is not None and self.num_batches < 1:
-            raise SpecError("num_batches", f"must be at least 1, got {self.num_batches}")
-        if self.type not in INIT_SCHEMES:
-            raise SpecError("type", f"must be one of {list(INIT_SCHEMES)}, got {self.type!r}")
-        for key in ("min_percentile", "max_percentile"):
-            if not 0.0 <= getattr(self, key) <= 100.0:
-                raise SpecError(key, f"must lie in [0, 100], got {getattr(self, key)}")
-        if self.min_percentile > self.max_percentile:
+        super().__post_init__()
+        if not PERCENTILES[0]((self.min_percentile, self.max_percentile)):
             raise SpecError("min_percentile", f"must not exceed max_percentile {self.max_percentile}, "
                             f"got {self.min_percentile}")
 
 
 @dataclass
-class MixedPrecisionSpec:
-    candidate_bits: Tuple[int, ...] = (2, 4, 8)
+class MixedPrecisionSpec(Spec):
+    candidate_bits: Tuple[int, ...] = setting(CANDIDATE_BITS, (2, 4, 8))
     ratio_threshold: float = 1.5
-    trace_samples: int = 32
+    trace_samples: int = setting(POSITIVE, 32)
     seed: Optional[int] = None  # None: the config's top-level seed
-    direction: str = "at_least"
-
-    def __post_init__(self):
-        if self.trace_samples < 1:
-            raise SpecError("trace_samples", f"must be at least 1, got {self.trace_samples}")
-        if self.direction not in DIRECTIONS:
-            raise SpecError("direction", f"must be one of {list(DIRECTIONS)}, got {self.direction!r}")
-        if not self.candidate_bits:
-            raise SpecError("candidate_bits", "must name at least one bit width")
-        for bits in self.candidate_bits:
-            check_rule("candidate_bits", quant_grid, bits, "weight")
+    direction: str = setting(DIRECTION, "at_least")
 
 
 @dataclass
-class QuantizationSpec:
-    mode: str = "symmetric"
-    bits: int = 8
+class QuantizationSpec(Spec):
+    mode: str = setting(MODE, "symmetric")
+    bits: int = setting(BITS, 8)
     per_channel: bool = True
     init: QuantizationInitSpec = field(default_factory=QuantizationInitSpec)
     mixed_precision: Optional[MixedPrecisionSpec] = None  # None: one bit width everywhere
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise SpecError("mode", f"must be one of {list(MODES)}, got {self.mode!r}")
-        check_rule("bits", quant_grid, self.bits, "weight")
 
 
 class QuantizationController(CompressionController):

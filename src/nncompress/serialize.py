@@ -10,9 +10,9 @@ Layout, in order:
 
 Hook transforms survive a round trip when their class is registered with
 ``register_hook_codec`` and declares what a file stores: ``codec_kind``,
-``codec_attrs`` (each saved attr and the field kind that checks it) and
-``codec_params`` (its tensor attributes' names).  One writer and one reader
-serve every kind.  Every rebuilt transform answers ``fits(shape)``, which
+``codec_attrs`` (each saved attr and the value kind that checks it, which
+the class's constructor checks too; see ``util``) and ``codec_params`` (its
+tensor attributes' names).  One writer and one reader serve every kind.  Every rebuilt transform answers ``fits(shape)``, which
 the loader asks at every position with the shape of what the hook wraps
 (an activation's without its batch dimension), so a hook that does not
 fit fails here.  Every bad file raises ``SerializationError``.
@@ -30,6 +30,7 @@ import numpy as np
 
 from .graph import GraphError, Hook, HookPosition, ModelGraph, NodeSpec
 from .tensor import Tensor
+from .util import BOOL, COUNT, LIST, OBJECT, STRING, one_of
 
 MAGIC = b"NNCM"
 FORMAT_VERSION = 1
@@ -69,30 +70,15 @@ def _pack_params(blob: bytearray, params: Dict[str, Tensor]) -> list:
     return table
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def one_of(values) -> tuple:
-    """A field kind: a string among ``values``."""
-    return (lambda v: isinstance(v, str) and v in values, f"one of {list(values)}")
-
-
-# what a typed manifest field must hold: (test, description)
-_LIST = (lambda v: isinstance(v, list), "a list")
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
-BOOL = (lambda v: isinstance(v, bool), "true or false")
-NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
-COUNT = (_is_count, "a non-negative integer")
-_NAME = (lambda v: isinstance(v, str), "a string")
-_OPTIONAL_NAME = (lambda v: v is None or isinstance(v, str), "a string or null")
-_SHAPE = (lambda v: isinstance(v, list) and all(_is_count(s) for s in v), "a list of non-negative integers")
-_NAMES = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings")
+# the manifest's own composite kinds
+_OPTIONAL_NAME = (lambda v: v is None or STRING[0](v), "a string or null")
+_SHAPE = (lambda v: isinstance(v, list) and all(map(COUNT[0], v)), "a list of non-negative integers")
+_NAMES = (lambda v: isinstance(v, list) and all(map(STRING[0], v)), "a list of strings")
 _POSITION = one_of([p.value for p in HookPosition])
 
 
 def field(entry, key: str, where: str, kind=None):
-    """``entry[key]``, which must pass ``kind``'s test when one is given; a
+    """``entry[key]``, which must pass ``kind`` when one is given; a
     missing field or an entry that is not an object is a malformed manifest
     too.  The hook reader checks every declared attr with it."""
     if not isinstance(entry, dict) or key not in entry:
@@ -106,7 +92,7 @@ def field(entry, key: str, where: str, kind=None):
 def _unpack_params(table: list, blob: bytes, owner: str) -> Dict[str, Tensor]:
     out = {}
     for entry in table:
-        name = field(entry, "name", f"a parameter entry of {owner}", _NAME)
+        name = field(entry, "name", f"a parameter entry of {owner}", STRING)
         where = f"parameter {name!r} of {owner}"
         shape = field(entry, "shape", where, _SHAPE)
         count = math.prod(shape)
@@ -190,39 +176,39 @@ def deserialize_model(data: bytes) -> Tuple[ModelGraph, dict]:
             f"truncated blob: manifest declares {blob_size} bytes, found {len(blob)}"
         )
     blob = blob[:blob_size]
-    if hashlib.sha256(blob).hexdigest() != field(manifest, "checksum", "the manifest", _NAME):
+    if hashlib.sha256(blob).hexdigest() != field(manifest, "checksum", "the manifest", STRING):
         raise SerializationError("checksum mismatch: parameter data is corrupt")
 
     try:
         graph = _build_graph(manifest, blob)
     except GraphError as e:  # add_node's and insert_hook's message, which names the node or hook
         raise SerializationError(str(e)) from e
-    return graph, field(manifest, "extra", "the manifest", _OBJECT)
+    return graph, field(manifest, "extra", "the manifest", OBJECT)
 
 
 def _build_graph(manifest: dict, blob: bytes) -> ModelGraph:
     graph = ModelGraph(input_shape=field(manifest, "input_shape", "the manifest", _SHAPE))
-    for entry in field(manifest, "nodes", "the manifest", _LIST):
-        nid = field(entry, "id", "a node entry", _NAME)
+    for entry in field(manifest, "nodes", "the manifest", LIST):
+        nid = field(entry, "id", "a node entry", STRING)
         where = f"node {nid!r}"
         graph._link(
             NodeSpec(
                 id=nid,
-                kind=field(entry, "kind", where, _NAME),
+                kind=field(entry, "kind", where, STRING),
                 inputs=field(entry, "inputs", where, _NAMES),
-                attrs=field(entry, "attrs", where, _OBJECT),
-                params=_unpack_params(field(entry, "params", where, _LIST), blob, where),
+                attrs=field(entry, "attrs", where, OBJECT),
+                params=_unpack_params(field(entry, "params", where, LIST), blob, where),
             )
         )
     shapes = graph._validate()  # one pass once every node is in, not one per node
-    for entry in field(manifest, "hooks", "the manifest", _LIST):
-        node_id = field(entry, "node_id", "a hook entry", _NAME)
+    for entry in field(manifest, "hooks", "the manifest", LIST):
+        node_id = field(entry, "node_id", "a hook entry", STRING)
         where = f"the hook at {node_id!r}"
         transform = _decode_hook(entry, blob, where)
         hook = Hook(
             node_id=node_id,
             position=HookPosition(field(entry, "position", where, _POSITION)),
-            family=field(entry, "family", where, _NAME),
+            family=field(entry, "family", where, STRING),
             transform=transform,
             param_name=field(entry, "param_name", where, _OPTIONAL_NAME),
             input_index=field(entry, "input_index", where, COUNT),
@@ -247,12 +233,12 @@ def _build_graph(manifest: dict, blob: bytes) -> ModelGraph:
 def _decode_hook(entry: dict, blob: bytes, where: str):
     """The transform of one hook entry, rebuilt from its class's declarations:
     each attr read with its field kind, then exactly its parameters, by name."""
-    kind = field(entry, "kind", where, _NAME)
+    kind = field(entry, "kind", where, STRING)
     if kind not in _CODECS:
         raise SerializationError(f"{where}: no decoder registered for hook kind {kind!r}")
     cls = _CODECS[kind]
-    params = _unpack_params(field(entry, "params", where, _LIST), blob, where)
-    attrs = field(entry, "attrs", where, _OBJECT)
+    params = _unpack_params(field(entry, "params", where, LIST), blob, where)
+    attrs = field(entry, "attrs", where, OBJECT)
     transform = cls.__new__(cls)
     try:
         for name, attr_kind in cls.codec_attrs.items():
@@ -292,7 +278,7 @@ def load_checkpoint(path) -> Tuple[ModelGraph, dict]:
     graph, extra = load_model(path)
     if "checkpoint" not in extra:
         raise SerializationError("file is a plain model, not a training checkpoint")
-    meta = field(extra, "checkpoint", "the manifest's extra", _OBJECT)
-    for key, kind in (("config", _OBJECT), ("epoch", COUNT), ("state", _OBJECT)):
+    meta = field(extra, "checkpoint", "the manifest's extra", OBJECT)
+    for key, kind in (("config", OBJECT), ("epoch", COUNT), ("state", OBJECT)):
         field(meta, key, "the checkpoint", kind)
     return graph, meta

@@ -21,19 +21,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, CompressionScheduler, SpecError, hook_weights
+from .base import (
+    CompressionBuilder, CompressionController, CompressionScheduler, Spec, SpecError, hook_weights, setting,
+)
 from .graph import ModelGraph
 from .tensor import Tensor
+from .util import FRACTION, one_of
 
 
 # -- schedules -------------------------------------------------------------
 
 
 @dataclass
-class SparsityScheduleSpec:
-    mode: str = "polynomial"
-    init: float = 0.0
-    target: float = 0.5
+class SparsityScheduleSpec(Spec):
+    mode: str = setting(one_of(("polynomial", "exponential", "multistep", "adaptive")), "polynomial")
+    init: float = setting(FRACTION, 0.0)
+    target: float = setting(FRACTION, 0.5)
     epochs: int = 10
     power: float = 1.0
     steps: Optional[List[Tuple[int, float]]] = None  # multistep only
@@ -41,12 +44,9 @@ class SparsityScheduleSpec:
     step: float = 0.05  # adaptive only
 
     def __post_init__(self):
-        if self.mode not in ("polynomial", "exponential", "multistep", "adaptive"):
-            raise SpecError("mode", f"unknown sparsity schedule mode {self.mode!r}")
-        if not 0.0 <= self.target < 1.0:
-            raise SpecError("target", f"must be in [0, 1), got {self.target}")
-        if not 0.0 <= self.init <= self.target:
-            raise SpecError("init", f"need 0 <= init <= target, got init={self.init}, target={self.target}")
+        super().__post_init__()
+        if self.init > self.target:
+            raise SpecError("init", f"need init <= target, got init={self.init}, target={self.target}")
         if self.mode in ("polynomial", "exponential"):
             if self.epochs == 0 and self.init != self.target:
                 raise SpecError("epochs", "a zero-epoch ramp cannot move init to a different target")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nncompress import base
 from nncompress.api import (
     BUILDERS,
     ConfigError,
@@ -112,7 +113,7 @@ def test_bad_algorithm_and_bad_shapes():
         validate_config({"compression": [{"algorithm": "prune_everything"}]})
     with pytest.raises(ConfigError, match="input_shape"):
         validate_config({"input_shape": "8x8"})
-    with pytest.raises(ConfigError, match="mapping"):
+    with pytest.raises(ConfigError, match="must be an object"):
         validate_config({"compression": [{"algorithm": "quantization", "init": 4}]})
 
 
@@ -120,6 +121,50 @@ def test_bad_algorithm_and_bad_shapes():
 def test_mistyped_values_rejected_with_path(section, path):
     with pytest.raises(ConfigError, match=re.escape(f"'compression[0].{path}'")):
         validate_config({"compression": [section]})
+
+
+def _declared_kinds(spec_cls, prefix=""):
+    """(dotted key, annotated type, kind) of every field, nested specs
+    included, that declares a kind with ``setting``."""
+    hints = typing.get_type_hints(spec_cls)
+    for f in dataclasses.fields(spec_cls):
+        tp = hints[f.name]
+        nested = [t for t in (tp, *typing.get_args(tp)) if dataclasses.is_dataclass(t)]
+        if nested:
+            yield from _declared_kinds(nested[0], f"{prefix}{f.name}.")
+        elif "kind" in f.metadata:
+            yield prefix + f.name, tp, f.metadata["kind"]
+
+
+DECLARED_KINDS = [(name, *declared) for name, b in BUILDERS.items() for declared in _declared_kinds(b.spec_class)]
+# a section's required keys, at values that pass
+REQUIRED_KEYS = {"filter_pruning": {"pruning_rate": 0.5}}
+PROBES = (-1, 0, 1.5, 101, "bogus", [])
+
+
+@pytest.mark.parametrize("algorithm, key, tp, kind", DECLARED_KINDS, ids=[f"{a}.{k}" for a, k, *_ in DECLARED_KINDS])
+def test_every_declared_rule_is_enforced_with_its_path(algorithm, key, tp, kind):
+    """Each probe that the field's type accepts and its kind refuses is a
+    ConfigError naming the field's dotted path and the kind."""
+    refused = 0
+    for probe in PROBES:
+        try:
+            value = base._convert(tp, probe, key)
+        except ConfigError:
+            continue  # the type refuses it before the kind is asked
+        if kind[0](value):
+            continue
+        section = {"algorithm": algorithm, **REQUIRED_KEYS.get(algorithm, {})}
+        *parents, leaf = key.split(".")
+        target = section
+        for parent in parents:
+            target = target.setdefault(parent, {})
+        target[leaf] = probe
+        message = f"config key 'compression[0].{key}' is out of range: must be {kind[1]}, got "
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config({"compression": [section]})
+        refused += 1
+    assert refused, "no probe reaches this kind"
 
 
 def test_empty_candidate_bits_rejected_with_path():

@@ -138,7 +138,37 @@ def test_epochs_below_one_exit_2(tmp_path, capsys, epochs):
     with pytest.raises(SystemExit) as exc:
         main(train_args(out, extra=["--epochs", epochs]))
     assert exc.value.code == 2
-    assert "--epochs: must be at least 1" in capsys.readouterr().err
+    assert "--epochs: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lr", "-0.1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--momentum", "1.5"), ("--momentum", "-1"),
+     ("--seed", "-3")],
+)
+def test_bad_training_flag_exits_2(tmp_path, capsys, flag, value):
+    """A learning rate that is not a finite number > 0, a momentum outside
+    [0, 1) or a negative seed is refused while parsing, before any training."""
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(train_args(out, extra=[flag, value]))
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "variable, value, message",
+    [("NNCOMPRESS_LOG_LEVEL", "bogus", "must be a logging level name, got 'BOGUS'"),
+     ("NNCOMPRESS_SEED", "abc", "must be a non-negative integer, got 'abc'"),
+     ("NNCOMPRESS_SEED", "-3", "must be a non-negative integer, got -3")],
+)
+def test_bad_environment_variable_exits_2(tmp_path, capsys, monkeypatch, variable, value, message):
+    monkeypatch.setenv(variable, value)
+    out = tmp_path / "o"
+    code, _, err = run_cli(train_args(out), capsys)
+    assert code == 2 and f"error: {variable}: {message}" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -236,11 +236,11 @@ _IMAGE = np.zeros((1, 2, 8, 8))
 @pytest.mark.parametrize(
     "build, error, match",
     [
-        (_added(conv_node("c", INPUT_ID, 2, 2, 3, stride=0)), GraphError, "Conv2D 'c': stride"),
-        (_added(conv_node("c", INPUT_ID, 2, 2, 0)), GraphError, "Conv2D 'c': kernel"),
-        (_added(conv_node("c", INPUT_ID, 2, 2, 3, padding=-1)), GraphError, "Conv2D 'c': padding"),
-        (_pool(kernel=0), GraphError, "MaxPool2D 'p': kernel"),
-        (_pool(kernel=2, stride=0), GraphError, "MaxPool2D 'p': stride"),
+        (_added(conv_node("c", INPUT_ID, 2, 2, 3, stride=0)), GraphError, "Conv2D 'c': attr 'stride'"),
+        (_added(conv_node("c", INPUT_ID, 2, 2, 0)), GraphError, "Conv2D 'c': attr 'kernel'"),
+        (_added(conv_node("c", INPUT_ID, 2, 2, 3, padding=-1)), GraphError, "Conv2D 'c': attr 'padding'"),
+        (_pool(kernel=0), GraphError, "MaxPool2D 'p': attr 'kernel'"),
+        (_pool(kernel=2, stride=0), GraphError, "MaxPool2D 'p': attr 'stride'"),
         (lambda: T.im2col(_IMAGE, 3, 3, 0, 0), ShapeError, "im2col: .*stride 0x0"),
         (lambda: T.im2col(_IMAGE, 0, 0, 1, 1), ShapeError, "im2col: window 0x0"),
         (lambda: T.im2col(_IMAGE, 3, 3, 1, 1, pad=-1), ShapeError, "im2col: .*padding -1"),

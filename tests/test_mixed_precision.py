@@ -144,7 +144,7 @@ def test_selection_direction_at_most():
     ps = profiles([1.0, 1.0], [10, 10], [zero, zero])
     plan = select_bitwidth_config(ps, target_ratio=1.0, bit_choices=(2, 4, 8), direction="at_most")
     assert plan.assignment == {"l0": 8, "l1": 8}
-    with pytest.raises(ValueError, match="unknown ratio direction"):
+    with pytest.raises(ValueError, match="direction must be one of"):
         select_bitwidth_config(ps, 1.0, (2, 4, 8), direction="sideways")
 
 

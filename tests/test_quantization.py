@@ -44,7 +44,7 @@ def test_quant_grid_table(bits, kind, expected):
 def test_quant_grid_rejects_bad_inputs():
     with pytest.raises(ValueError, match="at least 2"):
         quant_grid(1, "weight")
-    with pytest.raises(ValueError, match="unknown grid"):
+    with pytest.raises(ValueError, match="grid must be one of"):
         quant_grid(8, "int8")
 
 

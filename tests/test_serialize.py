@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import re
 import struct
@@ -13,7 +14,9 @@ from nncompress.binarization import ActivationBinarizer, WeightBinarizer
 from nncompress import tensor as T
 from nncompress.graph import _KINDS, GraphError, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.models import build_model
-from nncompress.quantization import QuantizationSpec, initialize_quantizer_ranges, insert_quantizers
+from nncompress.quantization import (
+    PERCENTILES, FakeQuantizer, QuantizationSpec, initialize_quantizer_ranges, insert_quantizers,
+)
 from nncompress.serialize import SerializationError
 from nncompress.sparsity import ParamMask, RBGate
 from nncompress.tensor import Tensor
@@ -678,6 +681,41 @@ def test_transform_of_an_unregistered_class_is_not_saved(tmp_path, cls, kind):
     with pytest.raises(SerializationError, match=message):
         S.save_model(g, tmp_path / "m.nncm")
     assert not (tmp_path / "m.nncm").exists()
+
+
+# values for a constructor argument: each one that the argument's codec_attrs kind refuses must be refused
+CONSTRUCTOR_PROBES = (-1, 0, 1, 1.5, 8.0, 33, True, None, "bogus", [], (90, 10), [1, 2, 3], ("a", "b"))
+
+
+@pytest.mark.parametrize("cls, required", [(FakeQuantizer, {}), (WeightBinarizer, {"scheme": "xnor"})])
+def test_constructors_refuse_what_the_reader_refuses(cls, required):
+    """A hook built with an argument that its codec_attrs kind refuses would
+    save a file that load_model refuses, so the constructor raises first."""
+    args = cls.codec_attrs.keys() & inspect.signature(cls).parameters.keys()
+    assert args  # every hook class here takes some of its saved attrs as arguments
+    for name in sorted(args):
+        test, description = cls.codec_attrs[name]
+        for probe in CONSTRUCTOR_PROBES:
+            if not test(probe):
+                with pytest.raises(ValueError, match=f"^{name} must be {re.escape(description)}, got "):
+                    cls(**{**required, name: probe})
+
+
+def test_an_accepted_quantizer_saves_and_loads():
+    """The percentile pair is a tuple when built and a list when read back;
+    the kind accepts both, and refuses the pair in the wrong order."""
+    assert PERCENTILES[0]((10, 90.0)) and PERCENTILES[0]([10, 90.0])
+    with pytest.raises(ValueError, match=r"^percentiles must be two numbers in \[0, 100\]"):
+        FakeQuantizer(percentiles=(90, 10), init_scheme="percentile")
+    g = small_model(5)
+    fq = FakeQuantizer(bits=4, mode="asymmetric", percentiles=(10, 90), init_scheme="percentile")
+    g.insert_hook(Hook("fc", HookPosition.POST_OUTPUT, "quantization", fq))
+    loaded, _ = S.deserialize_model(S.serialize_model(g))
+    back = loaded.hooks[0].transform
+    assert {name: getattr(back, name) for name in fq.codec_attrs} == {
+        "mode": "asymmetric", "bits": 4, "grid": "signed_act", "per_channel": False, "initialized": False,
+        "init_scheme": "percentile", "percentiles": [10.0, 90.0],
+    }
 
 
 def test_checkpoint_round_trip(tmp_path):
