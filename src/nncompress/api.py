@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .base import CompressionBuilder, CompressionController, ConfigError, load_spec, require
+from .base import CompressionBuilder, CompressionController, ConfigError, Spec, load_spec, require, setting
 from .binarization import BinarizationBuilder
 from .graph import ModelGraph
 from .pruning import (
@@ -25,7 +25,7 @@ from .quantization import FakeQuantizer, QuantizationBuilder
 from .serialize import SerializationError, save_model
 from .sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
 from .tensor import Tensor
-from .util import one_of
+from .util import COUNT, one_of
 
 BUILDERS: Dict[str, type] = {
     b.name: b for b in (QuantizationBuilder, BinarizationBuilder, MagnitudeSparsityBuilder,
@@ -36,10 +36,10 @@ ALGORITHM = one_of(sorted(BUILDERS))  # the kind of a section's ``algorithm``
 
 
 @dataclass
-class ConfigSpec:
+class ConfigSpec(Spec):
     """Top level of a config; each ``compression`` entry is one algorithm section."""
 
-    seed: int = 0
+    seed: int = setting(COUNT, 0)
     input_shape: Optional[Tuple[int, ...]] = None
     compression: List[dict] = field(default_factory=list)
 

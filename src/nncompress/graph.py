@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy as _copy
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -81,6 +82,7 @@ def _prod(shape) -> int:
 
 
 BN_MOMENTUM = (lambda v: NUMBER[0](v) and 0 <= v <= 1, "a number in [0, 1]")
+BN_EPS = 1e-5  # a BatchNorm's eps when its attrs name none
 
 
 def _attr(node: NodeSpec, name: str, default=None, kind=INTEGER):
@@ -154,7 +156,7 @@ def _run_conv(node: NodeSpec, ins, p: Dict[str, Tensor], ctx) -> Tensor:
 
 
 def _run_batchnorm(node: NodeSpec, ins, p: Dict[str, Tensor], ctx) -> Tensor:
-    eps = node.attrs.get("eps", 1e-5)
+    eps = node.attrs.get("eps", BN_EPS)
     rm, rv = node.params["running_mean"], node.params["running_var"]
     if ctx.mode != "train":
         return T.batch_norm(ins[0], p["gamma"], p["beta"], eps, rm.data, rv.data)[0]
@@ -164,6 +166,16 @@ def _run_batchnorm(node: NodeSpec, ins, p: Dict[str, Tensor], ctx) -> Tensor:
     rm.data = (1 - momentum) * rm.data + momentum * mean.reshape(rm.shape)
     rv.data = (1 - momentum) * rv.data + momentum * var.reshape(rv.shape)
     return out
+
+
+def _fold_batchnorm(node: NodeSpec, p: Dict[str, Tensor], conv: Dict[str, Tensor]) -> Dict[str, Tensor]:
+    """The convolution parameters whose output is this BatchNorm's eval-mode
+    output: W' = W·s and b' = (b - μ)·s + β, with s = γ/√(σ² + ε) and μ, σ²
+    the running buffers, as ``_run_batchnorm`` reads them."""
+    rm, rv = node.params["running_mean"].data, node.params["running_var"].data
+    s = p["gamma"].data / np.sqrt(rv + node.attrs.get("eps", BN_EPS))
+    weight = conv["weight"].data * s.reshape(-1, 1, 1, 1)
+    return {"weight": Tensor(weight), "bias": Tensor((conv["bias"].data - rm) * s + p["beta"].data)}
 
 
 def _run_pool(node: NodeSpec, ins, p: Dict[str, Tensor], ctx) -> Tensor:
@@ -178,11 +190,20 @@ def _weight_bias(*dims: str) -> Callable:
     return lambda a: {"weight": weight(a), "bias": (a[dims[0]],)}
 
 
+class _Fold(NamedTuple):
+    """How a node folds into the node that produces its one input, in an
+    eval pass that records nothing."""
+
+    producer: str  # the kind of that node
+    rewrite: Callable  # (node, its hooked parameters, the producer's hooked parameters) -> the producer's parameters
+
+
 class _Kind(NamedTuple):
     arity: int
     shape: Callable  # (node, input shapes) -> output shape, batch dimension excluded
     params: Callable  # attrs -> {parameter name: shape}; reads only attrs that the shape rule checks
     run: Callable  # (node, input tensors, hooked parameters, ExecContext) -> output tensor
+    fold: Optional[_Fold] = None
 
 
 _KINDS: Dict[str, _Kind] = {
@@ -194,7 +215,7 @@ _KINDS: Dict[str, _Kind] = {
     "BatchNorm": _Kind(
         1, _bn_shape,
         lambda a: dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (a["num_features"],)),
-        _run_batchnorm,
+        _run_batchnorm, _Fold("Conv2D", _fold_batchnorm),
     ),
     "ReLU": _Kind(1, lambda node, ins: ins[0], lambda a: {}, lambda node, ins, p, ctx: T.relu(ins[0])),
     "Add": _Kind(2, _add_shape, lambda a: {}, lambda node, ins, p, ctx: T.add(ins[0], ins[1])),
@@ -356,7 +377,11 @@ class ModelGraph:
     # -- execution ---------------------------------------------------------
 
     def run(self, x: Tensor, mode: str = "eval", rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Execute the graph on a batched input [N, *input_shape]."""
+        """Execute the graph on a batched input [N, *input_shape].
+
+        An eval pass that records nothing (inside ``no_grad``) folds each
+        node that ``_folds`` names into its producer; every other pass runs
+        every node as its own op."""
         if mode not in ("train", "eval"):
             raise GraphError(f"unknown mode {mode!r}")
         x = T.as_tensor(x)
@@ -375,9 +400,16 @@ class ModelGraph:
                 value = h.transform(value, ctx)
             return value
 
+        def hooked_params(node: NodeSpec) -> Dict[str, Tensor]:
+            return {
+                name: hooked(p, node.id, HookPosition.PRE_PARAM, param_name=name) for name, p in node.params.items()
+            }
+
         # an activation is dropped after its last consumer, so a pass without a
         # tape holds a few activations at a time, not every one in the graph
         last_use = {ref: nid for nid, node in self.nodes.items() for ref in node.inputs}
+        folds = self._folds() if mode == "eval" and not T.is_grad_enabled() else {}
+        folded = {node.id for node in folds.values()}
         values: Dict[str, Tensor] = {INPUT_ID: hooked(x, INPUT_ID, HookPosition.POST_OUTPUT)}
         for nid, node in self.nodes.items():
             ins = [
@@ -386,12 +418,31 @@ class ModelGraph:
             for ref in node.inputs:
                 if last_use[ref] == nid:
                     values.pop(ref, None)
-            params = {
-                name: hooked(p, nid, HookPosition.PRE_PARAM, param_name=name) for name, p in node.params.items()
-            }
-            out = _KINDS[node.kind].run(node, ins, params, ctx)
+            if nid in folded:  # its producer's output is already this node's
+                out = ins[0]
+            else:
+                params = hooked_params(node)
+                if nid in folds:
+                    folder = folds[nid]
+                    params = _KINDS[folder.kind].fold.rewrite(folder, hooked_params(folder), params)
+                out = _KINDS[node.kind].run(node, ins, params, ctx)
             values[nid] = hooked(out, nid, HookPosition.POST_OUTPUT)
         return values[self.output_id()]
+
+    def _folds(self) -> Dict[str, NodeSpec]:
+        """Producer id -> the node that folds into it: a node whose kind
+        declares a ``fold``, whose input is a node of the fold's producer
+        kind that it alone consumes, with no hook on the edge between them.
+        Its ``POST_OUTPUT`` hooks still run."""
+        uses = Counter(ref for node in self.nodes.values() for ref in node.inputs)
+        folds = {}
+        for nid, node in self.nodes.items():
+            fold, src = _KINDS[node.kind].fold, node.inputs[0]
+            if (fold is not None and src in self.nodes and self.nodes[src].kind == fold.producer and uses[src] == 1
+                    and (src, HookPosition.POST_OUTPUT, None, 0) not in self._at
+                    and (nid, HookPosition.PRE_INPUT, None, 0) not in self._at):
+                folds[src] = node
+        return folds
 
     # -- derived metrics ---------------------------------------------------
 

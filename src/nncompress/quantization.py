@@ -22,7 +22,7 @@ from .base import CompressionBuilder, CompressionController, ConfigError, Spec, 
 from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .mixed_precision import DIRECTION, plan_mixed_precision
 from .tensor import Tensor
-from .util import BOOL, INTEGER, LIST, PERCENT, POSITIVE, check, cross_entropy, one_of
+from .util import BOOL, COUNT, INTEGER, LIST, PERCENT, POSITIVE, check, cross_entropy, one_of
 
 FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
@@ -353,7 +353,7 @@ class MixedPrecisionSpec(Spec):
     candidate_bits: Tuple[int, ...] = setting(CANDIDATE_BITS, (2, 4, 8))
     ratio_threshold: float = 1.5
     trace_samples: int = setting(POSITIVE, 32)
-    seed: Optional[int] = None  # None: the config's top-level seed
+    seed: Optional[int] = setting(COUNT, None)  # None: the config's top-level seed
     direction: str = setting(DIRECTION, "at_least")
 
 

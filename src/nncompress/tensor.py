@@ -65,6 +65,11 @@ def no_grad():
     return _grad_mode(False)
 
 
+def is_grad_enabled() -> bool:
+    """Whether ops may record a tape here: False inside ``no_grad``."""
+    return _GradMode.enabled
+
+
 class Tensor:
     """A dense n-dimensional float64 array with an optional gradient buffer."""
 

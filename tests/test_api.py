@@ -178,6 +178,23 @@ def test_missing_required_key_rejected_with_path():
         validate_config({"compression": [{"algorithm": "filter_pruning"}]})
 
 
+NEGATIVE_SEEDS = [
+    ({"seed": -1, "compression": [{"algorithm": "quantization", "mixed_precision": {}}]}, "seed"),
+    ({"compression": [{"algorithm": "quantization", "mixed_precision": {"seed": -1}}]},
+     "compression[0].mixed_precision.seed"),
+]
+
+
+@pytest.mark.parametrize("config, path", NEGATIVE_SEEDS, ids=[p for _, p in NEGATIVE_SEEDS])
+def test_negative_seed_is_a_config_error(config, path):
+    """A seed that numpy's generators would refuse is refused as a config key."""
+    message = f"config key {path!r} is out of range: must be a non-negative integer, got -1"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_config(config)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        create_compressed_model(build_model("cnn-small", 0), config, [stripes_like(16)])
+
+
 def test_mixed_precision_defaults():
     def plan(top_seed, **mixed_precision):
         section = {"algorithm": "quantization", "mixed_precision": mixed_precision}

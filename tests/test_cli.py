@@ -18,7 +18,7 @@ from nncompress.serialize import (
 from nncompress.tensor import Tensor
 from nncompress.train import train_model
 
-from test_api import BAD_VALUE_IDS, BAD_VALUES, REPO
+from test_api import BAD_VALUE_IDS, BAD_VALUES, NEGATIVE_SEEDS, REPO
 from test_serialize import (
     BAD_BATCHNORM_ATTRS, DELETE, JSON_VALUES, MALFORMED_HOOKS, MALFORMED_MANIFESTS, MISMATCHED_PARAMETERS, _setting,
     binarized_model, live_manifest, quantized_model, with_manifest,
@@ -102,6 +102,14 @@ def test_mistyped_config_exits_2(tmp_path, capsys, section, path):
     argv = train_args(tmp_path / "out", config=cfg, model="cnn-residual", dataset="stripes")
     code, _, err = run_cli(argv, capsys)
     assert code == 2 and f"compression[0].{path}" in err
+
+
+@pytest.mark.parametrize("config, path", NEGATIVE_SEEDS, ids=[p for _, p in NEGATIVE_SEEDS])
+def test_negative_config_seed_exits_2(tmp_path, capsys, config, path):
+    argv = train_args(tmp_path / "out", config=write_config(tmp_path, config), model="cnn-small", dataset="stripes")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and f"config key {path!r} is out of range" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_dataset_and_model(tmp_path, capsys):
