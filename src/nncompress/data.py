@@ -76,7 +76,14 @@ def make_dataset(name: str, n: int, seed: int = 0) -> Tuple[np.ndarray, np.ndarr
     raise ValueError(f"unknown dataset {name!r}; choose from {DATASETS} or a .csv path")
 
 
+def check_labels(x, y):
+    """Refuse a dataset whose samples and labels differ in number."""
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} samples but {len(y)} labels")
+
+
 def train_val_split(x, y, val_fraction: float = 0.2, seed: int = 0):
+    check_labels(x, y)
     rng = make_rng(seed)
     order = rng.permutation(len(x))
     x, y = x[order], y[order]
@@ -95,6 +102,7 @@ def iter_batches(
     """Minibatches in order, or shuffled when an rng is given."""
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
+    check_labels(x, y)
     idx = np.arange(len(x))
     if rng is not None:
         rng.shuffle(idx)

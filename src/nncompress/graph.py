@@ -9,13 +9,17 @@ on a graph exclusively by inserting hooks at three kinds of points:
 * ``POST_OUTPUT`` wraps the node's output activation
 
 Hooks of different families stack and compose in registration order.
+
+Each node kind is declared once, in ``_KINDS``: arity, shape rule,
+parameter table (the attr that sizes each axis), executor, channel rule
+(which filter pruning reads) and an optional eval-time fold.  The chains of
+kinds that run as one kernel are declared next to it, in ``FUSED_CHAINS``;
+``ModelGraph.chains`` finds them, and the folds' chains, in a graph.
 """
 
 from __future__ import annotations
 
 import copy as _copy
-import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -27,8 +31,6 @@ from .tensor import ShapeError, Tensor
 from .util import COUNT, FINITE_POSITIVE, INTEGER, NUMBER, POSITIVE
 
 INPUT_ID = "input"
-
-WEIGHTED_KINDS = ("Conv2D", "FullyConnected")
 
 
 class GraphError(ValueError):
@@ -183,13 +185,6 @@ def _run_pool(node: NodeSpec, ins, p: Dict[str, Tensor], ctx) -> Tensor:
     return T.maxpool2d(ins[0], k, node.attrs.get("stride", k))
 
 
-def _weight_bias(*dims: str) -> Callable:
-    """A weighted kind's parameter table: ``weight`` shaped by the attrs
-    ``dims`` name, and one ``bias`` entry per output channel or feature."""
-    weight = operator.itemgetter(*dims)
-    return lambda a: {"weight": weight(a), "bias": (a[dims[0]],)}
-
-
 class _Fold(NamedTuple):
     """How a node folds into the node that produces its one input, in an
     eval pass that records nothing."""
@@ -198,34 +193,60 @@ class _Fold(NamedTuple):
     rewrite: Callable  # (node, its hooked parameters, the producer's hooked parameters) -> the producer's parameters
 
 
+class _Channels(NamedTuple):
+    """How a node's output channels follow from its inputs' channels, which
+    filter pruning reads to propagate channel masks and slice parameters."""
+
+    # "weights": set by its own weights; "pass": its input's; "repeat": its input's, each once per
+    # position that Flatten folds into the feature axis; "join": its inputs', which must agree
+    rule: str
+    out: Optional[str] = None  # the attr that counts its output channels; the axes it sizes follow the output mask
+    inp: Optional[str] = None  # the attr that counts its input channels; the axes it sizes follow the input mask
+    masked: Tuple[str, ...] = ()  # the parameters that a mask on its output channels zeroes during training
+
+
 class _Kind(NamedTuple):
     arity: int
     shape: Callable  # (node, input shapes) -> output shape, batch dimension excluded
-    params: Callable  # attrs -> {parameter name: shape}; reads only attrs that the shape rule checks
+    axes: Dict[str, Tuple[str, ...]]  # parameter name -> the attr sizing each axis; attrs the shape rule checks
     run: Callable  # (node, input tensors, hooked parameters, ExecContext) -> output tensor
+    channels: _Channels
     fold: Optional[_Fold] = None
+
+    def params(self, attrs) -> Dict[str, Tuple[int, ...]]:
+        """Parameter name -> shape, for a node with these attrs."""
+        return {name: tuple([attrs[a] for a in axes]) for name, axes in self.axes.items()}
 
 
 _KINDS: Dict[str, _Kind] = {
-    "Conv2D": _Kind(1, _conv_shape, _weight_bias("out_channels", "in_channels", "kernel", "kernel"), _run_conv),
+    "Conv2D": _Kind(
+        1, _conv_shape, {"weight": ("out_channels", "in_channels", "kernel", "kernel"), "bias": ("out_channels",)},
+        _run_conv, _Channels("weights", "out_channels", "in_channels", ("weight", "bias")),
+    ),
     "FullyConnected": _Kind(
-        1, _fc_shape, _weight_bias("out_features", "in_features"),
+        1, _fc_shape, {"weight": ("out_features", "in_features"), "bias": ("out_features",)},
         lambda node, ins, p, ctx: T.linear(ins[0], p["weight"], p["bias"]),
+        _Channels("weights", "out_features", "in_features", ("weight", "bias")),
     ),
     "BatchNorm": _Kind(
-        1, _bn_shape,
-        lambda a: dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (a["num_features"],)),
-        _run_batchnorm, _Fold("Conv2D", _fold_batchnorm),
+        1, _bn_shape, dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), ("num_features",)),
+        _run_batchnorm, _Channels("pass", "num_features", masked=("gamma", "beta")), _Fold("Conv2D", _fold_batchnorm),
     ),
-    "ReLU": _Kind(1, lambda node, ins: ins[0], lambda a: {}, lambda node, ins, p, ctx: T.relu(ins[0])),
-    "Add": _Kind(2, _add_shape, lambda a: {}, lambda node, ins, p, ctx: T.add(ins[0], ins[1])),
-    "MaxPool2D": _Kind(1, _pool_shape, lambda a: {}, _run_pool),
+    "ReLU": _Kind(1, lambda node, ins: ins[0], {}, lambda node, ins, p, ctx: T.relu(ins[0]), _Channels("pass")),
+    "Add": _Kind(2, _add_shape, {}, lambda node, ins, p, ctx: T.add(ins[0], ins[1]), _Channels("join")),
+    "MaxPool2D": _Kind(1, _pool_shape, {}, _run_pool, _Channels("pass")),
     "Flatten": _Kind(
-        1, lambda node, ins: (_prod(ins[0]),), lambda a: {},
+        1, lambda node, ins: (_prod(ins[0]),), {},
         lambda node, ins, p, ctx: T.reshape(ins[0], (ins[0].shape[0], _prod(ins[0].shape[1:]))),
+        _Channels("repeat"),
     ),
 }
 NODE_KINDS = tuple(_KINDS)
+WEIGHTED_KINDS = tuple(name for name, kind in _KINDS.items() if kind.channels.rule == "weights")
+
+# chains of node kinds that an inference backend runs as one kernel, longest
+# first: quantizer placement puts an activation quantizer only after the last
+FUSED_CHAINS = (("Conv2D", "BatchNorm", "ReLU"), ("Conv2D", "ReLU"))
 
 
 class ModelGraph:
@@ -286,7 +307,8 @@ class ModelGraph:
         self.nodes[spec.id] = spec
 
     def consumers(self, node_id: str) -> List[NodeSpec]:
-        return [n for n in self.nodes.values() if node_id in n.inputs]
+        """The nodes that read ``node_id``, once per edge: an ``Add`` of a node with itself twice."""
+        return [n for n in self.nodes.values() for ref in n.inputs if ref == node_id]
 
     def output_id(self) -> str:
         used = {ref for n in self.nodes.values() for ref in n.inputs}
@@ -429,20 +451,33 @@ class ModelGraph:
             values[nid] = hooked(out, nid, HookPosition.POST_OUTPUT)
         return values[self.output_id()]
 
-    def _folds(self) -> Dict[str, NodeSpec]:
-        """Producer id -> the node that folds into it: a node whose kind
-        declares a ``fold``, whose input is a node of the fold's producer
-        kind that it alone consumes, with no hook on the edge between them.
-        Its ``POST_OUTPUT`` hooks still run."""
-        uses = Counter(ref for node in self.nodes.values() for ref in node.inputs)
-        folds = {}
+    def chains(self, patterns) -> Dict[str, List[NodeSpec]]:
+        """Start id -> the nodes of the first of ``patterns`` (tuples of node
+        kinds) that matches from that node on, along edges that are each the
+        only consumer edge of the node they leave."""
+        found = {}
         for nid, node in self.nodes.items():
-            fold, src = _KINDS[node.kind].fold, node.inputs[0]
-            if (fold is not None and src in self.nodes and self.nodes[src].kind == fold.producer and uses[src] == 1
-                    and (src, HookPosition.POST_OUTPUT, None, 0) not in self._at
-                    and (nid, HookPosition.PRE_INPUT, None, 0) not in self._at):
-                folds[src] = node
-        return folds
+            for kinds in patterns:
+                chain = [node]
+                while len(chain) < len(kinds) and chain[-1].kind == kinds[len(chain) - 1]:
+                    nxt = self.consumers(chain[-1].id)
+                    if len(nxt) != 1:
+                        break
+                    chain += nxt
+                if len(chain) == len(kinds) and chain[-1].kind == kinds[-1]:
+                    found.setdefault(nid, chain)
+        return found
+
+    def _folds(self) -> Dict[str, NodeSpec]:
+        """Producer id -> the node that folds into it: the end of a chain
+        from a declared fold's producer kind to the folding kind, with no
+        hook on the edge between the two.  Its ``POST_OUTPUT`` hooks still run."""
+        patterns = [(kind.fold.producer, name) for name, kind in _KINDS.items() if kind.fold]
+        return {
+            src: node for src, (_, node) in self.chains(patterns).items()
+            if (src, HookPosition.POST_OUTPUT, None, 0) not in self._at
+            and (node.id, HookPosition.PRE_INPUT, None, 0) not in self._at
+        }
 
     # -- derived metrics ---------------------------------------------------
 

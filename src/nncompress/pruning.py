@@ -4,7 +4,9 @@ Whole filters are zeroed during training through weight/bias mask hooks,
 then physically removed at export.  Removal is only legal where every
 downstream consumer can absorb the smaller channel count, so channel masks
 are propagated through the graph first and convolutions whose masks reach
-an unwilling consumer (or the network output) fall back to dense.
+an unwilling consumer (or the network output) fall back to dense.  How
+masks pass each node, and which parameter axes they slice, is the node
+kind's channel rule and parameter table, declared in ``graph._KINDS``.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .base import CompressionBuilder, CompressionController, Spec, match_layers, setting
-from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
+from .graph import _KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .sparsity import ParamMask
 from .util import FRACTION, check, one_of
 
 FAMILY = "filter_pruning"
 CRITERION = one_of(("l1", "l2", "geometric_median"))
 SCHEDULER_MODE = one_of(("baseline", "exponential"))
-PASSTHROUGH_KINDS = ("BatchNorm", "ReLU", "MaxPool2D")
 
 
 def filter_importance(weight: np.ndarray, criterion: str) -> np.ndarray:
@@ -92,12 +93,13 @@ class PruningMaskMap:
 
 
 def propagate_pruning_masks(graph: ModelGraph, conv_masks: Dict[str, np.ndarray]) -> PruningMaskMap:
-    """Push per-conv output masks through the graph.
+    """Push per-conv output masks through the graph, by each node kind's
+    channel rule (``graph._KINDS``).
 
-    Rules: a conv consumes its input mask (weights lose input channels) and
-    emits its own mask; normalization, activation, and pooling pass masks
-    through; Flatten expands a channel mask to feature positions; a fully
-    connected layer absorbs any mask by column-pruning.  An Add joint
+    A node whose weights set its channels consumes its input mask (its
+    weights lose input channels) and emits its own: a given conv mask, or
+    all ones.  Normalization, activation and pooling pass masks through;
+    Flatten repeats each channel's entry over its positions.  An Add joint
     accepts only identical masks on both inputs; on a mismatch, pruning is
     cancelled for every conv feeding the joint.  A mask reaching the graph
     output is likewise cancelled.  Verdict per conv: whether its mask
@@ -114,45 +116,25 @@ def propagate_pruning_masks(graph: ModelGraph, conv_masks: Dict[str, np.ndarray]
     shapes = graph.infer_shapes()
     cancelled: set = set()
     while True:
-        out_masks: Dict[str, np.ndarray] = {
-            INPUT_ID: np.ones(shapes[INPUT_ID][0], dtype=bool)
-        }
+        out_masks: Dict[str, np.ndarray] = {INPUT_ID: np.ones(shapes[INPUT_ID][0], dtype=bool)}
         origins: Dict[str, frozenset] = {INPUT_ID: frozenset()}
         in_masks: Dict[str, List[np.ndarray]] = {}
         conflict_origins = None
         for nid, node in graph.nodes.items():
-            ins = [out_masks[ref] for ref in node.inputs]
-            in_masks[nid] = ins
-            in_orig = [origins[ref] for ref in node.inputs]
-            if node.kind == "Conv2D":
-                if nid in conv_masks and nid not in cancelled:
-                    out_masks[nid] = np.asarray(conv_masks[nid], dtype=bool)
-                    origins[nid] = frozenset([nid])
-                else:
-                    out_masks[nid] = np.ones(node.attrs["out_channels"], dtype=bool)
-                    origins[nid] = frozenset()
-            elif node.kind == "FullyConnected":
-                out_masks[nid] = np.ones(node.attrs["out_features"], dtype=bool)
-                origins[nid] = frozenset()
-            elif node.kind in PASSTHROUGH_KINDS:
-                out_masks[nid] = ins[0]
-                origins[nid] = in_orig[0]
-            elif node.kind == "Flatten":
-                src_shape = shapes[node.inputs[0]]
-                if len(src_shape) == 3:
-                    out_masks[nid] = np.repeat(ins[0], src_shape[1] * src_shape[2])
-                else:
-                    out_masks[nid] = ins[0]
-                origins[nid] = in_orig[0]
-            elif node.kind == "Add":
-                if np.array_equal(ins[0], ins[1]):
-                    out_masks[nid] = ins[0]
-                    origins[nid] = in_orig[0] | in_orig[1]
-                else:
-                    conflict_origins = in_orig[0] | in_orig[1]
-                    break
+            ins = in_masks[nid] = [out_masks[ref] for ref in node.inputs]
+            origins[nid] = frozenset().union(*(origins[ref] for ref in node.inputs))
+            channels = _KINDS[node.kind].channels
+            if channels.rule == "weights":
+                own = nid in conv_masks and nid not in cancelled
+                out_masks[nid] = np.asarray(conv_masks[nid] if own else np.ones(node.attrs[channels.out]), dtype=bool)
+                origins[nid] = frozenset([nid] if own else [])
+            elif channels.rule == "join" and not all(np.array_equal(ins[0], m) for m in ins[1:]):
+                conflict_origins = origins[nid]
+                break
+            elif channels.rule == "repeat":
+                out_masks[nid] = np.repeat(ins[0], math.prod(shapes[node.inputs[0]][1:]))
             else:
-                raise ValueError(f"no mask propagation rule for kind {node.kind!r}")
+                out_masks[nid] = ins[0]
         if conflict_origins is None:
             out_id = graph.output_id()
             if not out_masks[out_id].all():
@@ -166,17 +148,18 @@ def propagate_pruning_masks(graph: ModelGraph, conv_masks: Dict[str, np.ndarray]
 def apply_filter_masks(graph: ModelGraph, mask_map: PruningMaskMap) -> Dict[str, Dict[str, ParamMask]]:
     """Install weight/bias mask hooks realizing a propagated mask map.
 
-    Convolutions get their output masks on weight and bias; batch-norm
-    layers get their incoming channel mask on gamma and beta so a masked
-    channel stays exactly zero through normalization.
+    Each pruned convolution, and each node that passes channels through,
+    gets its output mask on the parameters its channel rule names as
+    masked: a convolution's weight and bias, a BatchNorm's gamma and beta,
+    so a masked channel stays exactly zero through normalization.
     """
     hooks: Dict[str, Dict[str, ParamMask]] = {}
     for nid, node in graph.nodes.items():
-        if (node.kind == "Conv2D" and nid in mask_map.verdicts) or node.kind == "BatchNorm":
-            hooks[nid] = {}
-            for pname in ("weight", "bias") if node.kind == "Conv2D" else ("gamma", "beta"):
-                hooks[nid][pname] = ParamMask(np.ones(0))  # filled in by write_filter_masks
-                graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, hooks[nid][pname], param_name=pname))
+        channels = _KINDS[node.kind].channels
+        if nid in mask_map.verdicts or channels.rule == "pass":
+            for pname in channels.masked:
+                mask = hooks.setdefault(nid, {})[pname] = ParamMask(np.ones(0))  # filled in by write_filter_masks
+                graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, mask, param_name=pname))
     write_filter_masks(graph, hooks, mask_map)
     return hooks
 
@@ -184,14 +167,9 @@ def apply_filter_masks(graph: ModelGraph, mask_map: PruningMaskMap) -> Dict[str,
 def write_filter_masks(graph: ModelGraph, hooks: Dict[str, Dict[str, ParamMask]], mask_map: PruningMaskMap):
     """Set installed filter-mask hooks to the channel masks of a propagated mask map."""
     for nid, parts in hooks.items():
-        if graph.nodes[nid].kind == "Conv2D":
-            mask = mask_map.output_masks[nid].astype(np.float64)
-            parts["weight"].set_mask(mask.reshape(-1, 1, 1, 1))
-            parts["bias"].set_mask(mask)
-        else:
-            mask = mask_map.input_masks[nid][0].astype(np.float64)
-            parts["gamma"].set_mask(mask)
-            parts["beta"].set_mask(mask)
+        mask = mask_map.output_masks[nid].astype(np.float64)
+        for pname, part in parts.items():
+            part.set_mask(mask.reshape((-1,) + (1,) * (graph.nodes[nid].params[pname].data.ndim - 1)))
 
 
 def installed_filter_masks(graph: ModelGraph) -> Dict[str, np.ndarray]:
@@ -206,11 +184,12 @@ def installed_filter_masks(graph: ModelGraph) -> Dict[str, np.ndarray]:
 def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGraph:
     """Physically remove masked channels; mutates and returns the graph.
 
-    The realized mask hooks are dropped, weight tensors sliced along the
-    masked axes, channel attrs updated, and every other hook on a sliced
-    convolution or fully connected layer told which channels survive
-    (``select_channels``).  Stripping must not change the graph's output,
-    so a mask that would reach the output is rejected.
+    The realized mask hooks are dropped; each parameter axis that a node
+    kind's channel attrs size is sliced by the output or input mask, and
+    those attrs updated; every other hook on a node whose weights set its
+    channels is told which channels survive (``select_channels``).
+    Stripping must not change the graph's output, so a mask that would
+    reach the output is rejected.
     """
     out_id = graph.output_id()
     final = mask_map.output_masks.get(out_id)
@@ -220,36 +199,30 @@ def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGr
         ins = mask_map.input_masks.get(nid)
         if ins is None:
             continue
-        if node.kind == "Add" and not np.array_equal(ins[0], ins[1]):
-            raise ValueError(f"cannot strip: Add node {nid!r} has mismatched input masks")
+        if _KINDS[node.kind].channels.rule == "join" and not all(np.array_equal(ins[0], m) for m in ins[1:]):
+            raise ValueError(f"cannot strip: {node.kind} node {nid!r} has mismatched input masks")
 
     graph.hooks = [h for h in graph.hooks if h.family != FAMILY]
     for nid, node in graph.nodes.items():
-        if node.kind == "BatchNorm":
-            keep = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
-            for p in node.params.values():
-                p.data = p.data[keep]
-            node.attrs["num_features"] = int(keep.sum())
-        if node.kind not in WEIGHTED_KINDS:
+        kind = _KINDS[node.kind]
+        if not kind.axes:
             continue
         keep_out = np.asarray(mask_map.output_masks[nid], dtype=bool)
         keep_in = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
-        w = node.params["weight"]
-        if node.kind == "Conv2D":
-            if w.shape[0] != len(keep_out) or w.shape[1] != len(keep_in):
-                raise ValueError(f"mask shapes do not match conv {nid!r} weight {w.shape}")
-            w.data = w.data[keep_out][:, keep_in]
-            node.params["bias"].data = node.params["bias"].data[keep_out]
-            node.attrs["out_channels"] = int(keep_out.sum())
-            node.attrs["in_channels"] = int(keep_in.sum())
-        else:
-            if w.shape[1] != len(keep_in):
-                raise ValueError(f"mask length does not match fc {nid!r} columns")
-            w.data = w.data[:, keep_in]
-            node.attrs["in_features"] = int(keep_in.sum())
-        for h in graph.hooks:
-            if h.node_id == nid:
-                h.transform.select_channels(keep_out, keep_in)
+        keep = {attr: m for attr, m in ((kind.channels.out, keep_out), (kind.channels.inp, keep_in)) if attr}
+        for name, axes in kind.axes.items():
+            p = node.params[name]
+            for axis, attr in enumerate(axes):
+                if attr in keep:
+                    if p.shape[axis] != len(keep[attr]):
+                        raise ValueError(f"mask length {len(keep[attr])} does not match {node.kind} {nid!r} "
+                                         f"{name} {p.shape} along {attr}")
+                    p.data = p.data.compress(keep[attr], axis)
+        node.attrs.update((attr, int(m.sum())) for attr, m in keep.items())
+        if kind.channels.rule == "weights":
+            for h in graph.hooks:
+                if h.node_id == nid:
+                    h.transform.select_channels(keep_out, keep_in)
 
     graph._validate()  # checks the sliced graph's shapes and parameters end to end
     return graph

@@ -7,6 +7,9 @@ straight-through backward yields the standard gradient contracts:
 range parameters learn from the rounding residual (symmetric) or from
 boundary clipping (asymmetric), and the input gradient is passed inside
 the representable range and cut outside it.
+
+Activation quantizers skip the interior of the fused chains that
+``graph.FUSED_CHAINS`` declares; ``ModelGraph.chains`` finds them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import serialize, tensor as T
 from .base import CompressionBuilder, CompressionController, ConfigError, Spec, SpecError, setting
-from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
+from .graph import FUSED_CHAINS, WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .mixed_precision import DIRECTION, plan_mixed_precision
 from .tensor import Tensor
 from .util import BOOL, COUNT, INTEGER, LIST, PERCENT, POSITIVE, check, cross_entropy, one_of
@@ -229,40 +232,18 @@ class FakeQuantizer:
 # -- insertion policy ------------------------------------------------------
 
 
-def fusion_skips(graph: ModelGraph) -> set:
-    """Nodes whose outputs vanish into a fused convolution pattern.
-
-    Recognized patterns are Conv-ReLU and Conv-BatchNorm-ReLU with
-    single-consumer interior edges; only the closing ReLU keeps its output
-    quantizer.
-    """
-    skip = set()
-    for node in graph.nodes.values():
-        if node.kind != "Conv2D":
-            continue
-        consumers = graph.consumers(node.id)
-        if len(consumers) != 1:
-            continue
-        nxt = consumers[0]
-        if nxt.kind == "ReLU":
-            skip.add(node.id)
-        elif nxt.kind == "BatchNorm":
-            after_bn = graph.consumers(nxt.id)
-            if len(after_bn) == 1 and after_bn[0].kind == "ReLU":
-                skip.add(node.id)
-                skip.add(nxt.id)
-    return skip
-
-
 def insert_quantizers(graph: ModelGraph, spec: QuantizationSpec) -> dict:
     """Attach fake quantizers per the standard placement policy.
 
     Every convolution and fully connected layer gets a weight quantizer.
     Activation quantizers go on the network input and on each
-    value-producing node that is not hidden inside a fused pattern; outputs
-    of ReLU use an unsigned grid, everything else a signed one.
+    value-producing node that is not inside a fused chain
+    (``graph.FUSED_CHAINS``: only a chain's last node keeps its output
+    quantizer); outputs of ReLU use an unsigned grid, everything else a
+    signed one.
     """
-    skip = fusion_skips(graph)
+    chains = graph.chains(FUSED_CHAINS)
+    hidden = {node.id for chain in chains.values() for node in chain[:-1]}
     weights: Dict[str, FakeQuantizer] = {}
     activations: Dict[str, FakeQuantizer] = {}
 
@@ -291,18 +272,14 @@ def insert_quantizers(graph: ModelGraph, spec: QuantizationSpec) -> dict:
             )
             graph.insert_hook(Hook(node.id, HookPosition.PRE_PARAM, FAMILY, fq, param_name="weight"))
             weights[node.id] = fq
-        if node.kind in VALUE_PRODUCING_KINDS and node.id not in skip:
+        if node.kind in VALUE_PRODUCING_KINDS and node.id not in hidden:
             fq = act_quantizer("unsigned_act" if node.kind == "ReLU" else "signed_act")
             graph.insert_hook(Hook(node.id, HookPosition.POST_OUTPUT, FAMILY, fq))
             activations[node.id] = fq
 
-    # map each weighted layer to the activation quantizer that sees its output
-    mirror: Dict[str, Optional[str]] = {}
-    for nid in weights:
-        cur = nid
-        while cur in skip:
-            cur = graph.consumers(cur)[0].id
-        mirror[nid] = cur if cur in activations else None
+    # each weighted layer's output reaches the activation quantizer at the end of its chain, or its own
+    ends = {nid: chains[nid][-1].id if nid in chains else nid for nid in weights}
+    mirror = {nid: end if end in activations else None for nid, end in ends.items()}
     return {"weight": weights, "activation": activations, "mirror": mirror}
 
 

@@ -15,7 +15,7 @@ from .api import (
     scheduler_step,
     total_compression_loss,
 )
-from .data import iter_batches
+from .data import check_labels, iter_batches
 from .graph import ModelGraph
 from .tensor import Tensor
 from .util import cross_entropy, derive_rng
@@ -56,6 +56,8 @@ class SGD:
 
 def evaluate(graph: ModelGraph, x: np.ndarray, y: np.ndarray, batch_size: int = 128):
     """Eval-mode accuracy and mean task loss over a dataset."""
+    if len(x) == 0:
+        raise ValueError("evaluate needs at least one sample, got an empty dataset")
     losses, preds = [], []
     with T.no_grad():
         for xb, yb in iter_batches(x, y, batch_size):
@@ -89,6 +91,8 @@ def train_model(
     """
     x_train, y_train = train_set
     x_val, y_val = val_set
+    check_labels(x_train, y_train)
+    check_labels(x_val, y_val)
     params = [
         (f"model:{nid}:{pname}", p, 1.0) for nid, pname, p in graph.parameters()
     ] + collect_extra_params(controllers)

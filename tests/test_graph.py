@@ -6,6 +6,7 @@ import pytest
 
 from nncompress import tensor as T
 from nncompress.binarization import ActivationBinarizer
+from nncompress import graph as G
 from nncompress.graph import (
     ExecContext,
     GraphError,
@@ -511,3 +512,47 @@ def test_mode_validated():
     g.add_node(NodeSpec(id="r", kind="ReLU", inputs=[INPUT_ID]))
     with pytest.raises(GraphError, match="unknown mode"):
         g.run(Tensor(np.zeros((1, 2))), mode="predict")
+
+
+# -- declared chains and channel rules ----------------------------------------
+
+
+@pytest.mark.parametrize("kind", G.NODE_KINDS)
+def test_every_kind_declares_a_channel_rule(kind):
+    """Filter pruning reads each kind's channel rule, so every kind has one.
+    Its channel attrs size parameter axes, each parameter's leading axis
+    counts the output channels, the masked parameters are its own, and
+    only a kind whose weights set its channels counts input channels too."""
+    declared = G._KINDS[kind]
+    channels = declared.channels
+    assert channels.rule in ("weights", "pass", "repeat", "join")
+    assert (channels.inp is not None) == (channels.rule == "weights")
+    assert (channels.rule == "weights") == (kind in G.WEIGHTED_KINDS)
+    named = {attr for axes in declared.axes.values() for attr in axes}
+    assert {channels.out, channels.inp} - {None} <= named
+    assert all(axes[0] == channels.out for axes in declared.axes.values())
+    assert set(channels.masked) <= set(declared.axes)
+    assert channels.rule in ("weights", "pass") or not declared.axes
+    if channels.rule == "join":
+        assert declared.arity > 1
+
+
+def test_chains_follow_only_edges_that_are_the_one_consumer_edge():
+    g = ModelGraph(input_shape=(1, 4, 4))
+    g.add_node(conv_node("c1", INPUT_ID, 1, 2, 3, padding=1))
+    g.add_node(bn_node("bn1", "c1", 2))
+    g.add_node(NodeSpec(id="r1", kind="ReLU", inputs=["bn1"]))
+    g.add_node(conv_node("c2", "r1", 2, 2, 3, padding=1))
+    g.add_node(NodeSpec(id="r2", kind="ReLU", inputs=["c2"]))
+    g.add_node(NodeSpec(id="add", kind="Add", inputs=["c2", "r2"]))
+    found = g.chains(G.FUSED_CHAINS)
+    # c2 has two consumers, so neither chain starts there
+    assert {nid: [n.id for n in chain] for nid, chain in found.items()} == {"c1": ["c1", "bn1", "r1"]}
+    # the first pattern that matches wins
+    assert [n.id for n in g.chains([("Conv2D", "BatchNorm"), ("Conv2D", "BatchNorm", "ReLU")])["c1"]] == ["c1", "bn1"]
+    assert [n.id for n in g.chains([("ReLU", "Add")])["r2"]] == ["r2", "add"]
+    # an Add that reads one node twice is two consumer edges
+    h = ModelGraph(input_shape=(2,))
+    h.add_node(NodeSpec(id="r", kind="ReLU", inputs=[INPUT_ID]))
+    h.add_node(NodeSpec(id="twice", kind="Add", inputs=["r", "r"]))
+    assert h.chains([("ReLU", "Add")]) == {}

@@ -4,12 +4,11 @@ import pytest
 from nncompress import serialize as S
 from nncompress import tensor as T
 from nncompress.api import export_graph
-from nncompress.graph import Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
+from nncompress.graph import FUSED_CHAINS, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.quantization import (
     FakeQuantizer,
     QuantizationBuilder,
     QuantizationSpec,
-    fusion_skips,
     initialize_quantizer_ranges,
     insert_quantizers,
     quant_grid,
@@ -371,12 +370,14 @@ def residual_tail():
     return g
 
 
+def _fused(g):
+    return {nid: [n.id for n in chain] for nid, chain in g.chains(FUSED_CHAINS).items()}
+
+
 def test_fusion_patterns_detected():
-    g = small_cnn()
-    assert fusion_skips(g) == {"conv1", "bn1", "conv2"}
-    r = residual_tail()
+    assert _fused(small_cnn()) == {"conv1": ["conv1", "bn1", "relu1"], "conv2": ["conv2", "relu2"]}
     # conv2 feeds a BatchNorm whose consumer is Add, so the pattern does not close
-    assert fusion_skips(r) == {"conv1", "bn1"}
+    assert _fused(residual_tail()) == {"conv1": ["conv1", "bn1", "relu1"]}
 
 
 def test_insertion_policy_on_fused_cnn():
