@@ -16,7 +16,7 @@ import numpy as np
 
 from . import serialize, tensor as T
 from .base import CompressionBuilder, CompressionController, Spec, match_layers, setting
-from .graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
+from .graph import Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import ShapeError, Tensor
 from .util import BOOL, COUNT, LIST, check, one_of
 
@@ -164,41 +164,22 @@ class ActivationBinarizer:
 # -- layer selection -------------------------------------------------------
 
 
-def _weighted_layers_after(graph: ModelGraph, start: str) -> set:
-    """Weighted nodes reachable from ``start`` through unweighted ones."""
-    found, stack, seen = set(), [start], set()
-    while stack:
-        nid = stack.pop()
-        for consumer in graph.consumers(nid):
-            if consumer.id in seen:
-                continue
-            seen.add(consumer.id)
-            if consumer.kind in WEIGHTED_KINDS:
-                found.add(consumer.id)
-            else:
-                stack.append(consumer.id)
-    return found
-
-
 def default_denylist(graph: ModelGraph) -> List[str]:
     """Convolutions kept at full precision by default.
 
     Binarizing the layer that reads raw network input or the one whose
     output feeds the classifier head costs disproportionate accuracy, so
     both ends of the network are excluded unless asked for explicitly.
+    Both are one read of ``graph.producers()``: a convolution whose inputs
+    come from ``INPUT_ID``, and one that a ``FullyConnected`` node's input
+    comes from.
     """
-    excluded = []
-    input_layers = _weighted_layers_after(graph, INPUT_ID)
-    for node in graph.nodes.values():
-        if node.kind != "Conv2D":
-            continue
-        if node.id in input_layers:
-            excluded.append(node.id)
-            continue
-        downstream = _weighted_layers_after(graph, node.id)
-        if any(graph.nodes[d].kind == "FullyConnected" for d in downstream):
-            excluded.append(node.id)
-    return excluded
+    producers = graph.producers()
+    head = {p for n in graph.nodes.values() if n.kind == "FullyConnected" for ref in n.inputs for p in producers[ref]}
+    return [
+        n.id for n in graph.nodes.values()
+        if n.kind == "Conv2D" and (n.id in head or any(INPUT_ID in producers[ref] for ref in n.inputs))
+    ]
 
 
 def select_binarized_layers(
@@ -220,11 +201,9 @@ def apply_binarization(
 ) -> Dict[str, Tuple[WeightBinarizer, ActivationBinarizer]]:
     """Hook selected convolutions with weight and input binarizers."""
     handles = {}
-    shapes = graph.infer_shapes()
     for nid in select_binarized_layers(graph, spec.allowlist, spec.denylist):
-        node = graph.nodes[nid]
         wb = WeightBinarizer(spec.weight_scheme)
-        ab = ActivationBinarizer(channels=shapes[node.inputs[0]][0])
+        ab = ActivationBinarizer(channels=graph.nodes[nid].attrs["in_channels"])  # its input's channels, by _conv_shape
         graph.insert_hook(Hook(nid, HookPosition.PRE_PARAM, FAMILY, wb, param_name="weight"))
         graph.insert_hook(Hook(nid, HookPosition.PRE_INPUT, FAMILY, ab, input_index=0))
         handles[nid] = (wb, ab)

@@ -15,6 +15,8 @@ parameter table (the attr that sizes each axis), executor, channel rule
 (which filter pruning reads) and an optional eval-time fold.  The chains of
 kinds that run as one kernel are declared next to it, in ``FUSED_CHAINS``;
 ``ModelGraph.chains`` finds them, and the folds' chains, in a graph.
+``ModelGraph.producers`` answers weighted reachability: which weighted
+nodes, or the input, each value comes from through unweighted nodes.
 """
 
 from __future__ import annotations
@@ -466,6 +468,18 @@ class ModelGraph:
                     chain += nxt
                 if len(chain) == len(kinds) and chain[-1].kind == kinds[-1]:
                     found.setdefault(nid, chain)
+        return found
+
+    def producers(self) -> Dict[str, frozenset]:
+        """Node id, and ``INPUT_ID`` -> the weighted nodes, or the input,
+        whose outputs reach that node's output through unweighted nodes only.
+        The input and a node whose weights set its channels are their own."""
+        found = {INPUT_ID: frozenset([INPUT_ID])}
+        for nid, node in self.nodes.items():
+            if _KINDS[node.kind].channels.rule == "weights":
+                found[nid] = frozenset([nid])
+            else:
+                found[nid] = frozenset().union(*(found[ref] for ref in node.inputs))
         return found
 
     def _folds(self) -> Dict[str, NodeSpec]:

@@ -101,9 +101,10 @@ def propagate_pruning_masks(graph: ModelGraph, conv_masks: Dict[str, np.ndarray]
     all ones.  Normalization, activation and pooling pass masks through;
     Flatten repeats each channel's entry over its positions.  An Add joint
     accepts only identical masks on both inputs; on a mismatch, pruning is
-    cancelled for every conv feeding the joint.  A mask reaching the graph
-    output is likewise cancelled.  Verdict per conv: whether its mask
-    survived.
+    cancelled for every masked conv among the joint's producers
+    (``graph.producers()``).  A mask reaching the graph output is likewise
+    cancelled, for the output's producers.  Verdict per conv: whether its
+    mask survived.
     """
     for cid, mask in conv_masks.items():
         node = graph.nodes.get(cid)
@@ -113,36 +114,33 @@ def propagate_pruning_masks(graph: ModelGraph, conv_masks: Dict[str, np.ndarray]
             raise ValueError(
                 f"mask length {len(mask)} != out_channels {node.attrs['out_channels']} on {cid!r}"
             )
-    shapes = graph.infer_shapes()
+    shapes, producers = graph.infer_shapes(), graph.producers()
     cancelled: set = set()
     while True:
         out_masks: Dict[str, np.ndarray] = {INPUT_ID: np.ones(shapes[INPUT_ID][0], dtype=bool)}
-        origins: Dict[str, frozenset] = {INPUT_ID: frozenset()}
         in_masks: Dict[str, List[np.ndarray]] = {}
-        conflict_origins = None
+        conflict = None
         for nid, node in graph.nodes.items():
             ins = in_masks[nid] = [out_masks[ref] for ref in node.inputs]
-            origins[nid] = frozenset().union(*(origins[ref] for ref in node.inputs))
             channels = _KINDS[node.kind].channels
             if channels.rule == "weights":
                 own = nid in conv_masks and nid not in cancelled
                 out_masks[nid] = np.asarray(conv_masks[nid] if own else np.ones(node.attrs[channels.out]), dtype=bool)
-                origins[nid] = frozenset([nid] if own else [])
             elif channels.rule == "join" and not all(np.array_equal(ins[0], m) for m in ins[1:]):
-                conflict_origins = origins[nid]
+                conflict = nid
                 break
             elif channels.rule == "repeat":
                 out_masks[nid] = np.repeat(ins[0], math.prod(shapes[node.inputs[0]][1:]))
             else:
                 out_masks[nid] = ins[0]
-        if conflict_origins is None:
+        if conflict is None:
             out_id = graph.output_id()
             if not out_masks[out_id].all():
-                conflict_origins = origins[out_id]
-        if conflict_origins is None:
+                conflict = out_id
+        if conflict is None:
             verdicts = {cid: cid not in cancelled for cid in conv_masks}
             return PruningMaskMap(out_masks, in_masks, verdicts)
-        cancelled |= conflict_origins
+        cancelled |= producers[conflict] & conv_masks.keys()
 
 
 def apply_filter_masks(graph: ModelGraph, mask_map: PruningMaskMap) -> Dict[str, Dict[str, ParamMask]]:

@@ -59,10 +59,7 @@ VALUE_PRODUCING_KINDS = ("Conv2D", "FullyConnected", "BatchNorm", "ReLU", "Add")
 
 def quant_grid(bits: int, kind: str) -> Tuple[int, int]:
     """Integer level range of grid ``kind`` (a value ``GRID`` passes) at a bit width."""
-    if bits < MIN_BITS:
-        raise ValueError(f"bit width must be at least {MIN_BITS}, got {bits}")
-    if bits > MAX_BITS:
-        raise ValueError(f"bit width must be at most {MAX_BITS}, got {bits}")
+    check(BITS, bits, "bit width")
     check(GRID, kind, "grid")
     return _GRID_LEVELS[kind](2 ** (bits - 1))
 

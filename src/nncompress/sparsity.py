@@ -26,7 +26,7 @@ from .base import (
 )
 from .graph import ModelGraph
 from .tensor import Tensor
-from .util import FRACTION, one_of
+from .util import FINITE_POSITIVE, FRACTION, one_of
 
 
 # -- schedules -------------------------------------------------------------
@@ -38,10 +38,10 @@ class SparsityScheduleSpec(Spec):
     init: float = setting(FRACTION, 0.0)
     target: float = setting(FRACTION, 0.5)
     epochs: int = 10
-    power: float = 1.0
+    power: float = setting(FINITE_POSITIVE, 1.0)
     steps: Optional[List[Tuple[int, float]]] = None  # multistep only
     patience: float = 1e-3  # adaptive only
-    step: float = 0.05  # adaptive only
+    step: float = setting(FRACTION, 0.05)  # adaptive only
 
     def __post_init__(self):
         super().__post_init__()
@@ -57,9 +57,10 @@ class SparsityScheduleSpec(Spec):
             if not steps:
                 raise SpecError("steps", "multistep schedule needs at least one step")
             epochs = [e for e, _ in steps]
-            levels = [l for _, l in steps]
-            if epochs != sorted(epochs) or levels != sorted(levels):
-                raise SpecError("steps", "multistep steps must have nondecreasing epochs and levels")
+            levels = [self.init] + [l for _, l in steps]
+            # written as comparisons, so that a NaN level fails them
+            if epochs != sorted(epochs) or not all(a <= b for a, b in zip(levels, levels[1:])):
+                raise SpecError("steps", "multistep steps must have nondecreasing epochs and levels, from init on")
             if levels[-1] != self.target:
                 raise SpecError("steps", "final multistep level must equal the target")
 
@@ -73,14 +74,14 @@ def sparsity_level_at_epoch(
     epochs already finished; only the adaptive mode reads it.
     """
     e, target, init = epoch, spec.target, spec.init
-    if spec.mode == "polynomial":
+    if spec.mode in ("polynomial", "exponential"):
         if spec.epochs == 0 or e >= spec.epochs:
             return target
-        return init + (target - init) * (e / spec.epochs) ** spec.power
-    if spec.mode == "exponential":
-        if spec.epochs == 0 or e >= spec.epochs:
-            return target
-        return target - (target - init) * math.exp(-5.0 * e / spec.epochs)
+        if spec.mode == "polynomial":
+            level = init + (target - init) * (e / spec.epochs) ** spec.power
+        else:
+            level = target - (target - init) * math.exp(-5.0 * e / spec.epochs)
+        return min(max(level, init), target)  # rounding can land an ulp outside
     if spec.mode == "multistep":
         level = init
         for step_epoch, step_level in spec.steps:

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import math
 import re
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nncompress import base
 from nncompress.api import (
@@ -22,9 +24,10 @@ from nncompress.api import (
     validate_config,
 )
 from nncompress.models import build_model
+from nncompress.pruning import PruningSchedulerSpec, pruning_rate_at_epoch
 from nncompress.quantization import FakeQuantizer
 from nncompress.serialize import SerializationError, load_checkpoint, load_model, save_checkpoint, serialize_model
-from nncompress.sparsity import RBGate
+from nncompress.sparsity import RBGate, SparsityScheduleSpec, sparsity_level_at_epoch
 from nncompress.tensor import Tensor
 
 REPO = Path(__file__).resolve().parent.parent
@@ -62,6 +65,13 @@ OUT_OF_RANGE = [
     ({"algorithm": "binarization", "stage_epochs": [1, 2]}, "stage_epochs"),
     ({"algorithm": "binarization", "weight_scheme": "foo"}, "weight_scheme"),
     ({"algorithm": "magnitude_sparsity", "schedule": {"target": 1.5}}, "schedule.target"),
+    # each of these once validated, then divided by zero at epoch 0 or scheduled a level out of [init, target]
+    ({"algorithm": "magnitude_sparsity",
+      "schedule": {"mode": "polynomial", "init": 0, "target": 0.5, "epochs": 4, "power": -1}}, "schedule.power"),
+    ({"algorithm": "rb_sparsity", "schedule": {"mode": "adaptive", "init": 0.1, "target": 0.5, "step": -0.2}},
+     "schedule.step"),
+    ({"algorithm": "magnitude_sparsity", "schedule": {"mode": "multistep", "init": 0.3, "steps": [[1, 0.1], [2, 0.5]]}},
+     "schedule.steps"),
 ]
 BAD_VALUES = MISTYPED + OUT_OF_RANGE
 # ids stay unique: a mistyped key's id is its path, an out-of-range key's adds "=range"
@@ -165,6 +175,69 @@ def test_every_declared_rule_is_enforced_with_its_path(algorithm, key, tp, kind)
             validate_config({"compression": [section]})
         refused += 1
     assert refused, "no probe reaches this kind"
+
+
+# values a schedule field may be given: in range, at the edges and beyond them
+SCHEDULE_NUMBERS = st.sampled_from([0, 0.1, 0.5, 0.9, -1, 1, 1e308, 5e-324, math.inf, math.nan]) | st.floats(-2, 2)
+SCHEDULE_VALUES = {
+    float: SCHEDULE_NUMBERS,
+    int: st.integers(-3, 25),
+    str: st.sampled_from(["polynomial", "exponential", "multistep", "adaptive", "baseline", "bogus"]),
+}
+
+
+def _schedule_values(tp):
+    """A strategy for the values of a schedule field of annotated type ``tp``, as JSON gives them."""
+    if tp in SCHEDULE_VALUES:
+        return SCHEDULE_VALUES[tp]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        return st.none() | _schedule_values(args[0])
+    if origin is tuple:
+        return st.tuples(*map(_schedule_values, args)).map(list)
+    return st.lists(_schedule_values(args[0]), max_size=3)
+
+
+def _sections(spec_cls):
+    """Sections that give any of ``spec_cls``'s fields a drawn value."""
+    hints = typing.get_type_hints(spec_cls)
+    fields = {f.name: _schedule_values(hints[f.name]) for f in dataclasses.fields(spec_cls)}
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def _multistep(section):
+    """The section as a multistep schedule whose last step reaches its target, as that mode requires."""
+    steps = section.get("steps") or []
+    last = [max([e for e, _ in steps], default=0), section.get("target", SparsityScheduleSpec.target)]
+    return {**section, "mode": "multistep", "steps": steps + [last]}
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(
+    schedule=_sections(SparsityScheduleSpec) | _sections(SparsityScheduleSpec).map(_multistep),
+    scheduler=_sections(PruningSchedulerSpec),
+    rate=SCHEDULE_NUMBERS,
+)
+def test_schedules_that_validate_stay_in_range(schedule, scheduler, rate):
+    """Every sparsity schedule and pruning scheduler that validates gives a
+    finite level in [init, target], or a rate in [0, pruning_rate], at
+    every epoch from 0 to 20."""
+    for section in ({"algorithm": "magnitude_sparsity", "schedule": schedule},
+                    {"algorithm": "filter_pruning", "pruning_rate": rate, "scheduler": scheduler}):
+        try:
+            validate_config({"compression": [section]})
+        except ConfigError:
+            continue
+        spec = BUILDERS[section["algorithm"]](section).spec
+        for epoch in range(21):
+            if section["algorithm"] == "magnitude_sparsity":
+                s = spec.schedule
+                level, low, high = sparsity_level_at_epoch(s, epoch, [1.0] * epoch), s.init, s.target  # stalled losses
+            else:
+                s = spec.scheduler
+                level = pruning_rate_at_epoch(s.mode, epoch, spec.pruning_rate, s.warmup_epochs, s.epochs)[0]
+                low, high = 0.0, spec.pruning_rate
+            assert math.isfinite(level) and low <= level <= high, (section, epoch, level)
 
 
 def test_empty_candidate_bits_rejected_with_path():

@@ -16,12 +16,13 @@ from nncompress.graph import (
     ModelGraph,
     NodeSpec,
 )
-from nncompress.models import build_model
+from nncompress.models import PRESETS, build_model
 from nncompress.pruning import PruningBuilder, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters
 from nncompress.quantization import FakeQuantizer
 from nncompress.serialize import serialize_model
 from nncompress.sparsity import ParamMask, RBGate
 from nncompress.tensor import ShapeError, Tensor
+from topologies import TOPOLOGIES
 
 
 def conv_node(nid, src, cin, cout, k, stride=1, padding=0, w=None, b=None):
@@ -556,3 +557,35 @@ def test_chains_follow_only_edges_that_are_the_one_consumer_edge():
     h.add_node(NodeSpec(id="r", kind="ReLU", inputs=[INPUT_ID]))
     h.add_node(NodeSpec(id="twice", kind="Add", inputs=["r", "r"]))
     assert h.chains([("ReLU", "Add")]) == {}
+
+
+def _reached(graph, start):
+    """The reference walk: every node reached from ``start`` along consumer
+    edges, going on past unweighted nodes only."""
+    stack, seen = [start], set()
+    while stack:
+        for consumer in graph.consumers(stack.pop()):
+            if consumer.id not in seen:
+                seen.add(consumer.id)
+                if consumer.kind not in G.WEIGHTED_KINDS:
+                    stack.append(consumer.id)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda name=name: build_model(name, 0) for name in PRESETS]
+    + [lambda build=build: build(np.random.default_rng(0))[0] for _, build in TOPOLOGIES],
+    ids=list(PRESETS) + [name for name, _ in TOPOLOGIES],
+)
+def test_producers_match_a_consumer_walk(build):
+    """A node's producers are the weighted nodes, or the input, whose walk
+    reaches it; the input and each weighted node are their own."""
+    g = build()
+    sources = [INPUT_ID] + [nid for nid, node in g.nodes.items() if node.kind in G.WEIGHTED_KINDS]
+    reached = {src: _reached(g, src) for src in sources}
+    expected = {
+        nid: {nid} if nid in sources else {src for src in sources if nid in reached[src]}
+        for nid in [INPUT_ID, *g.nodes]
+    }
+    assert g.producers() == expected
