@@ -7,7 +7,6 @@ controller API over an explicit model graph.
 
 from .api import (
     ConfigError,
-    collect_extra_params,
     create_compressed_model,
     export_graph,
     export_model,
@@ -46,7 +45,6 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "build_model",
-    "collect_extra_params",
     "create_compressed_model",
     "evaluate",
     "export_graph",

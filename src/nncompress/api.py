@@ -2,9 +2,10 @@
 
 A config names an ordered list of algorithm sections; each section's
 builder rewires the model graph and returns a controller.  The training
-loop talks only to the controllers: summed penalty loss, per-batch and
-per-epoch schedule advancement, and statistics.  Export needs no
-controller: ``export_graph`` works from the hooks alone.
+loop talks only to the controllers: the trainables their hooks declare
+(``extra_params``), summed penalty loss, per-batch and per-epoch schedule
+advancement, and statistics.  Export needs no controller:
+``export_graph`` works from the hooks alone.
 """
 
 from __future__ import annotations
@@ -164,11 +165,3 @@ def export_graph(graph: ModelGraph, path) -> ModelGraph:
         g = strip_pruned_filters(g, propagate_pruning_masks(g, installed_filter_masks(g)))
     save_model(g, path)
     return g
-
-
-def collect_extra_params(controllers: Sequence[CompressionController]):
-    """All algorithm-owned trainables as (name, tensor, lr multiplier)."""
-    out = []
-    for ctrl in controllers:
-        out.extend(ctrl.extra_params())
-    return out

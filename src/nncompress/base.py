@@ -3,8 +3,10 @@
 Each algorithm ships a builder that rewires a model graph (inserting hooks,
 never editing layer math) and hands back a controller owning the algorithm's
 training-time state: an additive loss term, what each epoch of its
-schedule means, any data-driven set-up, and statistics.  Each config
-section is described by a dataclass spec in the algorithm's module;
+schedule means, any data-driven set-up, and statistics.  What it trains is
+what its hooks declare in ``codec_params`` and that requires a gradient; one
+base method, ``extra_params``, reads it.  Each config section is described
+by a dataclass spec in the algorithm's module;
 ``load_spec`` fills it from a mapping.  A field declared with ``setting``
 names its value kind: a generic one from ``util``, or the setting's own
 from its algorithm's module (``quantization.BITS``), which the hook
@@ -180,10 +182,17 @@ class CompressionController:
     name = "base"
     lr_scale = 1.0  # learning-rate factor, read by train_model every epoch
     weight_decay_on = True  # whether train_model applies weight decay this epoch
+    lr_multiplier = 1.0  # learning-rate factor of every tensor extra_params returns
 
     def __init__(self, graph: ModelGraph):
         self.graph = graph
         self.scheduler = CompressionScheduler(self)
+        # (name, transform, attr) of each tensor the family's hooks declare, read as its builder installed
+        # them: while train_model runs, the benchmark's tracer swaps in proxies that forward only __call__
+        self._declared = [
+            (f"{self.name}:{h.node_id}:{h.position.value}:{h.param_name}:{h.input_index}:{name}", h.transform, name)
+            for h in graph.hooks if h.family == self.name for name in h.transform.codec_params
+        ]
 
     def initialize(self, batches: List[tuple], seed: int):
         """Data-driven set-up from (x, labels or None) batches, once every hook is in."""
@@ -199,8 +208,11 @@ class CompressionController:
         return {}
 
     def extra_params(self) -> List[Tuple[str, Tensor, float]]:
-        """Algorithm-owned trainables as (name, tensor, lr multiplier)."""
-        return []
+        """Each tensor that this family's hooks declare in ``codec_params`` and that requires a
+        gradient, as (name, tensor, ``lr_multiplier``).  A name joins the family, the hook's point
+        and the tensor's name: unique, as a point holds one hook per family, and read off the graph."""
+        tensors = [(key, getattr(tr, name)) for key, tr, name in self._declared]
+        return [(key, t, self.lr_multiplier) for key, t in tensors if t.requires_grad]
 
 
 class CompressionBuilder:

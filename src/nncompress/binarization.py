@@ -236,13 +236,6 @@ class BinarizationController(CompressionController):
     def weight_decay_on(self) -> bool:
         return self.stage.weight_decay_on
 
-    def extra_params(self):
-        out = []
-        for nid, (_, ab) in self.handles.items():
-            out.append((f"binarization:{nid}:scale", ab.scale, 1.0))
-            out.append((f"binarization:{nid}:thresholds", ab.thresholds, 1.0))
-        return out
-
     def statistics(self) -> dict:
         return {
             "stage": self.stage.stage,

@@ -21,7 +21,7 @@ import numpy as np
 from .base import CompressionBuilder, CompressionController, Spec, match_layers, setting
 from .graph import _KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .sparsity import ParamMask
-from .util import FRACTION, check, one_of
+from .util import COUNT, FRACTION, check, one_of
 
 FAMILY = "filter_pruning"
 CRITERION = one_of(("l1", "l2", "geometric_median"))
@@ -232,8 +232,8 @@ def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGr
 @dataclass
 class PruningSchedulerSpec(Spec):
     mode: str = setting(SCHEDULER_MODE, "baseline")
-    warmup_epochs: int = 0
-    epochs: int = 5
+    warmup_epochs: int = setting(COUNT, 0)
+    epochs: int = setting(COUNT, 5)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .base import CompressionBuilder, CompressionController, ConfigError, Spec, 
 from .graph import FUSED_CHAINS, WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .mixed_precision import DIRECTION, plan_mixed_precision
 from .tensor import Tensor
-from .util import BOOL, COUNT, INTEGER, LIST, PERCENT, POSITIVE, check, cross_entropy, one_of
+from .util import BOOL, COUNT, FINITE_POSITIVE, INTEGER, LIST, PERCENT, POSITIVE, check, cross_entropy, one_of
 
 FAMILY = "quantization"
 RANGE_FLOOR = 1e-8
@@ -207,9 +207,6 @@ class FakeQuantizer:
     def codec_params(self) -> Tuple[str, ...]:
         return ("scale",) if self.mode == "symmetric" else ("rmin", "rmax")
 
-    def trainable_range_params(self) -> List[Tuple[str, Tensor]]:
-        return [(name, getattr(self, name)) for name in self.codec_params]
-
     def describe(self) -> str:
         span = "per-channel" if self.per_channel else "per-tensor"
         return f"fake-quant {self.mode} {self.grid} {self.bits}b {span}"
@@ -217,13 +214,13 @@ class FakeQuantizer:
     def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
         """Drop the per-channel range entries of removed filters."""
         if self.per_channel:
-            for _, p in self.trainable_range_params():
+            for p in [getattr(self, name) for name in self.codec_params]:
                 p.data = p.data[keep_out].copy()
 
     def fits(self, shape) -> bool:  # 0-d ranges, or one per filter of a conv weight (an activation's axis 0: the batch)
         want = tuple(shape[:1]) if self.per_channel else ()
-        ranges = self.trainable_range_params()
-        return (len(shape) == 4 or not self.per_channel) and all(p.shape == want for _, p in ranges)
+        ranges = [getattr(self, name) for name in self.codec_params]
+        return (len(shape) == 4 or not self.per_channel) and all(p.shape == want for p in ranges)
 
 
 # -- insertion policy ------------------------------------------------------
@@ -325,7 +322,7 @@ class QuantizationInitSpec(Spec):
 @dataclass
 class MixedPrecisionSpec(Spec):
     candidate_bits: Tuple[int, ...] = setting(CANDIDATE_BITS, (2, 4, 8))
-    ratio_threshold: float = 1.5
+    ratio_threshold: float = setting(FINITE_POSITIVE, 1.5)
     trace_samples: int = setting(POSITIVE, 32)
     seed: Optional[int] = setting(COUNT, None)  # None: the config's top-level seed
     direction: str = setting(DIRECTION, "at_least")
@@ -368,14 +365,6 @@ class QuantizationController(CompressionController):
         )
         self.apply_bit_config(plan.assignment)
         self.mixed_precision_plan = plan
-
-    def extra_params(self):
-        out = []
-        for group in ("weight", "activation"):
-            for nid, q in self.handles[group].items():
-                for pname, p in q.trainable_range_params():
-                    out.append((f"quantization:{group}:{nid}:{pname}", p, 1.0))
-        return out
 
     def apply_bit_config(self, plan: Dict[str, int]):
         """Assign per-layer weight bit widths; output quantizers follow."""

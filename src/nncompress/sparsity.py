@@ -26,7 +26,7 @@ from .base import (
 )
 from .graph import ModelGraph
 from .tensor import Tensor
-from .util import FINITE_POSITIVE, FRACTION, one_of
+from .util import FINITE, FINITE_POSITIVE, FRACTION, one_of
 
 
 # -- schedules -------------------------------------------------------------
@@ -209,7 +209,7 @@ class MagnitudeSparsityController(CompressionController):
 
 
 @dataclass
-class MagnitudeSparsitySpec:
+class MagnitudeSparsitySpec(Spec):
     schedule: SparsityScheduleSpec = field(default_factory=SparsityScheduleSpec)
 
 
@@ -298,16 +298,13 @@ class RBSparsityController(CompressionController):
         self.gates = gates
         self.level = spec.schedule.target
         self.spec = spec
+        self.lr_multiplier = spec.score_lr_multiplier
 
     def on_epoch(self, epoch, metrics):
         self.level = sparsity_level_at_epoch(self.spec.schedule, epoch, metrics)
 
     def loss(self) -> Tensor:
         return rb_regularizer_loss([g.scores for g in self.gates.values()], self.level)
-
-    def extra_params(self):
-        mult = self.spec.score_lr_multiplier
-        return [(f"rb_sparsity:{nid}:scores", g.scores, mult) for nid, g in self.gates.items()]
 
     def statistics(self) -> dict:
         total = sum(g.scores.size for g in self.gates.values())
@@ -321,10 +318,10 @@ class RBSparsityController(CompressionController):
 
 
 @dataclass
-class RBSparsitySpec:
+class RBSparsitySpec(Spec):
     schedule: SparsityScheduleSpec = field(default_factory=SparsityScheduleSpec)
-    score_init: float = 3.0
-    score_lr_multiplier: float = 1.0
+    score_init: float = setting(FINITE, 3.0)
+    score_lr_multiplier: float = setting(FINITE_POSITIVE, 1.0)
 
 
 class RBSparsityBuilder(CompressionBuilder):

@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .api import (
-    collect_extra_params,
-    scheduler_epoch_step,
-    scheduler_step,
-    total_compression_loss,
-)
+from .api import scheduler_epoch_step, scheduler_step, total_compression_loss
 from .data import check_labels, iter_batches
 from .graph import ModelGraph
 from .tensor import Tensor
@@ -28,12 +24,19 @@ class NumericError(RuntimeError):
 
 
 class SGD:
+    """Momentum SGD over (name, tensor, lr multiplier) triples; a name keys its
+    tensor's velocity, so a repeated name raises ``ValueError``."""
+
     def __init__(self, params, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
-        self.params = list(params)  # (name, tensor, lr multiplier)
+        self.params = list(params)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p, _ in self.params}
+        if len(self.velocity) < len(self.params):
+            counts = Counter(name for name, _, _ in self.params)
+            repeated = next(name for name, n in counts.items() if n > 1)
+            raise ValueError(f"parameter name {repeated!r} is given twice; each tensor needs its own name")
 
     def step(self, lr_scale: float = 1.0, weight_decay_on: bool = True):
         for name, p, mult in self.params:
@@ -83,19 +86,19 @@ def train_model(
 ) -> List[dict]:
     """Fine-tune under compression; returns one metrics record per epoch.
 
-    Per batch: forward (train mode), task loss + summed compression loss,
-    backward, SGD step scaled by any controller-imposed learning-rate
-    factor, then every per-batch scheduler.  Per epoch: every per-epoch
-    scheduler first (fed the previous epoch's validation loss), then the
-    pass over minibatches, then validation.
+    The optimizer takes the graph's parameters and every controller's
+    ``extra_params()``, each under its own name.  Per batch: forward (train
+    mode), task loss + summed compression loss, backward, SGD step scaled by
+    any controller-imposed learning-rate factor, then every per-batch
+    scheduler.  Per epoch: every per-epoch scheduler first (fed the previous
+    epoch's validation loss), then the pass over minibatches, then validation.
     """
     x_train, y_train = train_set
     x_val, y_val = val_set
     check_labels(x_train, y_train)
     check_labels(x_val, y_val)
-    params = [
-        (f"model:{nid}:{pname}", p, 1.0) for nid, pname, p in graph.parameters()
-    ] + collect_extra_params(controllers)
+    params = [(f"model:{nid}:{pname}", p, 1.0) for nid, pname, p in graph.parameters()]
+    params += [param for ctrl in controllers for param in ctrl.extra_params()]
     opt = SGD(params, lr=lr, momentum=momentum, weight_decay=weight_decay)
     shuffle_rng = derive_rng(seed, 101)
     gate_rng = derive_rng(seed, 102)

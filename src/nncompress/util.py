@@ -7,14 +7,18 @@ here, each setting's own (``quantization.BITS``, ...) in its algorithm's module.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 
-INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+# an int beyond a float's range is refused, by a comparison that converts nothing: float() would overflow
+INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+           "an integer that a float can hold")
+NUMBER = (lambda v: isinstance(v, float) or INTEGER[0](v), "a number that a float can hold")
+FINITE = (lambda v: NUMBER[0](v) and math.isfinite(v), "a finite number")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 STRING = (lambda v: isinstance(v, str), "a string")
 LIST = (lambda v: isinstance(v, (list, tuple)), "a list")

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import json
 import math
 import re
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,6 @@ from nncompress.api import (
     BUILDERS,
     ConfigError,
     ConfigSpec,
-    collect_extra_params,
     create_compressed_model,
     export_graph,
     export_model,
@@ -23,12 +24,13 @@ from nncompress.api import (
     total_compression_loss,
     validate_config,
 )
-from nncompress.models import build_model
+from nncompress.models import PRESETS, build_model
 from nncompress.pruning import PruningSchedulerSpec, pruning_rate_at_epoch
 from nncompress.quantization import FakeQuantizer
 from nncompress.serialize import SerializationError, load_checkpoint, load_model, save_checkpoint, serialize_model
 from nncompress.sparsity import RBGate, SparsityScheduleSpec, sparsity_level_at_epoch
 from nncompress.tensor import Tensor
+from nncompress.train import SGD
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -72,10 +74,32 @@ OUT_OF_RANGE = [
      "schedule.step"),
     ({"algorithm": "magnitude_sparsity", "schedule": {"mode": "multistep", "init": 0.3, "steps": [[1, 0.1], [2, 0.5]]}},
      "schedule.steps"),
+    # numbers too large for a float: each once raised OverflowError, in validation or at the first epoch
+    ({"algorithm": "magnitude_sparsity", "schedule": {"power": 10**400}}, "schedule.power"),
+    ({"algorithm": "magnitude_sparsity", "schedule": {"mode": "exponential", "epochs": 10**400}}, "schedule.epochs"),
+    ({"algorithm": "filter_pruning", "pruning_rate": 0.5, "scheduler": {"mode": "exponential", "epochs": 10**400}},
+     "scheduler.epochs"),
+    # each of these once validated, then trained wrongly
+    ({"algorithm": "rb_sparsity", "score_lr_multiplier": -5}, "score_lr_multiplier"),
+    ({"algorithm": "rb_sparsity", "score_init": math.nan}, "score_init"),
+    ({"algorithm": "quantization", "mixed_precision": {"ratio_threshold": -1}}, "mixed_precision.ratio_threshold"),
+    ({"algorithm": "filter_pruning", "pruning_rate": 0.5, "scheduler": {"warmup_epochs": -3}},
+     "scheduler.warmup_epochs"),
+    ({"algorithm": "filter_pruning", "pruning_rate": 0.5, "scheduler": {"epochs": -1}}, "scheduler.epochs"),
 ]
 BAD_VALUES = MISTYPED + OUT_OF_RANGE
-# ids stay unique: a mistyped key's id is its path, an out-of-range key's adds "=range"
-BAD_VALUE_IDS = [p for _, p in MISTYPED] + [f"{p}=range" for _, p in OUT_OF_RANGE]
+
+
+def _range_ids(cases):
+    """An out-of-range key's id is its path plus "=range", and the count of the path's earlier cases."""
+    seen = collections.Counter()
+    for _, path in cases:
+        yield f"{path}=range{seen[path] or ''}"
+        seen[path] += 1
+
+
+# ids stay unique: a mistyped key's id is its path, an out-of-range key's comes from _range_ids
+BAD_VALUE_IDS = [p for _, p in MISTYPED] + list(_range_ids(OUT_OF_RANGE))
 
 
 def stripes_like(n, seed=0):
@@ -149,7 +173,7 @@ def _declared_kinds(spec_cls, prefix=""):
 DECLARED_KINDS = [(name, *declared) for name, b in BUILDERS.items() for declared in _declared_kinds(b.spec_class)]
 # a section's required keys, at values that pass
 REQUIRED_KEYS = {"filter_pruning": {"pruning_rate": 0.5}}
-PROBES = (-1, 0, 1.5, 101, "bogus", [])
+PROBES = (-1, 0, 1.5, 101, math.nan, "bogus", [])
 
 
 @pytest.mark.parametrize("algorithm, key, tp, kind", DECLARED_KINDS, ids=[f"{a}.{k}" for a, k, *_ in DECLARED_KINDS])
@@ -186,23 +210,28 @@ SCHEDULE_VALUES = {
 }
 
 
-def _schedule_values(tp):
-    """A strategy for the values of a schedule field of annotated type ``tp``, as JSON gives them."""
-    if tp in SCHEDULE_VALUES:
-        return SCHEDULE_VALUES[tp]
+def _values(tp, pool):
+    """A strategy for the values of a field of annotated type ``tp``, as JSON gives them, from
+    ``pool`` (a strategy per scalar type); a nested spec's are its sections."""
+    if tp in pool:
+        return pool[tp]
+    if dataclasses.is_dataclass(tp):
+        return _sections(tp, pool)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union:  # Optional[X]
-        return st.none() | _schedule_values(args[0])
-    if origin is tuple:
-        return st.tuples(*map(_schedule_values, args)).map(list)
-    return st.lists(_schedule_values(args[0]), max_size=3)
+        return st.none() | _values(args[0], pool)
+    if origin is tuple and args[-1] is not Ellipsis:
+        return st.tuples(*(_values(a, pool) for a in args)).map(list)
+    return st.lists(_values(args[0], pool), max_size=3)
 
 
-def _sections(spec_cls):
-    """Sections that give any of ``spec_cls``'s fields a drawn value."""
-    hints = typing.get_type_hints(spec_cls)
-    fields = {f.name: _schedule_values(hints[f.name]) for f in dataclasses.fields(spec_cls)}
-    return st.fixed_dictionaries({}, optional=fields)
+def _sections(spec_cls, pool=SCHEDULE_VALUES, **fixed):
+    """Sections that give each required field of ``spec_cls``, and any of the others, a drawn
+    value; each ``fixed`` key is drawn from its own strategy."""
+    fields = base._spec_fields(spec_cls)
+    required = {**fixed, **{key: _values(tp, pool) for key, (tp, req) in fields.items() if req}}
+    optional = {key: _values(tp, pool) for key, (tp, req) in fields.items() if not req}
+    return st.fixed_dictionaries(required, optional=optional)
 
 
 def _multistep(section):
@@ -240,10 +269,52 @@ def test_schedules_that_validate_stay_in_range(schedule, scheduler, rate):
             assert math.isfinite(level) and low <= level <= high, (section, epoch, level)
 
 
+# values any config field may be given: the edges of every declared kind, and beyond them
+EDGE_INTEGERS = [-3, -1, 0, 1, 2, 3, 8, 32, 33, 10**400, -10**400]
+EDGE_NUMBERS = EDGE_INTEGERS + [-0.5, 5e-324, 0.5, 1 - 2**-53, 1.5, 99.9, 100, 101, 1e308,
+                                math.nan, math.inf, -math.inf]
+EDGE_VALUES = {
+    int: st.sampled_from(EDGE_INTEGERS),
+    float: st.sampled_from(EDGE_NUMBERS),
+    bool: st.booleans(),
+    str: st.sampled_from(["symmetric", "asymmetric", "minmax", "percentile", "at_least", "at_most", "xnor",
+                          "dorefa", "l1", "l2", "geometric_median", "baseline", "exponential", "polynomial",
+                          "multistep", "adaptive", "conv*", "fc", "*", "bogus"]),
+}
+EDGE_SECTIONS = st.one_of([_sections(b.spec_class, EDGE_VALUES, algorithm=st.just(name))
+                           for name, b in BUILDERS.items()])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(section=EDGE_SECTIONS)
+def test_a_section_that_validates_builds_and_schedules(section):
+    """A section that validate_config accepts builds on cnn-small from one
+    labeled batch and runs three epochs of its schedule; anything it raises
+    is a ValueError, which the CLI reports with exit code 2."""
+    config = {"compression": [section]}
+    try:
+        validate_config(config)
+    except ConfigError:
+        return
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # patterns that match no layer
+            controllers, _ = create_compressed_model(build_model("cnn-small", 0), config, [stripes_like(8)])
+            for _ in range(3):
+                scheduler_epoch_step(controllers)
+    except ValueError:
+        pass
+
+
 def test_empty_candidate_bits_rejected_with_path():
     section = {"algorithm": "quantization", "mixed_precision": {"candidate_bits": []}}
     with pytest.raises(ConfigError, match=re.escape("'compression[0].mixed_precision.candidate_bits'")):
         validate_config({"compression": [section]})
+
+
+def test_seed_too_large_for_a_float_is_a_config_error():
+    with pytest.raises(ConfigError, match=re.escape("config key 'seed' must be an integer that a float can hold")):
+        validate_config({"seed": 10**400})
 
 
 def test_missing_required_key_rejected_with_path():
@@ -506,9 +577,38 @@ def test_extra_params_aggregated():
         ]
     }
     controllers, wrapped = create_compressed_model(g, cfg, [stripes_like(16)])
-    names = [n for n, _, _ in collect_extra_params(controllers)]
+    params = [p for ctrl in controllers for p in ctrl.extra_params()]
+    names = [n for n, _, _ in params]
     assert any(n.startswith("rb_sparsity:") for n in names)
     assert any(n.startswith("quantization:") for n in names)
+    # the gate scores take their section's multiplier, the quantizer ranges the default
+    assert {m for n, _, m in params if n.startswith("rb_sparsity:")} == {4.0}
+    assert {m for n, _, m in params if n.startswith("quantization:")} == {1.0}
+
+
+# the tensors each config's hooks add on cnn-residual, as the controllers once listed them by hand
+RESIDUAL_EXTRA_PARAMS = {"int8_sparse50": 12, "rb_sparsity50": 4, "binarize": 6, "quant_asym_percentile": 24}
+
+
+@pytest.mark.filterwarnings("ignore:binarization denylist pattern")
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("config_path", sorted(REPO.glob("configs/*.json")), ids=lambda p: p.name)
+def test_trainable_names_are_unique(config_path, preset):
+    """train_model's optimizer takes every stack's trainables: each tensor once, each under its own name."""
+    graph = build_model(preset, 0)
+    rng = np.random.default_rng(0)
+    batch = (rng.normal(size=(16, *graph.input_shape)), rng.integers(0, 2, size=16))
+    config = json.loads(config_path.read_text())
+    config.pop("input_shape", None)  # the stack is what counts here, on every preset
+    controllers, g = create_compressed_model(graph, config, [batch])
+    extra = [p for ctrl in controllers for p in ctrl.extra_params()]
+    params = [(f"model:{nid}:{pname}", p, 1.0) for nid, pname, p in g.parameters()] + extra
+    assert len({name for name, _, _ in params}) == len(params)
+    assert len({id(t) for _, t, _ in params}) == len(params)
+    assert all(t.requires_grad for _, t, _ in params)
+    SGD(params, lr=0.1, momentum=0.9)
+    if preset == "cnn-residual" and config_path.stem in RESIDUAL_EXTRA_PARAMS:
+        assert len(extra) == RESIDUAL_EXTRA_PARAMS[config_path.stem]
 
 
 # -- export ----------------------------------------------------------------

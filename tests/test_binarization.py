@@ -302,7 +302,7 @@ def test_binarized_training_reaches_scale_and_thresholds():
     assert ab.thresholds.grad.shape == (2,)
     assert g.nodes["conv2"].params["weight"].grad is not None
     names = [n for n, _, _ in ctrl.extra_params()]
-    assert "binarization:conv2:scale" in names
+    assert {"binarization:conv2:pre_input:None:0:scale", "binarization:conv2:pre_input:None:0:thresholds"} <= set(names)
 
 
 def test_binarization_round_trips_through_file(tmp_path):

@@ -146,8 +146,8 @@ def test_range_init_does_not_fold(monkeypatch, config_name):
 
     def scales(graph):
         initialize_quantizer_ranges(graph, batches)
-        return [p.data.tobytes() for h in graph.hooks if isinstance(h.transform, FakeQuantizer)
-                for _, p in h.transform.trainable_range_params()]
+        return [getattr(h.transform, name).data.tobytes() for h in graph.hooks if isinstance(h.transform, FakeQuantizer)
+                for name in h.transform.codec_params]
 
     with_fold = scales(g.copy())
     monkeypatch.setitem(G._KINDS, "BatchNorm", G._KINDS["BatchNorm"]._replace(fold=None))

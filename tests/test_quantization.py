@@ -294,7 +294,7 @@ def test_lazy_init_uses_first_batch():
 
 
 def _range_bits(fq: FakeQuantizer) -> bytes:
-    return b"".join(p.data.tobytes() for _, p in fq.trainable_range_params())
+    return b"".join(getattr(fq, name).data.tobytes() for name in fq.codec_params)
 
 
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
@@ -450,7 +450,8 @@ def test_builder_controller_flow():
     rng = np.random.default_rng(6)
     initialize_quantizer_ranges(g, [rng.normal(size=(4, 1, 8, 8))])
     names = [n for n, _, _ in ctrl.extra_params()]
-    assert "quantization:weight:conv1:scale" in names
+    assert "quantization:conv1:pre_param:weight:0:scale" in names
+    assert "quantization:relu1:post_output:None:0:scale" in names
     stats = ctrl.statistics()
     assert stats["weight_quantizers"]["conv1"]["bits"] == 8
     assert stats["activation_quantizers"]["relu1"]["grid"] == "unsigned_act"

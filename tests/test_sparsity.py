@@ -363,7 +363,7 @@ def test_rb_builder_and_extra_params():
     np.testing.assert_array_equal(ctrl.gates["conv"].scores.data, np.full((2, 1, 3, 3), 3.0))
     params = ctrl.extra_params()
     names = {n for n, _, _ in params}
-    assert names == {"rb_sparsity:conv:scores", "rb_sparsity:fc:scores"}
+    assert names == {"rb_sparsity:conv:pre_param:weight:0:scores", "rb_sparsity:fc:pre_param:weight:0:scores"}
     assert all(mult == 8.0 for _, _, mult in params)
 
 
