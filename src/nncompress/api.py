@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .base import CompressionBuilder, CompressionController, ConfigError, Spec, load_spec, require, setting
-from .binarization import BinarizationBuilder
+from .binarization import FAMILY as BINARIZATION, BinarizationBuilder
 from .graph import ModelGraph
 from .pruning import (
     FAMILY as PRUNING, PruningBuilder, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters,
@@ -60,8 +60,9 @@ def _parse_config(config) -> Tuple[ConfigSpec, List[CompressionBuilder]]:
             raise ConfigError(f"duplicate {algo!r} section at {path}")
         seen.add(algo)
         builders.append(BUILDERS[algo](section, path))
-    if "binarization" in seen and "quantization" in seen:
-        raise ConfigError("binarization and quantization cannot be combined")
+    for other in ("quantization", PRUNING):
+        if {BINARIZATION, other} <= seen:
+            raise ConfigError(f"binarization and {other} cannot be combined")
     return spec, builders
 
 
@@ -71,7 +72,8 @@ def validate_config(config: dict) -> dict:
     Normalization: ``compression`` always a list.  Unknown keys and values
     of the wrong type are rejected with their full path; each algorithm
     family may appear once; binarization cannot be combined with
-    quantization.
+    quantization, nor with filter pruning, whose pruned channels a
+    binarizer does not keep at zero.
     """
     spec, _ = _parse_config(config)
     return {**config, "compression": [dict(s) for s in spec.compression]}
@@ -155,6 +157,8 @@ def export_graph(graph: ModelGraph, path) -> ModelGraph:
     for h in g.hooks:
         if isinstance(h.transform, FakeQuantizer) and not h.transform.initialized:
             raise SerializationError(f"quantizer on {h.node_id!r} is uninitialized; cannot export")
+    if {BINARIZATION, PRUNING} <= {h.family for h in g.hooks}:  # a binarized pruned channel is not zero
+        raise ValueError("cannot export: binarization and filter_pruning hooks cannot be combined")
 
     for h in g.hooks:
         if h.family in SPARSITY:

@@ -127,9 +127,6 @@ class WeightBinarizer:
     def describe(self) -> str:
         return f"binarize[{self.scheme}] {'on' if self.enabled else 'off'}"
 
-    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
-        """Nothing to drop: the scales are recomputed from the weights on every call."""
-
     def fits(self, shape) -> bool:
         return len(shape) == 4  # a convolution weight
 
@@ -152,10 +149,6 @@ class ActivationBinarizer:
 
     def describe(self) -> str:
         return f"ActivationBinarizer {'on' if self.enabled else 'off'}"
-
-    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
-        """Drop the thresholds of removed input channels."""
-        self.thresholds.data = self.thresholds.data[keep_in]
 
     def fits(self, shape) -> bool:  # a (C, H, W) activation: a 0-d scale and one threshold per channel
         return len(shape) == 3 and self.scale.shape == () and self.thresholds.shape == tuple(shape[:1])

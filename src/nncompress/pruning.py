@@ -6,7 +6,9 @@ downstream consumer can absorb the smaller channel count, so channel masks
 are propagated through the graph first and convolutions whose masks reach
 an unwilling consumer (or the network output) fall back to dense.  How
 masks pass each node, and which parameter axes they slice, is the node
-kind's channel rule and parameter table, declared in ``graph._KINDS``.
+kind's channel rule and parameter table, declared in ``graph._KINDS``.  A
+hook's tensors line up with the leading axes of the value the hook wraps, so
+the same table slices them.
 """
 
 from __future__ import annotations
@@ -165,9 +167,14 @@ def apply_filter_masks(graph: ModelGraph, mask_map: PruningMaskMap) -> Dict[str,
 def write_filter_masks(graph: ModelGraph, hooks: Dict[str, Dict[str, ParamMask]], mask_map: PruningMaskMap):
     """Set installed filter-mask hooks to the channel masks of a propagated mask map."""
     for nid, parts in hooks.items():
-        mask = mask_map.output_masks[nid].astype(np.float64)
         for pname, part in parts.items():
-            part.set_mask(mask.reshape((-1,) + (1,) * (graph.nodes[nid].params[pname].data.ndim - 1)))
+            part.set_mask(_filter_mask_array(graph, mask_map, nid, pname))
+
+
+def _filter_mask_array(graph: ModelGraph, mask_map: PruningMaskMap, nid: str, pname: str) -> np.ndarray:
+    """The 0/1 mask that the map sets on a node's parameter: one entry per output channel."""
+    ndim = graph.nodes[nid].params[pname].ndim
+    return mask_map.output_masks[nid].astype(np.float64).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def installed_filter_masks(graph: ModelGraph) -> Dict[str, np.ndarray]:
@@ -175,19 +182,19 @@ def installed_filter_masks(graph: ModelGraph) -> Dict[str, np.ndarray]:
     return {
         h.node_id: h.transform.mask.data.reshape(h.transform.mask.shape[0], -1)[:, 0] != 0
         for h in graph.hooks
-        if h.family == FAMILY and h.param_name == "weight"
+        if h.family == FAMILY and h.param_name == "weight" and isinstance(h.transform, ParamMask)
     }
 
 
 def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGraph:
     """Physically remove masked channels; mutates and returns the graph.
 
-    The realized mask hooks are dropped; each parameter axis that a node
-    kind's channel attrs size is sliced by the output or input mask, and
-    those attrs updated; every other hook on a node whose weights set its
-    channels is told which channels survive (``select_channels``).
-    Stripping must not change the graph's output, so a mask that would
-    reach the output is rejected.
+    The mask hooks are dropped, so each must be what ``write_filter_masks``
+    sets from the map.  Each axis that a node kind's channel attrs size is
+    sliced by the output or input mask, in the node's parameters and in its
+    hooks' tensors alike, and those attrs updated.  Stripping must not
+    change the graph's output, so a mask that would reach the output is
+    rejected.
     """
     out_id = graph.output_id()
     final = mask_map.output_masks.get(out_id)
@@ -200,6 +207,14 @@ def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGr
         if _KINDS[node.kind].channels.rule == "join" and not all(np.array_equal(ins[0], m) for m in ins[1:]):
             raise ValueError(f"cannot strip: {node.kind} node {nid!r} has mismatched input masks")
 
+    hooks: Dict[str, List[Hook]] = {}
+    for h in graph.hooks:
+        if h.family != FAMILY:
+            hooks.setdefault(h.node_id, []).append(h)
+        elif not (h.position is HookPosition.PRE_PARAM and isinstance(h.transform, ParamMask) and np.array_equal(
+                h.transform.mask.data, _filter_mask_array(graph, mask_map, h.node_id, h.param_name))):
+            raise ValueError(f"cannot strip: the {FAMILY} mask on {h.node_id!r} {h.param_name} is not "
+                             f"the channel mask that propagation gives it")
     graph.hooks = [h for h in graph.hooks if h.family != FAMILY]
     for nid, node in graph.nodes.items():
         kind = _KINDS[node.kind]
@@ -208,19 +223,18 @@ def strip_pruned_filters(graph: ModelGraph, mask_map: PruningMaskMap) -> ModelGr
         keep_out = np.asarray(mask_map.output_masks[nid], dtype=bool)
         keep_in = np.asarray(mask_map.input_masks[nid][0], dtype=bool)
         keep = {attr: m for attr, m in ((kind.channels.out, keep_out), (kind.channels.inp, keep_in)) if attr}
-        for name, axes in kind.axes.items():
-            p = node.params[name]
-            for axis, attr in enumerate(axes):
+        lead = {HookPosition.PRE_INPUT: (kind.channels.inp,), HookPosition.POST_OUTPUT: (kind.channels.out,)}
+        tensors = [(name, node.params[name], axes) for name, axes in kind.axes.items()]
+        tensors += [(f"{h.position.value} hook's {t}", getattr(h.transform, t), kind.axes.get(h.param_name) or
+                     lead[h.position]) for h in hooks.get(nid, ()) for t in h.transform.codec_params]
+        for name, p, axes in tensors:
+            for axis, (attr, size) in enumerate(zip(axes, p.data.shape)):  # a hook's tensor may have fewer axes
                 if attr in keep:
-                    if p.shape[axis] != len(keep[attr]):
+                    if size != len(keep[attr]):
                         raise ValueError(f"mask length {len(keep[attr])} does not match {node.kind} {nid!r} "
                                          f"{name} {p.shape} along {attr}")
                     p.data = p.data.compress(keep[attr], axis)
         node.attrs.update((attr, int(m.sum())) for attr, m in keep.items())
-        if kind.channels.rule == "weights":
-            for h in graph.hooks:
-                if h.node_id == nid:
-                    h.transform.select_channels(keep_out, keep_in)
 
     graph._validate()  # checks the sliced graph's shapes and parameters end to end
     return graph

@@ -15,6 +15,7 @@ Activation quantizers skip the interior of the fused chains that
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -211,12 +212,6 @@ class FakeQuantizer:
         span = "per-channel" if self.per_channel else "per-tensor"
         return f"fake-quant {self.mode} {self.grid} {self.bits}b {span}"
 
-    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
-        """Drop the per-channel range entries of removed filters."""
-        if self.per_channel:
-            for p in [getattr(self, name) for name in self.codec_params]:
-                p.data = p.data[keep_out].copy()
-
     def fits(self, shape) -> bool:  # 0-d ranges, or one per filter of a conv weight (an activation's axis 0: the batch)
         want = tuple(shape[:1]) if self.per_channel else ()
         ranges = [getattr(self, name) for name in self.codec_params]
@@ -281,8 +276,9 @@ def initialize_quantizer_ranges(graph: ModelGraph, batches=None, num_batches: Op
     """Set quantizer ranges: weights from their tensors, activations from data.
 
     Activation ranges are observed over the first ``num_batches`` batches
-    (all of them when None).  With no batches, activation quantizers stay
-    lazy and adopt ranges from the first batch they see.
+    (all of them when None, or when above ``sys.maxsize``).  With no
+    batches, activation quantizers stay lazy and adopt ranges from the
+    first batch they see.
     """
     act_qs = []
     for h in graph.hooks:
@@ -296,7 +292,7 @@ def initialize_quantizer_ranges(graph: ModelGraph, batches=None, num_batches: Op
         return
     for q in act_qs:
         q.collecting = True
-    for batch in itertools.islice(batches, num_batches):
+    for batch in itertools.islice(batches, None if num_batches is None else min(num_batches, sys.maxsize)):
         graph.run(Tensor(np.asarray(batch, dtype=np.float64)), mode="eval")
     for q in act_qs:
         q.finalize()

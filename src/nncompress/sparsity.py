@@ -164,10 +164,6 @@ class ParamMask:
             return f"filter mask: {int((mask == 0).sum())}/{mask.shape[0]} filters pruned"
         return f"mask: {int((mask == 0).sum())}/{mask.size} zeros"
 
-    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
-        """Drop the entries of removed filters (rows) and input channels (columns)."""
-        self.set_mask(self.mask.data[keep_out][:, keep_in])
-
     def eval_mask(self) -> np.ndarray:
         return self.mask.data
 
@@ -278,10 +274,6 @@ class RBGate:
     def describe(self) -> str:
         off = int((self.scores.data <= 0).sum())
         return f"stochastic gates: {off}/{self.scores.size} off at eval"
-
-    def select_channels(self, keep_out: np.ndarray, keep_in: np.ndarray):
-        """Drop the scores of removed filters (rows) and input channels (columns)."""
-        self.scores.data = self.scores.data[keep_out][:, keep_in]
 
     def eval_mask(self) -> np.ndarray:
         return rb_eval_mask(self.scores)

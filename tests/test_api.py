@@ -25,7 +25,7 @@ from nncompress.api import (
     validate_config,
 )
 from nncompress.models import PRESETS, build_model
-from nncompress.pruning import PruningSchedulerSpec, pruning_rate_at_epoch
+from nncompress.pruning import PruningBuilder, PruningSchedulerSpec, pruning_rate_at_epoch
 from nncompress.quantization import FakeQuantizer
 from nncompress.serialize import SerializationError, load_checkpoint, load_model, save_checkpoint, serialize_model
 from nncompress.sparsity import RBGate, SparsityScheduleSpec, sparsity_level_at_epoch
@@ -140,6 +140,23 @@ def test_binarization_quantization_incompatible():
     cfg = {"compression": [{"algorithm": "binarization"}, {"algorithm": "quantization"}]}
     with pytest.raises(ConfigError, match="cannot be combined"):
         validate_config(cfg)
+    # a binarizer does not keep a pruned channel at zero, so the stripped file would compute another model
+    pruning = {"algorithm": "filter_pruning", "pruning_rate": 0.4}
+    for sections in ([pruning, {"algorithm": "binarization"}], [{"algorithm": "binarization"}, pruning]):
+        with pytest.raises(ConfigError, match="binarization and filter_pruning cannot be combined"):
+            validate_config({"compression": sections})
+
+
+def test_export_refuses_binarized_pruned_graph(tmp_path):
+    # a graph that carries both families' hooks, as a checkpoint written before the config check did
+    binarize = {"algorithm": "binarization", "denylist": []}  # the default denylist spares both of cnn-small's convs
+    ctrls, g = create_compressed_model(build_model("cnn-small", 0), {"compression": binarize})
+    PruningBuilder({"pruning_rate": 0.4}).apply_to(g).scheduler.epoch_step()
+    save_checkpoint(g, tmp_path / "ckpt.nncm", {}, 0)
+    restored, _ = load_checkpoint(tmp_path / "ckpt.nncm")
+    with pytest.raises(ValueError, match="binarization and filter_pruning"):
+        export_graph(restored, tmp_path / "model.nncm")
+    assert not (tmp_path / "model.nncm").exists()
 
 
 def test_bad_algorithm_and_bad_shapes():

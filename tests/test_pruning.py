@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from nncompress import tensor as T
-from nncompress.api import export_graph
+from nncompress.api import create_compressed_model, export_graph
+from nncompress.binarization import ActivationBinarizer
+from nncompress.cli import main
 from nncompress.data import make_dataset
-from nncompress.graph import Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
+from nncompress.graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.models import build_model
 from nncompress.pruning import (
     PruningBuilder,
@@ -20,8 +22,8 @@ from nncompress.pruning import (
     write_filter_masks,
 )
 from nncompress.quantization import FakeQuantizer, quant_grid
-from nncompress.serialize import serialize_model
-from nncompress.sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
+from nncompress.serialize import load_checkpoint, load_model, save_checkpoint, serialize_model
+from nncompress.sparsity import MagnitudeSparsityBuilder, ParamMask, RBGate, RBSparsityBuilder
 from nncompress.tensor import Tensor
 from nncompress.train import train_model
 
@@ -325,6 +327,110 @@ def test_strip_slices_elementwise_mask_hooks(sparsify):
     assert np.abs(masked.run(x).data - stripped.run(x).data).max() <= 1e-9
     shapes = {h.node_id: h.transform.eval_mask().shape for h in stripped.hooks}
     assert shapes == {"c1": (5, 1, 3, 3), "c2": (3, 5, 3, 3), "fc": (3, 3 * 36)}
+
+
+PRUNE_40 = {"algorithm": "filter_pruning", "pruning_rate": 0.4}
+PER_CHANNEL_INT8 = {"algorithm": "quantization", "per_channel": True, "init": {"num_batches": 2}}
+MAGNITUDE_50 = {"algorithm": "magnitude_sparsity", "schedule": {"init": 0.2, "target": 0.5, "epochs": 2}}
+# filter pruning stacked with each family that keeps 0 at 0; the last stack takes configs/int8_sparse50.json's order
+STACKS = {
+    "quant_per_channel": [PRUNE_40, PER_CHANNEL_INT8],
+    "quant_per_tensor": [PRUNE_40, {**PER_CHANNEL_INT8, "per_channel": False}],
+    "quant_asym4_percentile": [PRUNE_40, {"algorithm": "quantization", "mode": "asymmetric", "bits": 4,
+                                          "init": {"type": "percentile", "num_batches": 2}}],
+    "magnitude_sparsity": [PRUNE_40, MAGNITUDE_50],
+    "rb_sparsity": [PRUNE_40, {"algorithm": "rb_sparsity", "score_init": 0.5,
+                               "schedule": {"target": 0.5, "epochs": 2}}],
+    "magnitude_quant_pruning": [MAGNITUDE_50, PER_CHANNEL_INT8, PRUNE_40],
+}
+
+
+def sliced_by_class(transform, keep_out, keep_in):
+    """A hook's tensors after stripping, sliced as each transform class once sliced its own."""
+    if isinstance(transform, FakeQuantizer):
+        return {n: getattr(transform, n).data[keep_out] if transform.per_channel else getattr(transform, n).data
+                for n in transform.codec_params}
+    if isinstance(transform, (ParamMask, RBGate)):
+        name, = transform.codec_params
+        return {name: getattr(transform, name).data[keep_out][:, keep_in]}
+    if isinstance(transform, ActivationBinarizer):
+        return {"scale": transform.scale.data, "thresholds": transform.thresholds.data[keep_in]}
+    return {}
+
+
+@pytest.mark.parametrize("model", ["cnn-small", "cnn-residual"])
+@pytest.mark.parametrize("stack", list(STACKS))
+def test_stripping_a_stack_keeps_the_trained_model(model, stack, tmp_path):
+    x, y = make_dataset("stripes", 96, 7)
+    config = {"seed": 7, "compression": STACKS[stack]}
+    ctrls, g = create_compressed_model(build_model(model, 7), config, [x[:32], x[32:64]])
+    train_model(g, ctrls, (x, y), (x[:48], y[:48]), epochs=2, momentum=0.9, seed=7)
+    live = g.run(Tensor(x)).data
+    export_graph(g, tmp_path / "model.nncm")
+    got = load_model(tmp_path / "model.nncm")[0].run(Tensor(x)).data
+    assert got.shape == live.shape and np.abs(got - live).max() <= 1e-9
+    np.testing.assert_array_equal(got.argmax(axis=1), live.argmax(axis=1))
+
+    # strip with every hook still in, and compare each hook tensor with its class's own slice
+    mm = propagate_pruning_masks(g, installed_filter_masks(g))
+    assert not all(m.all() for m in mm.output_masks.values())
+    stripped = strip_pruned_filters(g.copy(), mm)
+    kept = [h for h in g.hooks if h.family != "filter_pruning"]
+    assert [h.point() for h in stripped.hooks] == [h.point() for h in kept]
+    for before, after in zip(kept, stripped.hooks):
+        nid, tr = before.node_id, before.transform
+        if nid in g.nodes and g.nodes[nid].kind in WEIGHTED_KINDS:
+            want = sliced_by_class(tr, mm.output_masks[nid], mm.input_masks[nid][0])
+        else:
+            want = {n: getattr(tr, n).data for n in tr.codec_params}
+        assert set(want) == set(after.transform.codec_params)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(getattr(after.transform, name).data, arr)
+
+
+def filter_mask_hook(g, nid, pname="weight"):
+    return next(h for h in g.hooks if h.family == "filter_pruning" and (h.node_id, h.param_name) == (nid, pname))
+
+
+def elementwise_conv1_weight(g):
+    mask = np.ones(g.nodes["conv1"].params["weight"].shape)
+    mask[1, 0, 0, 1] = 0.0  # inside a kept filter, whose first entry is left at 1
+    filter_mask_hook(g, "conv1").transform.set_mask(mask)
+
+
+def gate_on_conv1_weight(g):
+    filter_mask_hook(g, "conv1").transform = RBGate(np.ones(g.nodes["conv1"].params["weight"].shape))
+
+
+def stem_drops_filter_0(g):
+    for pname in ("weight", "bias"):
+        mask = filter_mask_hook(g, "stem", pname).transform.mask.data.copy()
+        mask[0] = 0.0
+        filter_mask_hook(g, "stem", pname).transform.set_mask(mask)
+
+
+# (model, edit to its frozen filter masks, the node and parameter named)
+INCONSISTENT_MASKS = {
+    "elementwise_weight_mask": ("cnn-small", elementwise_conv1_weight, "'conv1' weight"),
+    "not_a_mask": ("cnn-small", gate_on_conv1_weight, "'conv1' weight"),
+    "zeroed_bias_mask": ("cnn-small", lambda g: filter_mask_hook(g, "conv1", "bias").transform.set_mask(np.zeros(4)),
+                         "'conv1' bias"),
+    "mask_cancelled_by_add": ("cnn-residual", stem_drops_filter_0, "'stem' weight"),
+}
+
+
+@pytest.mark.parametrize("case", list(INCONSISTENT_MASKS))
+def test_checkpoint_masks_that_propagation_would_not_give_are_refused(case, tmp_path):
+    model, edit, named = INCONSISTENT_MASKS[case]
+    config = {"compression": PRUNE_40}
+    ctrls, g = create_compressed_model(build_model(model, 3), config)
+    ctrls[0].scheduler.epoch_step()  # select and freeze the filter masks
+    edit(g)
+    save_checkpoint(g, tmp_path / "ckpt.nncm", config, 0)
+    restored, _ = load_checkpoint(tmp_path / "ckpt.nncm")
+    with pytest.raises(ValueError, match=f"{named} is not the channel mask"):
+        export_graph(restored, tmp_path / "model.nncm")
+    assert main(["export", "--checkpoint", str(tmp_path / "ckpt.nncm"), "--out", str(tmp_path / "cli.nncm")]) == 2
 
 
 # -- controller ------------------------------------------------------------

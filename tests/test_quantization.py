@@ -3,8 +3,9 @@ import pytest
 
 from nncompress import serialize as S
 from nncompress import tensor as T
-from nncompress.api import export_graph
+from nncompress.api import create_compressed_model, export_graph, validate_config
 from nncompress.graph import FUSED_CHAINS, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
+from nncompress.models import build_model
 from nncompress.quantization import (
     FakeQuantizer,
     QuantizationBuilder,
@@ -427,6 +428,21 @@ def test_num_init_samples_caps_observation():
     batches = [np.ones((4, 1, 8, 8)), big]
     initialize_quantizer_ranges(g, batches, num_batches=1)
     assert float(h["activation"][INPUT_ID].scale.data) == pytest.approx(1.0)
+
+
+def test_num_batches_beyond_any_stream_is_every_batch():
+    # a cap above sys.maxsize validates, so it must build, and cap nothing
+    rng = np.random.default_rng(5)
+    batches = [rng.normal(size=(4, 1, 8, 8)) for _ in range(3)]
+    ranges = []
+    for init in ({}, {"num_batches": 2**64}):
+        config = {"compression": {"algorithm": "quantization", "init": init}}
+        validate_config(config)
+        _, g = create_compressed_model(build_model("cnn-small", 0), config, batches)
+        ranges.append([getattr(h.transform, n).data for h in g.hooks for n in h.transform.codec_params])
+    assert len(ranges[0]) == len(ranges[1]) > 0
+    for a, b in zip(*ranges):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_quantized_graph_round_trips_through_file(tmp_path):
