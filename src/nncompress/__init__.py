@@ -1,8 +1,8 @@
 """Neural network compression on a numpy autodiff engine.
 
 Quantization-aware training, binarization, magnitude and stochastic-gate
-sparsity, and structured filter pruning, composed through a builder /
-controller API over an explicit model graph.
+sparsity, and structured filter pruning, composed through one controller
+class per algorithm over an explicit model graph.
 """
 
 from .api import (

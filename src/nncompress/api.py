@@ -1,11 +1,11 @@
 """Configuration-driven composition of compression algorithms.
 
-A config names an ordered list of algorithm sections; each section's
-builder rewires the model graph and returns a controller.  The training
-loop talks only to the controllers: the trainables their hooks declare
-(``extra_params``), summed penalty loss, per-batch and per-epoch schedule
-advancement, and statistics.  Export needs no controller:
-``export_graph`` works from the hooks alone.
+A config names an ordered list of algorithm sections; ``ALGORITHMS`` maps
+each section's algorithm to the controller class that its spec builds on
+the model graph.  The training loop talks only to the controllers: the
+trainables their hooks declare (``extra_params``), summed penalty loss,
+per-batch and per-epoch schedule advancement, and statistics.  Export
+needs no controller: ``export_graph`` works from the hooks alone.
 """
 
 from __future__ import annotations
@@ -16,24 +16,24 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .base import CompressionBuilder, CompressionController, ConfigError, Spec, load_spec, require, setting
-from .binarization import FAMILY as BINARIZATION, BinarizationBuilder
+from .base import CompressionController, ConfigError, Spec, load_spec, require, setting
+from .binarization import FAMILY as BINARIZATION, BinarizationController
 from .graph import ModelGraph
 from .pruning import (
-    FAMILY as PRUNING, PruningBuilder, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters,
+    FAMILY as PRUNING, PruningController, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters,
 )
-from .quantization import FakeQuantizer, QuantizationBuilder
+from .quantization import FakeQuantizer, QuantizationController
 from .serialize import SerializationError, save_model
-from .sparsity import MagnitudeSparsityBuilder, RBSparsityBuilder
+from .sparsity import MagnitudeSparsityController, RBSparsityController
 from .tensor import Tensor
 from .util import COUNT, one_of
 
-BUILDERS: Dict[str, type] = {
-    b.name: b for b in (QuantizationBuilder, BinarizationBuilder, MagnitudeSparsityBuilder,
-                        RBSparsityBuilder, PruningBuilder)
+ALGORITHMS: Dict[str, type] = {
+    c.name: c for c in (QuantizationController, BinarizationController, MagnitudeSparsityController,
+                        RBSparsityController, PruningController)
 }
-SPARSITY = (MagnitudeSparsityBuilder.name, RBSparsityBuilder.name)
-ALGORITHM = one_of(sorted(BUILDERS))  # the kind of a section's ``algorithm``
+SPARSITY = (MagnitudeSparsityController.name, RBSparsityController.name)
+ALGORITHM = one_of(sorted(ALGORITHMS))  # the kind of a section's ``algorithm``
 
 
 @dataclass
@@ -45,12 +45,12 @@ class ConfigSpec(Spec):
     compression: List[dict] = field(default_factory=list)
 
 
-def _parse_config(config) -> Tuple[ConfigSpec, List[CompressionBuilder]]:
-    """The top-level spec and one builder, holding its section's spec, per section."""
+def _parse_config(config) -> Tuple[ConfigSpec, List[Tuple[type, Spec]]]:
+    """The top-level spec and, per section, its controller class and its spec."""
     if isinstance(config, dict) and isinstance(config.get("compression"), dict):
         config = {**config, "compression": [config["compression"]]}
     spec = load_spec(ConfigSpec, config)
-    builders = []
+    algorithms = []
     seen = set()
     for i, section in enumerate(spec.compression):
         path = f"compression[{i}]"
@@ -59,11 +59,13 @@ def _parse_config(config) -> Tuple[ConfigSpec, List[CompressionBuilder]]:
         if algo in seen:
             raise ConfigError(f"duplicate {algo!r} section at {path}")
         seen.add(algo)
-        builders.append(BUILDERS[algo](section, path))
+        cls = ALGORITHMS[algo]
+        options = {k: v for k, v in section.items() if k != "algorithm"}
+        algorithms.append((cls, load_spec(cls.spec_class, options, path)))
     for other in ("quantization", PRUNING):
         if {BINARIZATION, other} <= seen:
             raise ConfigError(f"binarization and {other} cannot be combined")
-    return spec, builders
+    return spec, algorithms
 
 
 def validate_config(config: dict) -> dict:
@@ -101,7 +103,7 @@ def create_compressed_model(
     sets its ranges and, when configured, runs the second-order
     mixed-precision bit search, which needs labels.
     """
-    spec, builders = _parse_config(config)
+    spec, algorithms = _parse_config(config)
     g = graph.copy()
     if spec.input_shape is not None and spec.input_shape != tuple(g.input_shape):
         raise ConfigError(
@@ -114,7 +116,7 @@ def create_compressed_model(
                 f"init batch shape {x.shape[1:]} does not match model input {tuple(g.input_shape)}"
             )
 
-    controllers: List[CompressionController] = [b.apply_to(g) for b in builders]
+    controllers: List[CompressionController] = [cls(g, s) for cls, s in algorithms]
     for ctrl in controllers:
         ctrl.initialize(batches, spec.seed)
     return controllers, g

@@ -1,12 +1,13 @@
 """Shared building blocks for compression algorithms.
 
-Each algorithm ships a builder that rewires a model graph (inserting hooks,
-never editing layer math) and hands back a controller owning the algorithm's
-training-time state: an additive loss term, what each epoch of its
-schedule means, any data-driven set-up, and statistics.  What it trains is
-what its hooks declare in ``codec_params`` and that requires a gradient; one
-base method, ``extra_params``, reads it.  Each config section is described
-by a dataclass spec in the algorithm's module;
+Each algorithm is one controller class, built from a model graph and its
+config section's spec.  It rewires the graph (inserting hooks, never editing
+layer math), then owns the algorithm's training-time state: an additive
+loss term, what each epoch of its schedule means, any data-driven set-up,
+and statistics.  What it trains is what its hooks declare in
+``codec_params`` and that requires a gradient; one base method,
+``extra_params``, reads it.  Each config section is described by a
+dataclass spec in the algorithm's module, its controller's ``spec_class``;
 ``load_spec`` fills it from a mapping.  A field declared with ``setting``
 names its value kind: a generic one from ``util``, or the setting's own
 from its algorithm's module (``quantization.BITS``), which the hook
@@ -179,15 +180,20 @@ class CompressionScheduler:
 
 
 class CompressionController:
+    """A subclass's ``__init__`` installs its family's hooks from ``spec``, an
+    instance of its ``spec_class``, then calls this one."""
+
     name = "base"
+    spec_class: type
     lr_scale = 1.0  # learning-rate factor, read by train_model every epoch
     weight_decay_on = True  # whether train_model applies weight decay this epoch
     lr_multiplier = 1.0  # learning-rate factor of every tensor extra_params returns
 
-    def __init__(self, graph: ModelGraph):
+    def __init__(self, graph: ModelGraph, spec: Spec):
         self.graph = graph
+        self.spec = spec
         self.scheduler = CompressionScheduler(self)
-        # (name, transform, attr) of each tensor the family's hooks declare, read as its builder installed
+        # (name, transform, attr) of each tensor the family's hooks declare, read as the subclass installed
         # them: while train_model runs, the benchmark's tracer swaps in proxies that forward only __call__
         self._declared = [
             (f"{self.name}:{h.node_id}:{h.position.value}:{h.param_name}:{h.input_index}:{name}", h.transform, name)
@@ -214,15 +220,3 @@ class CompressionController:
         tensors = [(key, getattr(tr, name)) for key, tr, name in self._declared]
         return [(key, t, self.lr_multiplier) for key, t in tensors if t.requires_grad]
 
-
-class CompressionBuilder:
-    name = "base"
-    spec_class: type
-
-    def __init__(self, config: dict, path: str = ""):
-        """Parse a config section (its ``algorithm`` key aside) into ``self.spec``."""
-        section = {k: v for k, v in config.items() if k != "algorithm"}
-        self.spec = load_spec(self.spec_class, section, path)
-
-    def apply_to(self, graph: ModelGraph) -> CompressionController:
-        raise NotImplementedError

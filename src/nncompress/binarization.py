@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, Spec, match_layers, setting
+from .base import CompressionController, Spec, match_layers, setting
 from .graph import Hook, HookPosition, INPUT_ID, ModelGraph
 from .tensor import ShapeError, Tensor
 from .util import BOOL, COUNT, LIST, check, one_of
@@ -206,17 +206,25 @@ def apply_binarization(
 # -- algorithm wiring ------------------------------------------------------
 
 
+@dataclass
+class BinarizationSpec(Spec):
+    weight_scheme: str = setting(WEIGHT_SCHEME, "xnor")
+    stage_epochs: Tuple[int, ...] = setting(STAGE_EPOCHS, (2, 2, 2, 4))
+    allowlist: Optional[List[str]] = None  # None: every convolution
+    denylist: Optional[List[str]] = None  # None: default_denylist
+
+
 class BinarizationController(CompressionController):
     name = FAMILY
+    spec_class = BinarizationSpec
 
-    def __init__(self, graph: ModelGraph, handles: dict, stage_epochs: Sequence[int]):
-        super().__init__(graph)
-        self.handles = handles
+    def __init__(self, graph: ModelGraph, spec: BinarizationSpec):
+        self.handles = apply_binarization(graph, spec)
+        super().__init__(graph, spec)
         self.stage = binarization_stage_at(0, [1, 0, 0, 0])  # pre-training: everything off
-        self.stage_epochs = stage_epochs
 
     def on_epoch(self, epoch, metrics):
-        self.stage = stage = binarization_stage_at(epoch, self.stage_epochs)
+        self.stage = stage = binarization_stage_at(epoch, self.spec.stage_epochs)
         for wb, ab in self.handles.values():
             wb.enabled = stage.weights_on
             ab.enabled = stage.activations_on
@@ -241,19 +249,3 @@ class BinarizationController(CompressionController):
                 for nid, (wb, ab) in self.handles.items()
             },
         }
-
-
-@dataclass
-class BinarizationSpec(Spec):
-    weight_scheme: str = setting(WEIGHT_SCHEME, "xnor")
-    stage_epochs: Tuple[int, ...] = setting(STAGE_EPOCHS, (2, 2, 2, 4))
-    allowlist: Optional[List[str]] = None  # None: every convolution
-    denylist: Optional[List[str]] = None  # None: default_denylist
-
-
-class BinarizationBuilder(CompressionBuilder):
-    name = FAMILY
-    spec_class = BinarizationSpec
-
-    def apply_to(self, graph: ModelGraph) -> BinarizationController:
-        return BinarizationController(graph, apply_binarization(graph, self.spec), self.spec.stage_epochs)

@@ -272,10 +272,25 @@ class ModelGraph:
             self._file(at, h)
         self._hooks, self._at = hooks, at
 
-    @staticmethod
-    def _file(at: Dict[tuple, List[Hook]], hook: Hook):
-        """File a hook in a point index (point -> hooks in registration order),
-        which insert_hook, hooks_at and run read; one family per point."""
+    def _file(self, at: Dict[tuple, List[Hook]], hook: Hook):
+        """Check a hook's point against this graph, then file the hook in a point
+        index (point -> hooks in registration order), which hooks_at and run read;
+        one family per point.  insert_hook and the hooks setter both file here."""
+        node = self.nodes.get(hook.node_id)
+        if node is None and hook.node_id != INPUT_ID:
+            raise GraphError(f"hook references unknown node {hook.node_id!r}")
+        if node is None and hook.position is not HookPosition.POST_OUTPUT:
+            raise GraphError(f"{hook.family!r} hook at {INPUT_ID}/{hook.position.value}: the input has only an output")
+        # run finds a hook by its whole point, so a field that its position does not read would leave it unrun
+        if (hook.position is not HookPosition.PRE_PARAM and hook.param_name is not None) or (
+                hook.position is not HookPosition.PRE_INPUT and hook.input_index != 0):
+            raise GraphError(f"{hook.family!r} hook at {hook.node_id}/{hook.position.value}: only a pre_param hook "
+                             "names a parameter and only a pre_input hook an input index, "
+                             f"got {hook.param_name!r} and {hook.input_index}")
+        if hook.position is HookPosition.PRE_PARAM and hook.param_name not in node.params:
+            raise GraphError(f"node {hook.node_id!r} has no parameter {hook.param_name!r}")
+        if hook.position is HookPosition.PRE_INPUT and not 0 <= hook.input_index < len(node.inputs):
+            raise GraphError(f"node {hook.node_id!r} has no input index {hook.input_index}")
         same = at.setdefault(hook.point(), [])
         for h in same:  # a plain loop: any() costs more, and this runs for every hook of every load
             if h.family == hook.family:
@@ -353,21 +368,6 @@ class ModelGraph:
     # -- hooks ------------------------------------------------------------
 
     def insert_hook(self, hook: Hook):
-        node = self.nodes.get(hook.node_id)
-        if node is None and hook.node_id != INPUT_ID:
-            raise GraphError(f"hook references unknown node {hook.node_id!r}")
-        if node is None and hook.position is not HookPosition.POST_OUTPUT:
-            raise GraphError(f"{hook.family!r} hook at {INPUT_ID}/{hook.position.value}: the input has only an output")
-        # run finds a hook by its whole point, so a field that its position does not read would leave it unrun
-        if (hook.position is not HookPosition.PRE_PARAM and hook.param_name is not None) or (
-                hook.position is not HookPosition.PRE_INPUT and hook.input_index != 0):
-            raise GraphError(f"{hook.family!r} hook at {hook.node_id}/{hook.position.value}: only a pre_param hook "
-                             "names a parameter and only a pre_input hook an input index, "
-                             f"got {hook.param_name!r} and {hook.input_index}")
-        if hook.position is HookPosition.PRE_PARAM and hook.param_name not in node.params:
-            raise GraphError(f"node {hook.node_id!r} has no parameter {hook.param_name!r}")
-        if hook.position is HookPosition.PRE_INPUT and not 0 <= hook.input_index < len(node.inputs):
-            raise GraphError(f"node {hook.node_id!r} has no input index {hook.input_index}")
         self._file(self._at, hook)
         self._hooks += (hook,)
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .base import CompressionBuilder, CompressionController, Spec, match_layers, setting
+from .base import CompressionController, Spec, match_layers, setting
 from .graph import _KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
 from .sparsity import ParamMask
 from .util import COUNT, FRACTION, check, one_of
@@ -260,14 +260,17 @@ class FilterPruningSpec(Spec):
 
 class PruningController(CompressionController):
     name = FAMILY
+    spec_class = FilterPruningSpec
 
-    def __init__(self, graph: ModelGraph, hooks, mask_map: PruningMaskMap, spec: FilterPruningSpec):
-        super().__init__(graph)
-        self.prunable = list(mask_map.verdicts)
-        self.hooks = hooks
-        self.conv_masks = {nid: mask_map.output_masks[nid] for nid in self.prunable}
-        self.mask_map = mask_map
-        self.spec = spec
+    def __init__(self, graph: ModelGraph, spec: FilterPruningSpec):
+        excluded = match_layers(list(graph.nodes), spec.exclude, "exclude", "node")
+        candidates = [nid for nid, node in graph.nodes.items() if node.kind == "Conv2D" and nid not in excluded]
+        masks = {nid: np.ones(graph.nodes[nid].attrs["out_channels"], dtype=bool) for nid in candidates}
+        self.mask_map = propagate_pruning_masks(graph, masks)
+        self.hooks = apply_filter_masks(graph, self.mask_map)
+        super().__init__(graph, spec)
+        self.prunable = list(self.mask_map.verdicts)
+        self.conv_masks = {nid: self.mask_map.output_masks[nid] for nid in self.prunable}
 
     def _schedule(self, epoch: int) -> Tuple[float, bool]:
         """(rate, frozen) at ``epoch``; (0.0, False) before the first epoch."""
@@ -313,15 +316,3 @@ class PruningController(CompressionController):
             "per_layer": per_layer,
             "prunable": {nid: self.mask_map.verdicts.get(nid, False) for nid in self.prunable},
         }
-
-
-class PruningBuilder(CompressionBuilder):
-    name = FAMILY
-    spec_class = FilterPruningSpec
-
-    def apply_to(self, graph: ModelGraph) -> PruningController:
-        excluded = match_layers(list(graph.nodes), self.spec.exclude, "exclude", "node")
-        prunable = [nid for nid, node in graph.nodes.items() if node.kind == "Conv2D" and nid not in excluded]
-        masks = {nid: np.ones(graph.nodes[nid].attrs["out_channels"], dtype=bool) for nid in prunable}
-        mask_map = propagate_pruning_masks(graph, masks)
-        return PruningController(graph, apply_filter_masks(graph, mask_map), mask_map, self.spec)

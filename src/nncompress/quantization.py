@@ -22,9 +22,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import CompressionBuilder, CompressionController, ConfigError, Spec, SpecError, setting
+from .base import CompressionController, ConfigError, Spec, SpecError, setting
 from .graph import FUSED_CHAINS, WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph
-from .mixed_precision import DIRECTION, plan_mixed_precision
+from .mixed_precision import DIRECTION, TRACE_SAMPLES, plan_mixed_precision
 from .tensor import Tensor
 from .util import BOOL, COUNT, FINITE_POSITIVE, INTEGER, LIST, PERCENT, POSITIVE, check, cross_entropy, one_of
 
@@ -319,7 +319,7 @@ class QuantizationInitSpec(Spec):
 class MixedPrecisionSpec(Spec):
     candidate_bits: Tuple[int, ...] = setting(CANDIDATE_BITS, (2, 4, 8))
     ratio_threshold: float = setting(FINITE_POSITIVE, 1.5)
-    trace_samples: int = setting(POSITIVE, 32)
+    trace_samples: int = setting(TRACE_SAMPLES, 32)
     seed: Optional[int] = setting(COUNT, None)  # None: the config's top-level seed
     direction: str = setting(DIRECTION, "at_least")
 
@@ -335,11 +335,11 @@ class QuantizationSpec(Spec):
 
 class QuantizationController(CompressionController):
     name = FAMILY
+    spec_class = QuantizationSpec
 
-    def __init__(self, graph: ModelGraph, handles: dict, spec: QuantizationSpec):
-        super().__init__(graph)
-        self.handles = handles
-        self.spec = spec
+    def __init__(self, graph: ModelGraph, spec: QuantizationSpec):
+        self.handles = insert_quantizers(graph, spec)
+        super().__init__(graph, spec)
         self.bit_config: Optional[Dict[str, int]] = None
         self.mixed_precision_plan = None
 
@@ -392,10 +392,3 @@ class QuantizationController(CompressionController):
             stats["bit_config"] = dict(self.bit_config)
         return stats
 
-
-class QuantizationBuilder(CompressionBuilder):
-    name = FAMILY
-    spec_class = QuantizationSpec
-
-    def apply_to(self, graph: ModelGraph) -> QuantizationController:
-        return QuantizationController(graph, insert_quantizers(graph, self.spec), self.spec)

@@ -21,9 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import serialize, tensor as T
-from .base import (
-    CompressionBuilder, CompressionController, CompressionScheduler, Spec, SpecError, hook_weights, setting,
-)
+from .base import CompressionController, CompressionScheduler, Spec, SpecError, hook_weights, setting
 from .graph import ModelGraph
 from .tensor import Tensor
 from .util import FINITE, FINITE_POSITIVE, FRACTION, one_of
@@ -32,9 +30,12 @@ from .util import FINITE, FINITE_POSITIVE, FRACTION, one_of
 # -- schedules -------------------------------------------------------------
 
 
+SCHEDULE_MODE = one_of(("polynomial", "exponential", "multistep", "adaptive"))
+
+
 @dataclass
 class SparsityScheduleSpec(Spec):
-    mode: str = setting(one_of(("polynomial", "exponential", "multistep", "adaptive")), "polynomial")
+    mode: str = setting(SCHEDULE_MODE, "polynomial")
     init: float = setting(FRACTION, 0.0)
     target: float = setting(FRACTION, 0.5)
     epochs: int = 10
@@ -171,18 +172,23 @@ class ParamMask:
         return self.mask.shape in (tuple(shape), (*shape[:1], *(1,) * (len(shape) - 1)))
 
 
+@dataclass
+class MagnitudeSparsitySpec(Spec):
+    schedule: SparsityScheduleSpec = field(default_factory=SparsityScheduleSpec)
+
+
 class MagnitudeSparsityController(CompressionController):
     name = "magnitude_sparsity"
+    spec_class = MagnitudeSparsitySpec
 
-    def __init__(self, graph: ModelGraph, hooks: Dict[str, ParamMask], schedule: SparsityScheduleSpec):
-        super().__init__(graph)
-        self.hooks = hooks
+    def __init__(self, graph: ModelGraph, spec: MagnitudeSparsitySpec):
+        self.hooks = hook_weights(graph, self.name, lambda shape: ParamMask(np.ones(shape)))
+        super().__init__(graph, spec)
         self.level = 0.0
         self.threshold = 0.0
-        self.schedule = schedule
 
     def on_epoch(self, epoch, metrics):
-        self.set_level(sparsity_level_at_epoch(self.schedule, epoch, metrics))
+        self.set_level(sparsity_level_at_epoch(self.spec.schedule, epoch, metrics))
 
     def set_level(self, level: float):
         weights = {nid: self.graph.nodes[nid].params["weight"].data for nid in self.hooks}
@@ -202,20 +208,6 @@ class MagnitudeSparsityController(CompressionController):
                 nid: float((m.mask.data == 0).mean()) for nid, m in self.hooks.items()
             },
         }
-
-
-@dataclass
-class MagnitudeSparsitySpec(Spec):
-    schedule: SparsityScheduleSpec = field(default_factory=SparsityScheduleSpec)
-
-
-class MagnitudeSparsityBuilder(CompressionBuilder):
-    name = "magnitude_sparsity"
-    spec_class = MagnitudeSparsitySpec
-
-    def apply_to(self, graph: ModelGraph) -> MagnitudeSparsityController:
-        hooks = hook_weights(graph, self.name, lambda shape: ParamMask(np.ones(shape)))
-        return MagnitudeSparsityController(graph, hooks, self.spec.schedule)
 
 
 # -- regularization-based method -------------------------------------------
@@ -282,14 +274,39 @@ class RBGate:
         return self.scores.shape == tuple(shape)
 
 
+@dataclass
+class RBScheduleSpec(SparsityScheduleSpec):
+    """rb_sparsity's schedule.  When neither ``mode`` nor ``init`` is given,
+    it is checked as a polynomial ramp from 0, then holds the target from
+    epoch 0."""
+
+    mode: Optional[str] = setting(SCHEDULE_MODE, None)  # None: "polynomial"
+    init: Optional[float] = setting(FRACTION, None)  # None: 0.0
+
+    def __post_init__(self):
+        hold = self.mode is None and self.init is None
+        self.mode = "polynomial" if self.mode is None else self.mode
+        self.init = 0.0 if self.init is None else self.init
+        super().__post_init__()
+        if hold:
+            self.init, self.epochs = self.target, 0
+
+
+@dataclass
+class RBSparsitySpec(Spec):
+    schedule: RBScheduleSpec = field(default_factory=RBScheduleSpec)
+    score_init: float = setting(FINITE, 3.0)
+    score_lr_multiplier: float = setting(FINITE_POSITIVE, 1.0)
+
+
 class RBSparsityController(CompressionController):
     name = "rb_sparsity"
+    spec_class = RBSparsitySpec
 
-    def __init__(self, graph: ModelGraph, gates: Dict[str, RBGate], spec: RBSparsitySpec):
-        super().__init__(graph)
-        self.gates = gates
+    def __init__(self, graph: ModelGraph, spec: RBSparsitySpec):
+        self.gates = hook_weights(graph, self.name, lambda shape: RBGate(np.full(shape, spec.score_init)))
+        super().__init__(graph, spec)
         self.level = spec.schedule.target
-        self.spec = spec
         self.lr_multiplier = spec.score_lr_multiplier
 
     def on_epoch(self, epoch, metrics):
@@ -307,27 +324,3 @@ class RBSparsityController(CompressionController):
             "eval_sparsity": off / total if total else 0.0,
             "mean_gate_probability": float(probs.mean()),
         }
-
-
-@dataclass
-class RBSparsitySpec(Spec):
-    schedule: SparsityScheduleSpec = field(default_factory=SparsityScheduleSpec)
-    score_init: float = setting(FINITE, 3.0)
-    score_lr_multiplier: float = setting(FINITE_POSITIVE, 1.0)
-
-
-class RBSparsityBuilder(CompressionBuilder):
-    name = "rb_sparsity"
-    spec_class = RBSparsitySpec
-
-    def __init__(self, config: dict, path: str = ""):
-        super().__init__(config, path)
-        schedule = config.get("schedule", {})
-        if "init" not in schedule and "mode" not in schedule:
-            # default: hold the target level from the start
-            target = self.spec.schedule.target
-            self.spec.schedule = SparsityScheduleSpec(init=target, target=target, epochs=0)
-
-    def apply_to(self, graph: ModelGraph) -> RBSparsityController:
-        gates = hook_weights(graph, self.name, lambda shape: RBGate(np.full(shape, self.spec.score_init)))
-        return RBSparsityController(graph, gates, self.spec)

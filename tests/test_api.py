@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from nncompress import base
 from nncompress.api import (
-    BUILDERS,
+    ALGORITHMS,
     ConfigError,
     ConfigSpec,
     create_compressed_model,
@@ -24,8 +24,9 @@ from nncompress.api import (
     total_compression_loss,
     validate_config,
 )
+from nncompress.mixed_precision import MAX_TRACE_SAMPLES
 from nncompress.models import PRESETS, build_model
-from nncompress.pruning import PruningBuilder, PruningSchedulerSpec, pruning_rate_at_epoch
+from nncompress.pruning import FilterPruningSpec, PruningController, PruningSchedulerSpec, pruning_rate_at_epoch
 from nncompress.quantization import FakeQuantizer
 from nncompress.serialize import SerializationError, load_checkpoint, load_model, save_checkpoint, serialize_model
 from nncompress.sparsity import RBGate, SparsityScheduleSpec, sparsity_level_at_epoch
@@ -50,7 +51,7 @@ MISTYPED = [
 ]
 
 # (section, dotted path of the out-of-range key): the right type, a value no
-# builder can use
+# algorithm can use
 OUT_OF_RANGE = [
     ({"algorithm": "quantization", "bits": 1}, "bits"),
     ({"algorithm": "quantization", "mode": "bogus"}, "mode"),
@@ -86,6 +87,8 @@ OUT_OF_RANGE = [
     ({"algorithm": "filter_pruning", "pruning_rate": 0.5, "scheduler": {"warmup_epochs": -3}},
      "scheduler.warmup_epochs"),
     ({"algorithm": "filter_pruning", "pruning_rate": 0.5, "scheduler": {"epochs": -1}}, "scheduler.epochs"),
+    # once validated, then probed the Hessian without end
+    ({"algorithm": "quantization", "mixed_precision": {"trace_samples": 10**9}}, "mixed_precision.trace_samples"),
 ]
 BAD_VALUES = MISTYPED + OUT_OF_RANGE
 
@@ -151,7 +154,7 @@ def test_export_refuses_binarized_pruned_graph(tmp_path):
     # a graph that carries both families' hooks, as a checkpoint written before the config check did
     binarize = {"algorithm": "binarization", "denylist": []}  # the default denylist spares both of cnn-small's convs
     ctrls, g = create_compressed_model(build_model("cnn-small", 0), {"compression": binarize})
-    PruningBuilder({"pruning_rate": 0.4}).apply_to(g).scheduler.epoch_step()
+    PruningController(g, FilterPruningSpec(pruning_rate=0.4)).scheduler.epoch_step()
     save_checkpoint(g, tmp_path / "ckpt.nncm", {}, 0)
     restored, _ = load_checkpoint(tmp_path / "ckpt.nncm")
     with pytest.raises(ValueError, match="binarization and filter_pruning"):
@@ -187,7 +190,7 @@ def _declared_kinds(spec_cls, prefix=""):
             yield prefix + f.name, tp, f.metadata["kind"]
 
 
-DECLARED_KINDS = [(name, *declared) for name, b in BUILDERS.items() for declared in _declared_kinds(b.spec_class)]
+DECLARED_KINDS = [(name, *declared) for name, c in ALGORITHMS.items() for declared in _declared_kinds(c.spec_class)]
 # a section's required keys, at values that pass
 REQUIRED_KEYS = {"filter_pruning": {"pruning_rate": 0.5}}
 PROBES = (-1, 0, 1.5, 101, math.nan, "bogus", [])
@@ -274,7 +277,8 @@ def test_schedules_that_validate_stay_in_range(schedule, scheduler, rate):
             validate_config({"compression": [section]})
         except ConfigError:
             continue
-        spec = BUILDERS[section["algorithm"]](section).spec
+        options = {k: v for k, v in section.items() if k != "algorithm"}
+        spec = base.load_spec(ALGORITHMS[section["algorithm"]].spec_class, options)
         for epoch in range(21):
             if section["algorithm"] == "magnitude_sparsity":
                 s = spec.schedule
@@ -298,8 +302,8 @@ EDGE_VALUES = {
                           "dorefa", "l1", "l2", "geometric_median", "baseline", "exponential", "polynomial",
                           "multistep", "adaptive", "conv*", "fc", "*", "bogus"]),
 }
-EDGE_SECTIONS = st.one_of([_sections(b.spec_class, EDGE_VALUES, algorithm=st.just(name))
-                           for name, b in BUILDERS.items()])
+EDGE_SECTIONS = st.one_of([_sections(c.spec_class, EDGE_VALUES, algorithm=st.just(name))
+                           for name, c in ALGORITHMS.items()])
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -327,6 +331,18 @@ def test_empty_candidate_bits_rejected_with_path():
     section = {"algorithm": "quantization", "mixed_precision": {"candidate_bits": []}}
     with pytest.raises(ConfigError, match=re.escape("'compression[0].mixed_precision.candidate_bits'")):
         validate_config({"compression": [section]})
+
+
+def test_trace_samples_ceiling_is_the_last_valid_count():
+    def section(n):
+        return {"compression": [{"algorithm": "quantization", "mixed_precision": {"trace_samples": n}}]}
+
+    for n in (32, MAX_TRACE_SAMPLES):
+        validate_config(section(n))
+    message = (f"'compression[0].mixed_precision.trace_samples' is out of range: must be an integer of at least 1 "
+               f"and at most {MAX_TRACE_SAMPLES}, got {MAX_TRACE_SAMPLES + 1}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_config(section(MAX_TRACE_SAMPLES + 1))
 
 
 def test_seed_too_large_for_a_float_is_a_config_error():
@@ -397,7 +413,7 @@ def test_readme_config_table_matches_specs():
         cells = [c.strip() for c in line.strip("| ").split(" | ")]
         key = re.match(r"`([^`]+)`", cells[1]).group(1)
         table.setdefault(cells[0], {})[key] = cells[2]
-    specs = {"top level": ConfigSpec, **{name: b.spec_class for name, b in BUILDERS.items()}}
+    specs = {"top level": ConfigSpec, **{name: c.spec_class for name, c in ALGORITHMS.items()}}
     assert set(table) == set(specs)
     for name, spec_cls in specs.items():
         defaults = _spec_defaults(spec_cls)

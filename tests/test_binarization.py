@@ -5,7 +5,7 @@ from nncompress import serialize as S
 from nncompress import tensor as T
 from nncompress.binarization import (
     ActivationBinarizer,
-    BinarizationBuilder,
+    BinarizationController,
     BinarizationSpec,
     WeightBinarizer,
     apply_binarization,
@@ -244,7 +244,7 @@ def test_unmatched_patterns_warn():
 def test_each_unmatched_pattern_warns():
     """A typo beside a matching pattern warns too, and names the typo."""
     with pytest.warns(UserWarning) as record:
-        ctrl = BinarizationBuilder({"denylist": ["conv1", "cnov2"]}).apply_to(build_model("cnn-small"))
+        ctrl = BinarizationController(build_model("cnn-small"), BinarizationSpec(denylist=["conv1", "cnov2"]))
     assert [str(w.message) for w in record] == ["binarization denylist pattern 'cnov2' matches no convolution"]
     assert list(ctrl.handles) == ["conv2"]
 
@@ -264,7 +264,7 @@ def test_apply_binarization_places_both_hooks():
 
 def test_controller_stages_gate_the_hooks():
     g = three_conv_net()
-    ctrl = BinarizationBuilder({"stage_epochs": [1, 1, 1, 1]}).apply_to(g)
+    ctrl = BinarizationController(g, BinarizationSpec(stage_epochs=(1, 1, 1, 1)))
     x = Tensor(np.random.default_rng(7).normal(size=(2, 1, 6, 6)))
     plain = three_conv_net().run(x).data
 
@@ -292,7 +292,7 @@ def test_controller_stages_gate_the_hooks():
 
 def test_binarized_training_reaches_scale_and_thresholds():
     g = three_conv_net()
-    ctrl = BinarizationBuilder({"stage_epochs": [0, 0, 4, 0]}).apply_to(g)
+    ctrl = BinarizationController(g, BinarizationSpec(stage_epochs=(0, 0, 4, 0)))
     ctrl.scheduler.epoch_step()
     x = Tensor(np.random.default_rng(8).normal(size=(2, 1, 6, 6)))
     out = g.run(x, mode="train")
@@ -307,7 +307,7 @@ def test_binarized_training_reaches_scale_and_thresholds():
 
 def test_binarization_round_trips_through_file(tmp_path):
     g = three_conv_net()
-    ctrl = BinarizationBuilder({"stage_epochs": [0, 0, 1, 0], "weight_scheme": "dorefa"}).apply_to(g)
+    ctrl = BinarizationController(g, BinarizationSpec(weight_scheme="dorefa", stage_epochs=(0, 0, 1, 0)))
     ctrl.scheduler.epoch_step()
     _, ab = ctrl.handles["conv2"]
     ab.scale.data[...] = 1.5

@@ -1,4 +1,5 @@
 import copy
+import re
 import weakref
 
 import numpy as np
@@ -17,7 +18,9 @@ from nncompress.graph import (
     NodeSpec,
 )
 from nncompress.models import PRESETS, build_model
-from nncompress.pruning import PruningBuilder, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters
+from nncompress.pruning import (
+    FilterPruningSpec, PruningController, installed_filter_masks, propagate_pruning_masks, strip_pruned_filters,
+)
 from nncompress.quantization import FakeQuantizer
 from nncompress.serialize import serialize_model
 from nncompress.sparsity import ParamMask, RBGate
@@ -135,6 +138,33 @@ def test_assigning_duplicate_hooks_is_rejected():
         g.hooks = [*g.hooks, twin]
     assert len(g.hooks) == 1
     assert g.hooks_at("flat", HookPosition.POST_OUTPUT) == list(g.hooks)
+
+
+# a hook whose point cnn-small lacks, or whose fields its position never reads, and the refusal
+MISPLACED_HOOKS = [
+    (Hook("conv9", HookPosition.POST_OUTPUT, "fam", None), "hook references unknown node 'conv9'"),
+    (Hook(INPUT_ID, HookPosition.PRE_PARAM, "fam", None, param_name="weight"), "the input has only an output"),
+    (Hook("conv1", HookPosition.POST_OUTPUT, "fam", None, param_name="weight"), "only a pre_param hook names"),
+    (Hook("conv1", HookPosition.PRE_PARAM, "fam", None, param_name="wieght"), "no parameter 'wieght'"),
+    (Hook("conv1", HookPosition.PRE_INPUT, "fam", ParamMask(np.ones(1)), input_index=2), "no input index 2"),
+]
+
+
+@pytest.mark.parametrize("hook, message", MISPLACED_HOOKS, ids=["node", "input", "field", "param", "index"])
+def test_assigned_hooks_are_checked_as_inserted_ones(hook, message):
+    """The hooks setter refuses each hook that insert_hook refuses, with the same
+    message, and a refused sequence leaves the graph's hooks as they were: a
+    hook that run would skip, or that a model file could not load, never gets in."""
+    g = build_model("cnn-small", 0)
+    g.insert_hook(Hook("conv1", HookPosition.POST_OUTPUT, "fam", lambda t, ctx: t))
+    before = g.hooks
+    with pytest.raises(GraphError, match=re.escape(message)) as assigned:
+        g.hooks = [*before, hook]
+    assert g.hooks == before and g.hooks_at("conv1", HookPosition.POST_OUTPUT) == list(before)
+    with pytest.raises(GraphError) as inserted:
+        g.insert_hook(hook)
+    assert str(inserted.value) == str(assigned.value)
+    assert g.hooks == before
 
 
 def test_hook_on_unknown_node_rejected():
@@ -437,7 +467,7 @@ def test_copy_owns_hook_state(hook, state):
 
 def test_strip_on_a_copy_leaves_the_original_unsliced():
     g = build_model("cnn-small")
-    pruning = PruningBuilder({"pruning_rate": 0.5, "criterion": "l2"}).apply_to(g)
+    pruning = PruningController(g, FilterPruningSpec(pruning_rate=0.5, criterion="l2"))
     pruning.scheduler.epoch_step()
     fq = FakeQuantizer(bits=8, grid="weight", per_channel=True, channels=4)
     fq.init_from_array(g.nodes["conv1"].params["weight"].data)

@@ -17,7 +17,9 @@ from nncompress.mixed_precision import (
     select_bitwidth_config,
 )
 from nncompress.models import build_model
-from nncompress.quantization import MixedPrecisionSpec, QuantizationBuilder, initialize_quantizer_ranges
+from nncompress.quantization import (
+    MixedPrecisionSpec, QuantizationController, QuantizationSpec, initialize_quantizer_ranges,
+)
 from nncompress.tensor import Tensor
 from nncompress.util import cross_entropy
 
@@ -157,7 +159,7 @@ def test_selection_unreachable_target_raises():
 
 def test_plan_on_quantized_model():
     g = small_cnn()
-    ctrl = QuantizationBuilder({}).apply_to(g)
+    ctrl = QuantizationController(g, QuantizationSpec())
     rng = np.random.default_rng(5)
     x = rng.normal(size=(8, 1, 8, 8))
     initialize_quantizer_ranges(g, [x])
@@ -200,7 +202,7 @@ def test_plan_releases_its_loss_tape():
     """Once the plan returns, its loss tape is freed without the cyclic
     collector, although the loss's exp holds its own output."""
     g = small_cnn()
-    ctrl = QuantizationBuilder({}).apply_to(g)
+    ctrl = QuantizationController(g, QuantizationSpec())
     rng = np.random.default_rng(6)
     x, y = rng.normal(size=(8, 1, 8, 8)), rng.integers(0, 2, 8)
     initialize_quantizer_ranges(g, [x])

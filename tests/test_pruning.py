@@ -10,8 +10,11 @@ from nncompress.cli import main
 from nncompress.data import make_dataset
 from nncompress.graph import WEIGHTED_KINDS, Hook, HookPosition, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.models import build_model
+from nncompress.base import ConfigError, load_spec
 from nncompress.pruning import (
-    PruningBuilder,
+    FilterPruningSpec,
+    PruningController,
+    PruningSchedulerSpec,
     apply_filter_masks,
     filter_importance,
     filter_mask,
@@ -23,7 +26,9 @@ from nncompress.pruning import (
 )
 from nncompress.quantization import FakeQuantizer, quant_grid
 from nncompress.serialize import load_checkpoint, load_model, save_checkpoint, serialize_model
-from nncompress.sparsity import MagnitudeSparsityBuilder, ParamMask, RBGate, RBSparsityBuilder
+from nncompress.sparsity import (
+    MagnitudeSparsityController, MagnitudeSparsitySpec, ParamMask, RBGate, RBSparsityController, RBSparsitySpec,
+)
 from nncompress.tensor import Tensor
 from nncompress.train import train_model
 
@@ -207,7 +212,7 @@ def test_all_ones_masks_do_not_change_outputs():
 
 def test_frozen_filters_untouched_by_sgd():
     g, _ = chain_relu(np.random.default_rng(9))
-    ctrl = PruningBuilder({"pruning_rate": 0.5, "criterion": "l2"}).apply_to(g)
+    ctrl = PruningController(g, FilterPruningSpec(pruning_rate=0.5, criterion="l2"))
     ctrl.scheduler.epoch_step()  # baseline, no warmup: prune and freeze at once
     assert ctrl.frozen and ctrl.rate == 0.5
     pruned = ~ctrl.mask_map.output_masks["c1"]
@@ -303,12 +308,12 @@ def test_strip_slices_per_channel_quantizer_state():
 
 
 def magnitude_masks_at_30(g):
-    MagnitudeSparsityBuilder({}).apply_to(g).set_level(0.3)
+    MagnitudeSparsityController(g, MagnitudeSparsitySpec()).set_level(0.3)
 
 
 def random_rb_gates(g):
     rng = np.random.default_rng(21)
-    for gate in RBSparsityBuilder({}).apply_to(g).gates.values():
+    for gate in RBSparsityController(g, RBSparsitySpec()).gates.values():
         gate.scores.data = rng.normal(size=gate.scores.shape)
 
 
@@ -438,13 +443,8 @@ def test_checkpoint_masks_that_propagation_would_not_give_are_refused(case, tmp_
 
 def test_exponential_reselects_bottom_k_each_change():
     g, _ = chain_relu(np.random.default_rng(19))
-    ctrl = PruningBuilder(
-        {
-            "pruning_rate": 0.5,
-            "criterion": "l1",
-            "scheduler": {"mode": "exponential", "warmup_epochs": 0, "epochs": 3},
-        }
-    ).apply_to(g)
+    scheduler = PruningSchedulerSpec(mode="exponential", warmup_epochs=0, epochs=3)
+    ctrl = PruningController(g, FilterPruningSpec(pruning_rate=0.5, criterion="l1", scheduler=scheduler))
     for epoch in range(5):
         if epoch == 2:
             # reshuffle importances between rate changes
@@ -459,7 +459,7 @@ def test_exponential_reselects_bottom_k_each_change():
 
 def test_frozen_controller_stops_reselecting():
     g, _ = chain_relu(np.random.default_rng(20))
-    ctrl = PruningBuilder({"pruning_rate": 0.5}).apply_to(g)
+    ctrl = PruningController(g, FilterPruningSpec(pruning_rate=0.5))
     ctrl.scheduler.epoch_step()
     frozen_masks = {nid: m.copy() for nid, m in ctrl.conv_masks.items()}
     g.nodes["c1"].params["weight"].data = g.nodes["c1"].params["weight"].data[::-1].copy()
@@ -472,10 +472,10 @@ def test_restored_scheduler_state_keeps_frozen_masks():
     # rate and frozen follow the scheduler's epoch, so a restored state resumes
     # a frozen run as frozen instead of re-selecting from the current weights
     x, y = make_dataset("stripes", 64, 0)
-    a = PruningBuilder({"pruning_rate": 0.5}).apply_to(build_model("cnn-small", 0))
+    a = PruningController(build_model("cnn-small", 0), FilterPruningSpec(pruning_rate=0.5))
     train_model(a.graph, [a], (x, y), (x, y), epochs=1)
     assert a.frozen and a.rate == 0.5
-    b = PruningBuilder({"pruning_rate": 0.5}).apply_to(build_model("cnn-small", 0))
+    b = PruningController(build_model("cnn-small", 0), FilterPruningSpec(pruning_rate=0.5))
     b.scheduler.load_state_dict(a.scheduler.state_dict())
     write_filter_masks(b.graph, b.hooks, a.mask_map)
     assert b.frozen and b.rate == 0.5
@@ -497,7 +497,7 @@ def test_geometric_median_single_filter_skipped_with_warning():
     g.add_node(rand_conv("c2", "c1", 1, 4, 3, rng, padding=1))
     g.add_node(simple("flat", "Flatten", "c2"))
     g.add_node(rand_fc("fc", "flat", 64, 2, rng))
-    ctrl = PruningBuilder({"pruning_rate": 0.5, "criterion": "geometric_median"}).apply_to(g)
+    ctrl = PruningController(g, FilterPruningSpec(pruning_rate=0.5, criterion="geometric_median"))
     with pytest.warns(UserWarning, match="c1"):
         ctrl.scheduler.epoch_step()
     np.testing.assert_array_equal(ctrl.conv_masks["c1"], True)
@@ -506,17 +506,16 @@ def test_geometric_median_single_filter_skipped_with_warning():
 
 def test_exclude_patterns_and_unmatched_warning():
     g, _ = chain_relu(np.random.default_rng(22))
-    ctrl = PruningBuilder({"pruning_rate": 0.5, "exclude": ["c1"]}).apply_to(g)
+    ctrl = PruningController(g, FilterPruningSpec(pruning_rate=0.5, exclude=["c1"]))
     assert ctrl.prunable == ["c2"]
     with pytest.warns(UserWarning, match="matches no node"):
-        PruningBuilder({"pruning_rate": 0.5, "exclude": ["nope*"]}).apply_to(
-            chain_relu(np.random.default_rng(23))[0]
-        )
+        PruningController(chain_relu(np.random.default_rng(23))[0],
+                          FilterPruningSpec(pruning_rate=0.5, exclude=["nope*"]))
 
 
 def test_controller_statistics_and_export(tmp_path):
     g, _ = chain_bn(np.random.default_rng(24))
-    ctrl = PruningBuilder({"pruning_rate": 0.4, "criterion": "l2"}).apply_to(g)
+    ctrl = PruningController(g, FilterPruningSpec(pruning_rate=0.4, criterion="l2"))
     ctrl.scheduler.epoch_step()
     stats = ctrl.statistics()
     assert stats["rate"] == 0.4
@@ -532,5 +531,5 @@ def test_controller_statistics_and_export(tmp_path):
 
 
 def test_missing_rate_rejected():
-    with pytest.raises(ValueError):
-        PruningBuilder({}).apply_to(chain_relu(np.random.default_rng(26))[0])
+    with pytest.raises(ConfigError, match="missing config key 'pruning_rate'"):
+        load_spec(FilterPruningSpec, {})

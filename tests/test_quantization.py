@@ -8,7 +8,7 @@ from nncompress.graph import FUSED_CHAINS, Hook, HookPosition, INPUT_ID, ModelGr
 from nncompress.models import build_model
 from nncompress.quantization import (
     FakeQuantizer,
-    QuantizationBuilder,
+    QuantizationController,
     QuantizationSpec,
     initialize_quantizer_ranges,
     insert_quantizers,
@@ -460,9 +460,9 @@ def test_quantized_graph_round_trips_through_file(tmp_path):
     np.testing.assert_array_equal(before, after)
 
 
-def test_builder_controller_flow():
+def test_controller_flow():
     g = small_cnn()
-    ctrl = QuantizationBuilder({"bits": 8, "mode": "symmetric"}).apply_to(g)
+    ctrl = QuantizationController(g, QuantizationSpec(bits=8, mode="symmetric"))
     rng = np.random.default_rng(6)
     initialize_quantizer_ranges(g, [rng.normal(size=(4, 1, 8, 8))])
     names = [n for n, _, _ in ctrl.extra_params()]
@@ -485,7 +485,7 @@ def test_builder_controller_flow():
 
 def test_export_rejects_uninitialized_quantizers(tmp_path):
     g = small_cnn()
-    QuantizationBuilder({}).apply_to(g)
+    QuantizationController(g, QuantizationSpec())
     with pytest.raises(S.SerializationError, match="uninitialized"):
         export_graph(g, tmp_path / "q.nncm")
 

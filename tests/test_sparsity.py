@@ -1,17 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nncompress import tensor as T
-from nncompress.api import export_graph
+from nncompress.api import ConfigError, create_compressed_model, export_graph
 from nncompress.graph import ExecContext, INPUT_ID, ModelGraph, NodeSpec
 from nncompress.serialize import deserialize_model, serialize_model
+from nncompress.base import load_spec
 from nncompress.sparsity import (
-    MagnitudeSparsityBuilder,
+    MagnitudeSparsityController,
+    MagnitudeSparsitySpec,
     ParamMask,
     RBGate,
-    RBSparsityBuilder,
+    RBSparsityController,
+    RBSparsitySpec,
     SparsityScheduleSpec,
     magnitude_masks,
     rb_eval_mask,
@@ -175,9 +179,9 @@ def tiny_net():
     return g
 
 
-def test_magnitude_builder_hooks_weights_only():
+def test_magnitude_hooks_weights_only():
     g = tiny_net()
-    ctrl = MagnitudeSparsityBuilder({}).apply_to(g)
+    ctrl = MagnitudeSparsityController(g, MagnitudeSparsitySpec())
     assert set(ctrl.hooks) == {"conv", "fc"}
     for h in g.hooks:
         assert h.param_name == "weight"
@@ -185,7 +189,7 @@ def test_magnitude_builder_hooks_weights_only():
 
 def test_magnitude_masked_forward_and_blocked_grads():
     g = tiny_net()
-    ctrl = MagnitudeSparsityBuilder({}).apply_to(g)
+    ctrl = MagnitudeSparsityController(g, MagnitudeSparsitySpec())
     ctrl.set_level(0.5)
     x = np.random.default_rng(1).normal(size=(3, 1, 4, 4))
 
@@ -207,7 +211,7 @@ def test_magnitude_masked_forward_and_blocked_grads():
 
 def test_magnitude_achieved_level_and_stats():
     g = tiny_net()
-    ctrl = MagnitudeSparsityBuilder({}).apply_to(g)
+    ctrl = MagnitudeSparsityController(g, MagnitudeSparsitySpec())
     ctrl.set_level(0.5)
     stats = ctrl.statistics()
     n = 18 + 64
@@ -218,9 +222,8 @@ def test_magnitude_achieved_level_and_stats():
 
 def test_magnitude_scheduler_ramps_and_recomputes():
     g = tiny_net()
-    ctrl = MagnitudeSparsityBuilder(
-        {"schedule": {"mode": "polynomial", "init": 0.0, "target": 0.5, "epochs": 2}}
-    ).apply_to(g)
+    schedule = SparsityScheduleSpec(mode="polynomial", init=0.0, target=0.5, epochs=2)
+    ctrl = MagnitudeSparsityController(g, MagnitudeSparsitySpec(schedule))
     ctrl.scheduler.epoch_step()
     assert ctrl.level == 0.0
     ctrl.scheduler.epoch_step()
@@ -235,10 +238,11 @@ def test_magnitude_scheduler_ramps_and_recomputes():
     assert ctrl.hooks["fc"].mask.data.ravel()[alive[0]] == 0.0
 
 
-@pytest.mark.parametrize("builder", [MagnitudeSparsityBuilder, RBSparsityBuilder], ids=["magnitude", "rb"])
-def test_magnitude_adaptive_uses_reported_metric(builder):
+@pytest.mark.parametrize("controller", [MagnitudeSparsityController, RBSparsityController], ids=["magnitude", "rb"])
+def test_magnitude_adaptive_uses_reported_metric(controller):
     def build():
-        return builder({"schedule": {"mode": "adaptive", "init": 0.1, "target": 0.3, "step": 0.1}}).apply_to(tiny_net())
+        schedule = {"mode": "adaptive", "init": 0.1, "target": 0.3, "step": 0.1}
+        return controller(tiny_net(), load_spec(controller.spec_class, {"schedule": schedule}))
 
     ctrl = build()
     ctrl.scheduler.epoch_step()
@@ -260,7 +264,7 @@ def test_magnitude_adaptive_uses_reported_metric(builder):
 
 def test_magnitude_export_bakes_masks(tmp_path):
     g = tiny_net()
-    ctrl = MagnitudeSparsityBuilder({}).apply_to(g)
+    ctrl = MagnitudeSparsityController(g, MagnitudeSparsitySpec())
     ctrl.set_level(0.4)
     x = np.random.default_rng(2).normal(size=(2, 1, 4, 4))
     ref = g.run(Tensor(x)).data
@@ -274,7 +278,7 @@ def test_magnitude_export_bakes_masks(tmp_path):
 
 def test_magnitude_hooks_survive_serialization():
     g = tiny_net()
-    ctrl = MagnitudeSparsityBuilder({}).apply_to(g)
+    ctrl = MagnitudeSparsityController(g, MagnitudeSparsitySpec())
     ctrl.set_level(0.5)
     x = np.random.default_rng(3).normal(size=(2, 1, 4, 4))
     ref = g.run(Tensor(x)).data
@@ -356,9 +360,9 @@ def test_rb_gate_needs_rng_in_train_mode():
 # -- rb controller ---------------------------------------------------------
 
 
-def test_rb_builder_and_extra_params():
+def test_rb_hooks_and_extra_params():
     g = tiny_net()
-    ctrl = RBSparsityBuilder({"score_lr_multiplier": 8.0}).apply_to(g)
+    ctrl = RBSparsityController(g, RBSparsitySpec(score_lr_multiplier=8.0))
     assert set(ctrl.gates) == {"conv", "fc"}
     np.testing.assert_array_equal(ctrl.gates["conv"].scores.data, np.full((2, 1, 3, 3), 3.0))
     params = ctrl.extra_params()
@@ -369,7 +373,7 @@ def test_rb_builder_and_extra_params():
 
 def test_rb_train_forward_samples_eval_is_deterministic():
     g = tiny_net()
-    ctrl = RBSparsityBuilder({}).apply_to(g)
+    ctrl = RBSparsityController(g, RBSparsitySpec())
     x = np.random.default_rng(4).normal(size=(2, 1, 4, 4))
     a = g.run(Tensor(x), mode="train", rng=np.random.default_rng(9)).data
     b = g.run(Tensor(x), mode="train", rng=np.random.default_rng(9)).data
@@ -383,7 +387,7 @@ def test_rb_train_forward_samples_eval_is_deterministic():
 
 def test_rb_loss_drives_density_to_target():
     g = tiny_net()
-    ctrl = RBSparsityBuilder({"schedule": {"target": 0.5}}).apply_to(g)
+    ctrl = RBSparsityController(g, load_spec(RBSparsitySpec, {"schedule": {"target": 0.5}}))
     ctrl.scheduler.epoch_step()
     assert ctrl.level == 0.5
     scores = [t for _, t, _ in ctrl.extra_params()]
@@ -397,9 +401,34 @@ def test_rb_loss_drives_density_to_target():
     assert abs(probs.mean() - 0.5) < 0.01
 
 
+# (schedule section, levels at epochs 0-12, or None where the section is refused)
+RB_SCHEDULES = [
+    ({}, [0.5] * 13),
+    ({"target": 0.3}, [0.3] * 13),
+    ({"mode": "polynomial", "target": 0.3}, [0.3 * (e / 10) for e in range(10)] + [0.3] * 3),
+    ({"init": 0.0, "target": 0.3}, [0.3 * (e / 10) for e in range(10)] + [0.3] * 3),
+    ({"target": 0.3, "epochs": 0}, None),  # checked as a ramp from 0 before the hold applies
+]
+
+
+@pytest.mark.parametrize("schedule, levels", RB_SCHEDULES, ids=["default", "target", "mode", "init", "zero-epochs"])
+def test_rb_schedule_holds_the_target_unless_mode_or_init_is_given(schedule, levels):
+    config = {"compression": [{"algorithm": "rb_sparsity", "schedule": schedule}]}
+    if levels is None:
+        with pytest.raises(ConfigError, match=re.escape("'compression[0].schedule.epochs' is out of range")):
+            create_compressed_model(tiny_net(), config)
+        return
+    (ctrl,), _ = create_compressed_model(tiny_net(), config)
+    seen = []
+    for _ in range(13):
+        ctrl.scheduler.epoch_step()
+        seen.append(ctrl.level)
+    assert seen == levels
+
+
 def test_rb_export_bakes_eval_mask(tmp_path):
     g = tiny_net()
-    ctrl = RBSparsityBuilder({}).apply_to(g)
+    ctrl = RBSparsityController(g, RBSparsitySpec())
     ctrl.gates["conv"].scores.data[:] = -1.0  # prune the whole conv
     x = np.random.default_rng(6).normal(size=(2, 1, 4, 4))
     ref = g.run(Tensor(x)).data
@@ -411,7 +440,7 @@ def test_rb_export_bakes_eval_mask(tmp_path):
 
 def test_rb_statistics_and_serialization():
     g = tiny_net()
-    ctrl = RBSparsityBuilder({}).apply_to(g)
+    ctrl = RBSparsityController(g, RBSparsitySpec())
     ctrl.gates["fc"].scores.data.reshape(-1)[:5] = -2.0
     stats = ctrl.statistics()
     assert stats["eval_sparsity"] == pytest.approx(5 / (18 + 64))

@@ -14,7 +14,8 @@ from nncompress.models import build_model
 from nncompress.quantization import (
     RANGE_FLOOR,
     FakeQuantizer,
-    QuantizationBuilder,
+    QuantizationController,
+    QuantizationSpec,
     initialize_quantizer_ranges,
     quant_grid,
     tune_asymmetric_range,
@@ -406,7 +407,7 @@ def quantized_topology_loss(build):
     """A topology with 4-bit quantizers, a train-mode loss and every trainable tensor."""
     rng = np.random.default_rng(3)
     g, _ = build(rng)
-    ctrl = QuantizationBuilder({"bits": 4}).apply_to(g)
+    ctrl = QuantizationController(g, QuantizationSpec(bits=4))
     x = rng.normal(size=(3,) + tuple(g.input_shape))
     initialize_quantizer_ranges(g, [x])
     out = g.run(Tensor(x), mode="train")
